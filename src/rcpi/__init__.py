@@ -52,14 +52,7 @@ from .liouvillian import (
     evolve,
     hamiltonian_coefficients,
 )
-from .quadrature import (
-    IntegralResult,
-    PVIntegralSpec,
-    QuadratureError,
-    oscillatory_tail,
-    principal_value,
-    rcpi_integral,
-)
+from .quadrature import IntegralResult, QuadratureError, rcpi_integral
 from .shifts import (
     Method,
     Regime,

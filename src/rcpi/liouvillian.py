@@ -25,9 +25,9 @@ from scipy.integrate import solve_ivp
 
 from .correlators import Pair
 from .dicke import DickeState, ket, projector
-from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, kappa
-from .quadrature import IntegralResult, PVIntegralSpec, oscillatory_tail, principal_value
-from .spectral import geometric_factor_f, oscillation_scale, sinc, spectral_density
+from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, local_temperature
+from .quadrature import _cauchy, _require_positive, _require_tolerance, _resonance_kernel, _shape_factor, rcpi_integral
+from .spectral import spectral_density
 
 __all__ = [
     "CoefficientSet",
@@ -153,18 +153,21 @@ def dissipator_coefficients(
     )
 
 
-def _detailed_balance_weight(spacetime: SpacetimeConfig, w: float) -> float:
-    """n(w) - n(-w) for the occupation factor of the given bath: coth of half the
-    frequency in units of the bath temperature; identically 1 in the vacuum."""
+def _w_coth(w: float, temperature: float) -> float:
+    """w (n(w) - n(-w)) = w coth(w / 2T): 2T at w = 0, and w itself in the vacuum."""
+    if temperature == 0.0:
+        return w
+    x = 0.5 * w / temperature
+    return w / math.tanh(x) if x else 2.0 * temperature
+
+
+def _bath_temperature(spacetime: SpacetimeConfig) -> float:
+    """Temperature of the occupation factor: the local 1/(2 pi kappa) in de Sitter, T in a bath."""
     if isinstance(spacetime, DeSitterPatch):
-        beta = 2.0 * math.pi * kappa(spacetime)
-    elif isinstance(spacetime, ThermalBath):
-        if spacetime.temperature == 0.0:
-            return 1.0
-        beta = 1.0 / spacetime.temperature
-    else:
-        raise TypeError(f"unsupported spacetime configuration: {spacetime!r}")
-    return 1.0 / math.tanh(0.5 * beta * w)
+        return local_temperature(spacetime).T
+    if isinstance(spacetime, ThermalBath):
+        return spacetime.temperature
+    raise TypeError(f"unsupported spacetime configuration: {spacetime!r}")
 
 
 def hamiltonian_cross_coefficients(
@@ -175,62 +178,25 @@ def hamiltonian_cross_coefficients(
     abs_tol: float = 1e-9,
     rel_tol: float = 1e-7,
 ) -> tuple[float, float]:
-    """Cross-atom Hamiltonian coefficients (a2, b2) by convergent PV + tail quadrature.
+    """Cross-atom Hamiltonian coefficients (a2, b2) by the resonance quadrature kernel.
 
     The occupation factors at +/- w fold onto the half line exactly: the a2
-    integrand carries no occupation weight at all, the b2 integrand carries
-    coth(beta w / 2).  Both are cutoff-free.
+    integrand carries no occupation weight at all and is the resonance
+    integral itself; the b2 integrand carries coth(w / 2T).  Both are
+    cutoff-free.
     """
-    if omega0 <= 0 or mu <= 0 or L <= 0:
-        raise ValueError("omega0, mu and L must all be positive")
-    if isinstance(spacetime, DeSitterPatch):
-        k = kappa(spacetime)
-        half_L = L / 2.0
-
-        def shape(w: float) -> float:
-            return geometric_factor_f(w, half_L, k)
-
-    else:
-
-        def shape(w: float) -> float:
-            return sinc(w * L)
-
-    sigma = oscillation_scale(spacetime, L)
-    half_period = math.pi / sigma
+    _require_positive(omega0=omega0, mu=mu, L=L)
     pref = mu * mu / (8.0 * math.pi**2)
+    T = _bath_temperature(spacetime)
+    amplitude, sigma = _shape_factor(spacetime, L)
 
-    def integrand_a(w: float) -> float:
-        return (w / (w - omega0) + w / (w + omega0)) * shape(w)
+    def p_b(w: float) -> float:
+        # (w/(w - w0) - w/(w + w0)) coth(w/2T) = 2 w0 w coth(w/2T) / ((w + w0)(w - w0))
+        return amplitude * 2.0 * omega0 * _w_coth(w, T) / (w + omega0)
 
-    def integrand_b(w: float) -> float:
-        return (w / (w - omega0) - w / (w + omega0)) * _detailed_balance_weight(spacetime, w) * shape(w)
-
-    a2 = pref * _pv_plus_tail(integrand_a, omega0, half_period, abs_tol, rel_tol).value
-    b2 = pref * _pv_plus_tail(integrand_b, omega0, half_period, abs_tol, rel_tol).value
+    a2 = pref * rcpi_integral(spacetime, omega0, L, abs_tol, rel_tol).value
+    b2 = pref * _resonance_kernel(p_b, omega0, sigma, abs_tol, rel_tol).value
     return a2, b2
-
-
-def _pv_plus_tail(integrand, pole, half_period, abs_tol, rel_tol) -> IntegralResult:
-    """Half-line PV integral with oscillatory tail, split at a zero of the oscillation."""
-    target = max(2.0 * pole, pole + 2.0 * half_period)
-    m = max(1, math.ceil(target / half_period))
-    W = m * half_period
-    while W - pole < 0.25 * min(pole, half_period):
-        m += 1
-        W = m * half_period
-    spec = PVIntegralSpec(pole=pole, abs_tol=abs_tol / 4.0, rel_tol=rel_tol / 4.0)
-    delta0 = 0.5 * min(pole, half_period, W - pole)
-    pv = principal_value(integrand, spec, (0.0, W), delta=delta0)
-    tail = oscillatory_tail(
-        integrand, first_zero=W, asymptotic_period=half_period, start=W,
-        abs_tol=abs_tol / 4.0, rel_tol=rel_tol / 4.0,
-    )
-    return IntegralResult(
-        value=pv.value + tail.value,
-        error=pv.error + tail.error,
-        evaluations=pv.evaluations + tail.evaluations,
-        lobes=tail.lobes,
-    )
 
 
 def hamiltonian_same_coefficients(
@@ -246,26 +212,27 @@ def hamiltonian_same_coefficients(
     Both integrals diverge as the cutoff grows (linearly and logarithmically);
     the cutoff regularizes the separation-independent self-energy in the
     spirit of Bethe's treatment, and the result is only meaningful together
-    with the cutoff used.
+    with the cutoff used.  Each is one Cauchy-weighted quadrature on [0, cutoff].
     """
-    if omega0 <= 0 or mu <= 0:
-        raise ValueError("omega0 and mu must be positive")
     if cutoff is None:
         raise ValueError("a frequency cutoff is required for the same-atom coefficients")
+    _require_positive(omega0=omega0, mu=mu, cutoff=cutoff)
     if cutoff <= omega0:
         raise ValueError(f"cutoff must exceed the pole frequency, got cutoff={cutoff}, omega0={omega0}")
     pref = mu * mu / (8.0 * math.pi**2)
+    T = _bath_temperature(spacetime)
 
-    def integrand_a(w: float) -> float:
-        return w / (w - omega0) + w / (w + omega0)
+    def p_a(w: float) -> float:
+        return 2.0 * w * w / (w + omega0)
 
-    def integrand_b(w: float) -> float:
-        return (w / (w - omega0) - w / (w + omega0)) * _detailed_balance_weight(spacetime, w)
+    def p_b(w: float) -> float:
+        return 2.0 * omega0 * _w_coth(w, T) / (w + omega0)
 
-    spec = PVIntegralSpec(pole=omega0, cutoff=cutoff, abs_tol=abs_tol, rel_tol=rel_tol)
-    a1 = pref * principal_value(integrand_a, spec, (0.0, cutoff), delta=omega0 / 2.0).value
-    b1 = pref * principal_value(integrand_b, spec, (0.0, cutoff), delta=omega0 / 2.0).value
-    return a1, b1
+    a1, b1 = (
+        _require_tolerance(_cauchy(p, 0.0, cutoff, omega0, abs_tol, rel_tol), abs_tol, rel_tol, "same-atom coefficient")
+        for p in (p_a, p_b)
+    )
+    return pref * a1.value, pref * b1.value
 
 
 def hamiltonian_coefficients(
@@ -457,6 +424,10 @@ def evolve(
     def rhs(_t, y):
         return m @ y
 
+    # DOP853 is stable on the imaginary axis up to |h lambda| ~ 5.9.  A mode the
+    # state does not excite gives the error control no reason to keep the step
+    # below that, so the step is capped at 5 / spectral radius lest roundoff grow.
+    radius = float(np.max(np.abs(np.linalg.eigvals(m))))
     sol = solve_ivp(
         rhs,
         (tau[0], tau[-1]),
@@ -465,22 +436,18 @@ def evolve(
         t_eval=tau,
         rtol=rtol,
         atol=atol,
+        max_step=5.0 / radius if radius > 0 else np.inf,
     )
     if not sol.success:
         raise EvolutionError(f"master-equation integration failed: {sol.message}")
 
     rhos = sol.y.T.reshape(-1, 4, 4)
-    n = rhos.shape[0]
-    kets = [ket(s) for s in (DickeState.G, DickeState.E, DickeState.S, DickeState.A)]
-    pops = np.empty((n, 4))
-    trace = np.empty(n)
-    herm = np.empty(n)
-    min_eig = np.empty(n)
-    for i, r in enumerate(rhos):
-        trace[i] = np.trace(r).real
-        herm[i] = np.max(np.abs(r - r.conj().T))
-        min_eig[i] = np.min(np.linalg.eigvalsh(0.5 * (r + r.conj().T)))
-        pops[i] = [np.real(v.conj() @ r @ v) for v in kets]
+    adj = rhos.conj().transpose(0, 2, 1)
+    kets = np.array([ket(s) for s in (DickeState.G, DickeState.E, DickeState.S, DickeState.A)])
+    pops = np.einsum("ki,nij,kj->nk", kets.conj(), rhos, kets).real
+    trace = np.trace(rhos, axis1=1, axis2=2).real
+    herm = np.max(np.abs(rhos - adj), axis=(1, 2))
+    min_eig = np.linalg.eigvalsh(0.5 * (rhos + adj))[:, 0]
     if np.min(min_eig) < -1e-8:
         warnings.warn(
             f"trajectory leaves the positive cone: min eigenvalue {np.min(min_eig):.3e}",

@@ -1,39 +1,46 @@
-"""Principal-value and oscillatory-tail integration for resonance interaction energies.
+"""Weighted QUADPACK quadrature of the resonance integrals.
 
-The level-shift integrand pairs a simple pole at the atomic transition
-frequency with a tail that decays only as an oscillation over a 1/omega
-envelope, so no single adaptive scheme applies end to end.  The integral is
-split into a pole region, handled by symmetric window subtraction, and a
-tail summed lobe by lobe between consecutive zeros of the oscillation with
-iterated-Aitken acceleration of the alternating partial sums.
+Every cross-atom integral has the form P int_0^inf p(w) sinc(sigma w) / (w - omega0) dw:
+a simple pole at the transition frequency times a shape factor that only
+oscillates over a 1/w envelope.  One kernel splits it into pieces, each
+taken by the rule of Piessens et al., QUADPACK (1983), that fits it:
+
+* QAWC (Cauchy weight) on a window [omega0 - d, omega0 + d] centred on the
+  pole, d = min(omega0, pi/sigma), at most two half-periods wide;
+* plain adaptive quadrature on the first half-period [0, pi/sigma];
+* QAWO (sine weight, finite interval) from there up to the window, and from
+  the window up to one QAWF cycle past the pole;
+* QAWF (sine weight, Fourier integral) from there to infinity.
+
+The QAWO stretches are cut into panels that grow geometrically away from
+w = 0 and from the pole, so that no panel sees a singularity closer than its
+own length; on longer panels the Chebyshev error estimate of QAWO can be
+tiny while the value is wrong.
+
+Each piece gets an equal share of abs_tol as an absolute target.  Near a
+zero of cos(sigma omega0) the pieces are much larger than their sum, so a
+target relative to each piece at rel_tol would not bound the error of the
+sum; the only relative target is a roundoff floor of 1e-12 of the piece,
+which keeps the target reachable when the integral is large.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
+import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import pairwise
+from typing import Callable
 
-import numpy as np
 from scipy import integrate
 
 from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, kappa
 from .spectral import geometric_factor_f, oscillation_scale, sinc
 
-__all__ = [
-    "PVIntegralSpec",
-    "IntegralResult",
-    "QuadratureError",
-    "principal_value",
-    "oscillatory_tail",
-    "rcpi_integral",
-]
+__all__ = ["IntegralResult", "QuadratureError", "rcpi_integral"]
 
-_QUAD_LIMIT = 400
-# Inner panel quadratures cannot beat machine precision; requested outer
-# tolerances only drive the stopping rules.
-_QUAD_FLOOR = 1e-13
+_QUAD_LIMIT = 200
+_ROUNDOFF = 1e-12
 
 
 class QuadratureError(RuntimeError):
@@ -41,24 +48,12 @@ class QuadratureError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PVIntegralSpec:
-    """Pole location, optional upper cutoff, and accuracy targets for a PV integral."""
-
-    pole: float
-    cutoff: float | None = None
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.pole) and self.pole > 0):
-            raise ValueError(f"pole frequency must be positive, got {self.pole}")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-
-
-@dataclass(frozen=True)
 class IntegralResult:
-    """Value of an integral together with its error estimate and work counters."""
+    """Value of an integral together with its error estimate and work counters.
+
+    ``evaluations`` counts integrand calls over all pieces; ``lobes`` counts
+    the cycles summed by the Fourier-integral rule on the infinite tail.
+    """
 
     value: float
     error: float
@@ -66,191 +61,119 @@ class IntegralResult:
     lobes: int = 0
 
 
-def _quad(f, a, b, abs_tol, rel_tol, counter):
-    """scipy.integrate.quad with evaluation counting; warnings become hard errors."""
-
-    def counted(x):
-        counter[0] += 1
-        return f(x)
-
-    abs_tol = max(abs_tol, _QUAD_FLOOR)
-    rel_tol = max(rel_tol, _QUAD_FLOOR)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", integrate.IntegrationWarning)
-        try:
-            val, err = integrate.quad(counted, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=_QUAD_LIMIT)
-        except integrate.IntegrationWarning as exc:
-            raise QuadratureError(f"adaptive quadrature failed on [{a:g}, {b:g}]: {exc}") from None
-    return val, err
+def _require_positive(**values: float) -> None:
+    """Raise ValueError naming the first argument that is not positive and finite."""
+    for name, x in values.items():
+        if not (math.isfinite(x) and x > 0):
+            raise ValueError(f"{name} must be positive and finite, got {x}")
 
 
-def principal_value(
-    integrand: Callable[[float], float],
-    spec: PVIntegralSpec,
-    support: tuple[float, float],
-    delta: float | None = None,
-    max_halvings: int = 6,
-) -> IntegralResult:
-    """Cauchy principal value of ``integrand`` over ``support`` with a simple pole at ``spec.pole``.
+def _piece(f: Callable[[float], float], a: float, b: float, abs_tol: float, rel_tol: float = 0.0, **weight) -> IntegralResult:
+    """One scipy.integrate.quad call with its counters.
 
-    A symmetric window of radius delta around the pole is integrated as
-    [g(pole+u) - g(pole-u)]/u with g(w) = integrand(w)*(w - pole), which is
-    smooth through u = 0; the remainder is ordinary adaptive quadrature.  The
-    window radius is halved until two successive values agree within the
-    requested tolerances, which guards against an unluckily placed initial
-    window.
+    A rule that stops short of its target still returns its best value and
+    error estimate; the caller judges the error of the whole integral.
     """
-    a, b = float(support[0]), float(support[1])
-    pole = spec.pole
-    if not a < pole < b:
+    value, error, info = integrate.quad(
+        f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=_QUAD_LIMIT, full_output=1, **weight
+    )[:3]
+    return IntegralResult(value, error, int(info["neval"]), int(info.get("lst", 0)))
+
+
+def _cauchy(f: Callable[[float], float], a: float, b: float, pole: float, abs_tol: float, rel_tol: float = 0.0) -> IntegralResult:
+    """P int_a^b f(w) / (w - pole) dw by QAWC; the pole must lie strictly inside (a, b)."""
+    if not a < pole < b or min(pole - a, b - pole) <= 64.0 * sys.float_info.epsilon * max(abs(a), abs(b)):
         raise QuadratureError(f"pole {pole:g} must lie strictly inside the support [{a:g}, {b:g}]")
-    margin = min(pole - a, b - pole)
-    scale = max(abs(a), abs(b), abs(pole))
-    if margin <= 64.0 * np.finfo(float).eps * scale:
-        raise QuadratureError(f"pole {pole:g} lies on the support boundary within float resolution")
-    d0 = margin / 2.0 if delta is None else min(float(delta), margin / 2.0)
-    if d0 <= 0:
-        raise QuadratureError(f"window radius must be positive, got {d0}")
-
-    counter = [0]
-    u_floor = 1e-7 * d0
-
-    def window_integrand(u: float) -> float:
-        # g(pole +/- u) is evaluated as integrand * (rounded offset) so the
-        # pole factor cancels exactly; the difference quotient is then smooth.
-        if u < u_floor:
-            u = u_floor
-        wp = pole + u
-        wm = pole - u
-        return (integrand(wp) * (wp - pole) - integrand(wm) * (wm - pole)) / u
-
-    def value_at(d: float) -> tuple[float, float]:
-        v_left, e_left = _quad(integrand, a, pole - d, spec.abs_tol / 4, spec.rel_tol / 4, counter)
-        v_right, e_right = _quad(integrand, pole + d, b, spec.abs_tol / 4, spec.rel_tol / 4, counter)
-        v_win, e_win = _quad(window_integrand, 0.0, d, spec.abs_tol / 4, spec.rel_tol / 4, counter)
-        return v_left + v_right + v_win, e_left + e_right + e_win
-
-    val, qerr = value_at(d0)
-    d = d0
-    diff = math.inf
-    for _ in range(max_halvings):
-        d /= 2.0
-        val_new, qerr_new = value_at(d)
-        diff = abs(val_new - val)
-        if diff <= max(spec.abs_tol, spec.rel_tol * abs(val_new)):
-            return IntegralResult(value=val_new, error=qerr_new + diff, evaluations=counter[0])
-        val, qerr = val_new, qerr_new
-    raise QuadratureError(
-        f"principal value failed to stabilize under window halving (last delta={d:g}, diff={diff:g})"
-    )
+    return _piece(f, a, b, abs_tol, rel_tol, weight="cauchy", wvar=pole)
 
 
-def _aitken_candidates(sums: Sequence[float], max_depth: int) -> list[float]:
-    """Diagonal of the iterated-Aitken table built from partial sums."""
-    cur = np.asarray(sums, dtype=float)
-    cands = [float(cur[-1])]
-    for _ in range(max_depth):
-        if cur.size < 3:
-            break
-        d1 = cur[2:] - cur[1:-1]
-        d2 = cur[2:] - 2.0 * cur[1:-1] + cur[:-2]
-        safe = d2 != 0.0
-        step = np.where(safe, d1 * d1 / np.where(safe, d2, 1.0), 0.0)
-        cur = cur[2:] - step
-        cands.append(float(cur[-1]))
-    return cands
+def _require_tolerance(res: IntegralResult, abs_tol: float, rel_tol: float, what: str) -> IntegralResult:
+    """Return ``res`` if its error estimate meets max(abs_tol, rel_tol |value|), else raise."""
+    if not res.error <= max(abs_tol, rel_tol * abs(res.value)):
+        raise QuadratureError(
+            f"{what}: requested tolerance not met: estimate {res.error:g} for value {res.value:g} "
+            f"(evaluations={res.evaluations}, lobes={res.lobes})"
+        )
+    return res
 
 
-def _best_candidate(cands: Sequence[float]) -> tuple[float, float]:
-    """Pick the table entry with the smallest successive-depth change."""
-    if len(cands) == 1:
-        return cands[0], math.inf
-    best_val, best_est = cands[1], abs(cands[1] - cands[0])
-    for j in range(2, len(cands)):
-        diff = abs(cands[j] - cands[j - 1])
-        if diff < best_est:
-            best_val, best_est = cands[j], diff
-    return best_val, 2.0 * best_est
+def _panels(start: float, stop: float, pole: float) -> list[float]:
+    """Panel edges from start > 0 to stop, each panel no longer than its distance to 0 and to the pole.
 
-
-def oscillatory_tail(
-    integrand: Callable[[float], float],
-    first_zero: float,
-    asymptotic_period: float,
-    start: float = 0.0,
-    abs_tol: float = 1e-12,
-    rel_tol: float = 1e-9,
-    max_lobes: int = 400,
-    min_lobes: int = 8,
-    aitken_depth: int = 12,
-) -> IntegralResult:
-    """Convergent improper integral of an eventually sign-alternating integrand.
-
-    Integrates [start, first_zero] directly, then sums half-period lobes
-    [first_zero + k*period, first_zero + (k+1)*period] and accelerates the
-    alternating partial sums with the iterated Aitken transform.  The
-    reported error is the smallest stable successive-depth change seen, plus
-    the accumulated lobe quadrature errors, and never increases when the
-    lobe budget grows.
-
-    Raises QuadratureError if the lobe magnitudes fail to decrease before
-    the budget is exhausted.
+    The pole lies outside [start, stop].
     """
-    if asymptotic_period <= 0:
-        raise ValueError(f"asymptotic period must be positive, got {asymptotic_period}")
-    if first_zero < start:
-        raise ValueError("first_zero must not precede start")
-    if max_lobes < 3:
-        raise ValueError(f"need a budget of at least 3 lobes, got {max_lobes}")
-    counter = [0]
-    head, head_err = 0.0, 0.0
-    if first_zero > start:
-        head, head_err = _quad(integrand, start, first_zero, abs_tol / 4, rel_tol / 4, counter)
+    edges = [start]
+    while edges[-1] < stop:
+        x = edges[-1]
+        edges.append(min(stop, x + (min(x, 0.5 * (pole - x)) if x < pole else x - pole)))
+    return edges
 
-    partial = 0.0
-    qerr = 0.0
-    sums: list[float] = []
-    lobes: list[float] = []
-    best_val = None
-    best_err = math.inf
-    edge = first_zero
 
-    def alternates_recently() -> bool:
-        window = lobes[-min(8, len(lobes)):]
-        return len(window) >= 2 and all(a * b < 0.0 for a, b in zip(window, window[1:]))
+def _resonance_kernel(
+    p: Callable[[float], float], omega0: float, sigma: float, abs_tol: float, rel_tol: float
+) -> IntegralResult:
+    """P int_0^inf p(w) sinc(sigma w) / (w - omega0) dw by weighted QUADPACK rules.
 
-    for k in range(max_lobes):
-        nxt = first_zero + (k + 1) * asymptotic_period
-        a_k, e_k = _quad(integrand, edge, nxt, abs_tol / 4, rel_tol / 4, counter)
-        edge = nxt
-        partial += a_k
-        qerr += e_k
-        sums.append(partial)
-        lobes.append(a_k)
-        # Acceleration of the partial sums is only meaningful while the lobes
-        # genuinely alternate; otherwise the Aitken table can degenerate into
-        # false convergence.
-        if len(sums) >= 3 and alternates_recently():
-            cand, est = _best_candidate(_aitken_candidates(sums, aitken_depth))
-            est_total = est + qerr + head_err
-            if est_total < best_err:
-                best_val, best_err = cand, est_total
-            if k + 1 >= min_lobes and best_err <= max(abs_tol, rel_tol * abs(head + best_val)):
-                break
+    Contract: p is smooth on [0, inf) and p(w) = O(w) as w -> inf, so that
+    the sine-weighted integrand p(w) / (sigma w (w - omega0)) decays at least
+    as 1/w.  A faster-growing p gives a divergent integral which the Fourier
+    rule's extrapolation may still sum to a finite value; it is not detected.
+
+    Raises QuadratureError when the summed error estimate misses
+    max(abs_tol, rel_tol |value|).
+    """
+    half = math.pi / sigma
+    d = min(omega0, half)
+    if d <= 64.0 * sys.float_info.epsilon * omega0:
+        raise QuadratureError(f"sigma omega0 = {sigma * omega0:g} leaves no half-period around the pole in double precision")
+    # Length of the cycles that QAWF sums: (2 floor(sigma) + 1) half-periods.
+    cycle = (2.0 * math.floor(sigma) + 1.0) * half
+
+    def shaped(w: float) -> float:
+        s = sigma * w
+        return p(w) * (math.sin(s) / s if s else 1.0)
+
+    def plain(w: float) -> float:
+        return shaped(w) / (w - omega0)
+
+    def sine_weighted(w: float) -> float:
+        return p(w) / (sigma * w * (w - omega0))
+
+    sine = {"weight": "sin", "wvar": sigma}
+    spans = []
+    if omega0 > d:
+        spans.append((plain, 0.0, min(half, omega0 - d), {}))
+        if omega0 - d > half:
+            spans += [(sine_weighted, a, b, sine) for a, b in pairwise(_panels(half, omega0 - d, omega0))]
+    right = _panels(omega0 + d, omega0 + cycle, omega0)
+    spans += [(sine_weighted, a, b, sine) for a, b in pairwise(right)]
+    tol = abs_tol / (len(spans) + 2)
+    pieces = [_cauchy(shaped, omega0 - d, omega0 + d, omega0, tol, _ROUNDOFF)]
+    pieces += [_piece(f, a, b, tol, _ROUNDOFF, **weight) for f, a, b, weight in spans]
+    # QAWF takes no relative target; its roundoff floor is relative to the largest piece.
+    floor = _ROUNDOFF * max(abs(q.value) for q in pieces)
+    tail = _piece(sine_weighted, right[-1], math.inf, max(tol, floor), **sine)
+    pieces.append(tail)
+    res = IntegralResult(
+        math.fsum(q.value for q in pieces), sum(q.error for q in pieces), sum(q.evaluations for q in pieces), tail.lobes
+    )
+    return _require_tolerance(res, abs_tol, rel_tol, "resonance integral")
+
+
+def _shape_factor(spacetime: SpacetimeConfig, L: float) -> tuple[float, float]:
+    """Amplitude A and scale sigma of the cross shape factor A sinc(sigma w).
+
+    The shape factor is f(w, L/2) in de Sitter and sinc(w L) in a thermal bath;
+    both are a w-independent amplitude times sinc(sigma w), with sigma the
+    oscillation scale of the cross spectrum.
+    """
+    if isinstance(spacetime, DeSitterPatch):
+        amplitude = geometric_factor_f(0.0, L / 2.0, kappa(spacetime))
+    elif isinstance(spacetime, ThermalBath):
+        amplitude = sinc(0.0)
     else:
-        mags = [abs(a) for a in lobes]
-        decreasing = len(mags) >= 10 and float(np.mean(mags[-5:])) < float(np.mean(mags[-10:-5]))
-        vanished = all(m == 0.0 for m in mags[-min(5, len(mags)):])
-        if not vanished and (not alternates_recently() or not decreasing):
-            raise QuadratureError(
-                "lobe magnitudes fail to decrease as an alternating tail before the evaluation "
-                f"budget was exhausted (lobes={len(lobes)}, last lobe={lobes[-1]:g}, "
-                f"error estimate={best_err:g})"
-            )
-    if best_val is None:
-        best_val = partial
-        best_err = qerr + head_err + (abs(lobes[-1]) if lobes else 0.0)
-    return IntegralResult(value=head + best_val, error=best_err, evaluations=counter[0], lobes=len(sums))
+        raise TypeError(f"unsupported spacetime configuration: {spacetime!r}")
+    return amplitude, oscillation_scale(spacetime, L)
 
 
 def rcpi_integral(
@@ -269,65 +192,15 @@ def rcpi_integral(
     from the integrand exactly; the thermal result therefore cannot depend
     on T, and the de Sitter result sees the curvature only through f.
 
-    Raises QuadratureError (with lobe count and the last error estimate)
-    when the combined error estimate misses the requested tolerance.
+    Raises ValueError for a non-positive or non-finite omega0 or L, and
+    QuadratureError (with the work counters and the error estimate) when the
+    combined error estimate misses the requested tolerance.
     """
-    if omega0 <= 0:
-        raise ValueError(f"transition frequency must be positive, got {omega0}")
-    if L <= 0:
-        raise ValueError(f"separation must be positive, got {L}")
+    _require_positive(omega0=omega0, L=L)
+    amplitude, sigma = _shape_factor(spacetime, L)
 
-    if isinstance(spacetime, DeSitterPatch):
-        k = kappa(spacetime)
-        half_L = L / 2.0
+    def p(w: float) -> float:
+        # w/(w - w0) + w/(w + w0) = 2 w^2 / ((w + w0)(w - w0))
+        return amplitude * 2.0 * w * w / (w + omega0)
 
-        def shape(w: float) -> float:
-            return geometric_factor_f(w, half_L, k)
-
-    elif isinstance(spacetime, ThermalBath):
-
-        def shape(w: float) -> float:
-            return sinc(w * L)
-
-    else:
-        raise TypeError(f"unsupported spacetime configuration: {spacetime!r}")
-
-    sigma = oscillation_scale(spacetime, L)
-    half_period = math.pi / sigma
-
-    def integrand(w: float) -> float:
-        return (w / (w - omega0) + w / (w + omega0)) * shape(w)
-
-    # Split point: a genuine zero of the oscillation, past the pole with room
-    # to spare for the PV window on its right flank.
-    target = max(2.0 * omega0, omega0 + 2.0 * half_period)
-    m = max(1, math.ceil(target / half_period))
-    W = m * half_period
-    while W - omega0 < 0.25 * min(omega0, half_period):
-        m += 1
-        W = m * half_period
-
-    spec = PVIntegralSpec(pole=omega0, abs_tol=abs_tol / 4.0, rel_tol=rel_tol / 4.0)
-    delta0 = 0.5 * min(omega0, half_period, W - omega0)
-    pv = principal_value(integrand, spec, (0.0, W), delta=delta0)
-    tail = oscillatory_tail(
-        integrand,
-        first_zero=W,
-        asymptotic_period=half_period,
-        start=W,
-        abs_tol=abs_tol / 4.0,
-        rel_tol=rel_tol / 4.0,
-    )
-    value = pv.value + tail.value
-    error = pv.error + tail.error
-    if error > max(abs_tol, rel_tol * abs(value)):
-        raise QuadratureError(
-            f"requested tolerance not met: estimate {error:g} for value {value:g} "
-            f"(lobes={tail.lobes}, pv error={pv.error:g}, tail error={tail.error:g})"
-        )
-    return IntegralResult(
-        value=value,
-        error=error,
-        evaluations=pv.evaluations + tail.evaluations,
-        lobes=tail.lobes,
-    )
+    return _resonance_kernel(p, omega0, sigma, abs_tol, rel_tol)

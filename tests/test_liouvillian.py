@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -23,6 +25,26 @@ from rcpi.liouvillian import (
 )
 
 PATCH = DeSitterPatch(1.0, 0.0)
+
+
+def _b2_oracle(amplitude, sigma, T, omega0):
+    """b2 8 pi^2 / mu^2 = (2 omega0 A / sigma) P int_0^inf coth(w/2T) sin(sigma w) / (w^2 - omega0^2) dw.
+
+    coth = 1 + 2 n(w) splits it in two: the vacuum part in closed form with
+    Si and Ci, and the Bose part, which decays exponentially, by mpmath
+    quadrature with the pole subtracted.
+    """
+    mpmath.mp.dps = 30
+    x = sigma * omega0
+    vacuum = (mpmath.cos(x) * mpmath.si(x) - mpmath.sin(x) * mpmath.ci(x)) / omega0
+
+    def h(w):
+        return 2 * mpmath.sin(sigma * w) / (mpmath.expm1(w / T) * (w + omega0))
+
+    h0 = h(mpmath.mpf(omega0))
+    near = mpmath.quad(lambda w: (h(w) - h0) / (w - omega0), [0, omega0, 2 * omega0])
+    far = mpmath.quad(lambda w: h(w) / (w - omega0), [2 * omega0, mpmath.inf])
+    return float(2 * omega0 * amplitude / sigma * (vacuum + near + far))
 
 
 @pytest.fixture(scope="module")
@@ -61,36 +83,46 @@ class TestDissipatorCoefficients:
 
 
 class TestHamiltonianCoefficients:
-    def test_cross_is_cutoff_independent(self):
-        # The separation-dependent coefficients are convergent: splitting the
-        # integral at a finite frequency near 1e3 w0 (or twice that) and
-        # letting the tail machinery handle the remainder must not move the
-        # value at the 1e-6 level.
-        import math as _math
+    @pytest.mark.parametrize("L", (0.1, 0.3, 1.0, 3.0, 10.0))
+    @pytest.mark.parametrize("omega0", (0.5, 1.0, 2.0))
+    def test_cross_a2_matches_closed_form(self, omega0, L):
+        # a2 = (mu^2 / 8 pi^2) pi cos(sigma omega0) / D, the resonance integral's closed form.
+        mu = 0.1
+        sigma = 2.0 * math.asinh(L / 2.0)
+        D = L * math.sqrt(1.0 + (L / 2.0) ** 2)
+        a2, _ = hamiltonian_cross_coefficients(PATCH, omega0, mu, L)
+        assert a2 == pytest.approx(mu * mu / (8.0 * math.pi**2) * math.pi * math.cos(sigma * omega0) / D, rel=1e-9)
 
-        from rcpi.quadrature import PVIntegralSpec, oscillatory_tail, principal_value
-        from rcpi.spectral import geometric_factor_f
+    @pytest.mark.parametrize(
+        "spacetime, omega0, L, amplitude, sigma, T",
+        [
+            (ThermalBath(0.7), 1.0, 1.3, 1.0, 1.3, 0.7),
+            (
+                PATCH, 2.0, 5.0,
+                math.asinh(2.5) / (2.5 * math.sqrt(1.0 + 2.5**2)), 2.0 * math.asinh(2.5), 1.0 / (2.0 * math.pi),
+            ),
+        ],
+        ids=["thermal", "desitter"],
+    )
+    def test_cross_b2_matches_oracle(self, spacetime, omega0, L, amplitude, sigma, T):
+        mu = 0.1
+        _, b2 = hamiltonian_cross_coefficients(spacetime, omega0, mu, L)
+        expected = _b2_oracle(amplitude, sigma, T, omega0)
+        assert b2 * 8.0 * math.pi**2 / mu**2 == pytest.approx(expected, rel=1e-9)
 
-        omega0, mu, L = 1.0, 0.1, 1.0
-        kap = 1.0
-        sigma = 2.0 * kap * _math.asinh(L / (2.0 * kap))
-        half = _math.pi / sigma
+    @pytest.mark.parametrize("arg", ["omega0", "mu", "L"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_cross_rejects_non_finite_arguments(self, arg, bad):
+        kwargs = {"omega0": 1.0, "mu": 0.1, "L": 1.0, arg: bad}
+        with pytest.raises(ValueError, match=arg):
+            hamiltonian_cross_coefficients(PATCH, **kwargs)
 
-        def integrand(w):
-            return (w / (w - omega0) + w / (w + omega0)) * geometric_factor_f(w, L / 2.0, kap)
-
-        pref = mu * mu / (8.0 * math.pi**2)
-        reference, _ = hamiltonian_cross_coefficients(PATCH, omega0, mu, L)
-
-        def a2_split_at(target):
-            w_split = _math.ceil(target / half) * half
-            spec = PVIntegralSpec(pole=omega0, abs_tol=1e-11, rel_tol=1e-9)
-            pv = principal_value(integrand, spec, (0.0, w_split), delta=omega0 / 2.0)
-            tail = oscillatory_tail(integrand, w_split, half, start=w_split, abs_tol=1e-11, rel_tol=1e-9)
-            return pref * (pv.value + tail.value)
-
-        for target in (1e3 * omega0, 2e3 * omega0):
-            assert a2_split_at(target) == pytest.approx(reference, rel=1e-6)
+    @pytest.mark.parametrize("arg", ["omega0", "mu", "cutoff"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_same_rejects_non_finite_arguments(self, arg, bad):
+        kwargs = {"omega0": 1.0, "mu": 0.1, "cutoff": 10.0, arg: bad}
+        with pytest.raises(ValueError, match=arg):
+            hamiltonian_same_coefficients(PATCH, **kwargs)
 
     def test_same_requires_cutoff(self):
         with pytest.raises(ValueError):
@@ -206,6 +238,27 @@ class TestEvolve:
             assert np.max(np.abs(traj.trace - 1.0)) <= 1e-9
             assert np.max(traj.hermiticity_defect) <= 1e-10
             assert np.min(traj.min_eigenvalue) >= -1e-8
+
+    def test_unexcited_modes_stay_bounded(self):
+        # With these cross coefficients DOP853 once let its step grow past the
+        # stability limit on modes the initial states do not excite, and the
+        # hermiticity defect reached 6.7e-9.
+        coeffs = build_coefficients(PATCH, 1.0, 0.5, 1.0)
+        coeffs = dataclasses.replace(coeffs, a2=0.005084946113404615, b2=0.0009838587762298749)
+        gen = assemble_generator(coeffs, 1.0)
+        for s in DickeState:
+            traj = evolve(projector(s), gen, np.linspace(0.0, 50.0, 26))
+            assert np.max(traj.hermiticity_defect) <= 1e-10
+
+    def test_batched_diagnostics_match_per_point_loop(self, gen_unit):
+        psi = (ket(DickeState.G) + ket(DickeState.S) + 1j * ket(DickeState.E)) / math.sqrt(3.0)
+        traj = evolve(np.outer(psi, psi.conj()), gen_unit, np.linspace(0.0, 20.0, 11))
+        for i, r in enumerate(traj.rho):
+            assert traj.trace[i] == pytest.approx(np.trace(r).real, abs=1e-15)
+            assert traj.hermiticity_defect[i] == np.max(np.abs(r - r.conj().T))
+            assert traj.min_eigenvalue[i] == pytest.approx(np.min(np.linalg.eigvalsh(0.5 * (r + r.conj().T))), abs=1e-15)
+            pops = [np.real(ket(s).conj() @ r @ ket(s)) for s in (DickeState.G, DickeState.E, DickeState.S, DickeState.A)]
+            assert traj.populations[i] == pytest.approx(pops, abs=1e-15)
 
     def test_closed_system_limit(self):
         # Zero dissipator: populations frozen, coherences rotate; compare with
