@@ -19,11 +19,8 @@ MU = 0.1
 
 
 def sweep(spacetime, L_grid, omega0):
-    records = []
-    for L in L_grid:
-        s = rcpi_closed(spacetime, float(L), omega0, MU, DickeState.S)
-        records.append(SweepRecord(float(L), s, -s))
-    return records
+    values = rcpi_closed(spacetime, L_grid, omega0, MU, DickeState.S)
+    return [SweepRecord(L, s, -s) for L, s in zip(L_grid.tolist(), values.tolist())]
 
 
 def run(label, spacetime, L_grid, omega0):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .discriminator import (
     Classification,
     InsufficientOscillationsError,
     SweepRecord,
+    _interior_maxima,
     classify,
     extract_envelope,
     fit_power_law,
@@ -64,9 +64,8 @@ def _build_parser() -> _Parser:
     p_sweep = sub.add_parser("sweep", help="closed-form shift versus separation, written as CSV")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--threads", type=int, default=1)
 
-    p_evolve = sub.add_parser("evolve", help="integrate the master equation, trajectory as CSV")
+    p_evolve = sub.add_parser("evolve", help="propagate the master equation, trajectory as CSV")
     p_evolve.add_argument("--config", required=True)
     p_evolve.add_argument("--out", default=None)
 
@@ -141,26 +140,13 @@ def _sweep_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(sw.L_min, sw.L_max, sw.n_points)
 
 
-def cmd_sweep(cfg: RunConfig, out: str | None, threads: int = 1) -> int:
+def cmd_sweep(cfg: RunConfig, out: str | None) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep: section is required for the sweep command")
     grid = _sweep_grid(cfg)
-
-    def point(L: float) -> SweepRecord:
-        v = rcpi_closed(cfg.spacetime, float(L), cfg.atoms.omega0, cfg.atoms.mu, DickeState.S)
-        return SweepRecord(L=float(L), delta_E_S=v, delta_E_A=-v)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(point, grid))
-    else:
-        records = [point(L) for L in grid]
-
-    mag = np.abs([r.delta_E_S for r in records])
-    flags = np.zeros(len(records), dtype=bool)
-    if len(records) >= 3:
-        interior = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]) & (mag[1:-1] > 0)
-        flags[1:-1] = interior
+    dE_S = rcpi_closed(cfg.spacetime, grid, cfg.atoms.omega0, cfg.atoms.mu, DickeState.S)
+    records = [SweepRecord(L=L, delta_E_S=v, delta_E_A=-v) for L, v in zip(grid.tolist(), dE_S.tolist())]
+    flags = _interior_maxima(np.abs(dE_S))
 
     path = out or cfg.output.path
     if path is None:
@@ -184,13 +170,7 @@ def cmd_evolve(cfg: RunConfig, out: str | None) -> int:
     tau = np.arange(n) * cfg.evolve.stride
     if tau[-1] < cfg.evolve.tau_max - 1e-12 * cfg.evolve.tau_max:
         tau = np.append(tau, cfg.evolve.tau_max)
-    traj = evolve(
-        projector(DickeState(cfg.evolve.rho0)),
-        gen,
-        tau,
-        rtol=cfg.tolerances.ode_rtol,
-        atol=cfg.tolerances.ode_atol,
-    )
+    traj = evolve(projector(DickeState(cfg.evolve.rho0)), gen, tau)
     path = out or cfg.output.path
     if path is None:
         traj.to_csv(sys.stdout)
@@ -230,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "shift":
             return cmd_shift(load_config(args.config), args.out, args.format)
         if args.command == "sweep":
-            return cmd_sweep(load_config(args.config), args.out, args.threads)
+            return cmd_sweep(load_config(args.config), args.out)
         if args.command == "evolve":
             return cmd_evolve(load_config(args.config), args.out)
         if args.command == "discriminate":

@@ -84,11 +84,9 @@ class EvolveSettings:
 class ToleranceSettings:
     quad_abs_tol: float = 1e-9
     quad_rel_tol: float = 1e-7
-    ode_rtol: float = 1e-10
-    ode_atol: float = 1e-12
 
     def __post_init__(self) -> None:
-        for name in ("quad_abs_tol", "quad_rel_tol", "ode_rtol", "ode_atol"):
+        for name in ("quad_abs_tol", "quad_rel_tol"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"tolerances.{name} must be positive")
 
@@ -198,8 +196,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
     doc["tolerances"] = {
         "quad_abs_tol": cfg.tolerances.quad_abs_tol,
         "quad_rel_tol": cfg.tolerances.quad_rel_tol,
-        "ode_rtol": cfg.tolerances.ode_rtol,
-        "ode_atol": cfg.tolerances.ode_atol,
     }
     doc["output"] = {"path": cfg.output.path, "format": cfg.output.format}
     return doc

@@ -100,6 +100,13 @@ class Classification:
         )
 
 
+def _interior_maxima(mag: np.ndarray) -> np.ndarray:
+    """Mask of the interior samples of mag that are nonzero and no smaller than either neighbour."""
+    flags = np.zeros(mag.size, dtype=bool)
+    flags[1:-1] = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]) & (mag[1:-1] > 0)
+    return flags
+
+
 def extract_envelope(samples: list[SweepRecord]) -> tuple[np.ndarray, np.ndarray]:
     """Locate the local maxima of |delta E_S(L)| and refine them by interpolation.
 
@@ -121,8 +128,7 @@ def extract_envelope(samples: list[SweepRecord]) -> tuple[np.ndarray, np.ndarray
     sign_changes = int(np.sum(np.abs(np.diff(signs[nonzero])) > 1))
 
     mag = np.abs(v)
-    interior = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]) & (mag[1:-1] > 0)
-    idx = np.flatnonzero(interior) + 1
+    idx = np.flatnonzero(_interior_maxima(mag))
     # Drop plateau duplicates (equal neighbours register twice).
     if idx.size > 1:
         idx = idx[np.concatenate(([True], np.diff(idx) > 1))]

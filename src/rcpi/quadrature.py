@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable
 
+import numpy as np
 from scipy import integrate
 
 from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, kappa
@@ -61,11 +62,19 @@ class IntegralResult:
     lobes: int = 0
 
 
-def _require_positive(**values: float) -> None:
-    """Raise ValueError naming the first argument that is not positive and finite."""
+def _require_positive(**values) -> None:
+    """Raise ValueError naming the first argument that is not positive and finite.
+
+    A value may be a scalar or a numpy array; for an array the message quotes its first bad element.
+    """
     for name, x in values.items():
-        if not (math.isfinite(x) and x > 0):
-            raise ValueError(f"{name} must be positive and finite, got {x}")
+        if getattr(x, "ndim", 0) == 0:
+            bad = () if math.isfinite(x) and x > 0 else (x,)
+        else:
+            x = np.asarray(x, dtype=float)
+            bad = x[~(np.isfinite(x) & (x > 0))]
+        if len(bad):
+            raise ValueError(f"{name} must be positive and finite, got {bad[0]}")
 
 
 def _piece(f: Callable[[float], float], a: float, b: float, abs_tol: float, rel_tol: float = 0.0, **weight) -> IntegralResult:

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import DickeState
+from .dicke import DickeState, ket
 from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, kappa
-from .liouvillian import GeneratorMatrices
-from .quadrature import rcpi_integral
+from .liouvillian import GeneratorMatrices, h_ls_matrix
+from .quadrature import _require_positive, rcpi_integral
 
 __all__ = [
     "Method",
@@ -66,52 +66,54 @@ def _entangled_sign(state: DickeState) -> float:
 
 
 def levelshift_general(gen: GeneratorMatrices, state: DickeState, cross_only: bool = False) -> float:
-    """Expectation of the field-induced Hamiltonian correction in a Dicke state.
+    """Expectation <psi|h_ls|psi> of the field-induced Hamiltonian correction in a Dicke state.
 
-    Evaluated through the explicit combinations of the 3x3 coefficient
-    matrices; with ``cross_only`` the separation-independent same-atom terms
-    are dropped, making the S/A output directly comparable to the closed-form
+    With ``cross_only`` the separation-independent same-atom terms are
+    dropped, making the S/A output directly comparable to the closed-form
     interaction energy.
     """
-    hs = np.zeros((3, 3), dtype=complex) if cross_only else gen.H_same
-    hc = gen.H_cross
-    tr_s = np.trace(hs)
-    tr_c = np.trace(hc)
-    if state is DickeState.G:
-        val = -0.5j * (2.0 * hc[2, 2] + 2.0 * tr_s - 1j * 2.0 * (hs[0, 1] - hs[1, 0]))
-    elif state is DickeState.E:
-        val = -0.5j * (2.0 * hc[2, 2] + 2.0 * tr_s + 1j * 2.0 * (hs[0, 1] - hs[1, 0]))
-    elif state is DickeState.S:
-        val = -0.5j * (2.0 * tr_c + 2.0 * tr_s - 4.0 * hc[2, 2])
-    elif state is DickeState.A:
-        val = 0.5j * (2.0 * tr_c - 2.0 * tr_s)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown Dicke state {state}")
+    v = ket(state)
+    val = v.conj() @ h_ls_matrix(gen, cross_only) @ v
     if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
         raise ValueError(f"level shift came out non-real ({val}); generator matrices are inconsistent")
     return float(val.real)
 
 
-def rcpi_closed_desitter(L: float, kappa_val: float, omega0: float, mu: float, state: DickeState = DickeState.S) -> float:
-    """Closed-form interaction energy of a static pair in the de Sitter vacuum."""
-    if min(L, kappa_val, omega0, mu) <= 0:
-        raise ValueError("L, kappa, omega0 and mu must all be positive")
+def _float_or_array(value: np.floating | np.ndarray) -> float | np.ndarray:
+    """A scalar result as a Python float, an array result as the array itself."""
+    return float(value) if value.ndim == 0 else value
+
+
+def rcpi_closed_desitter(
+    L: float | np.ndarray, kappa_val: float, omega0: float, mu: float, state: DickeState = DickeState.S
+) -> float | np.ndarray:
+    """Closed-form interaction energy of a static pair in the de Sitter vacuum.
+
+    ``L`` may be a scalar (the result is a float) or a numpy array of separations.
+    """
+    _require_positive(L=L, kappa=kappa_val, omega0=omega0, mu=mu)
     x = L / (2.0 * kappa_val)
-    envelope = 1.0 / (L * math.sqrt(1.0 + x * x))
-    phase = 2.0 * omega0 * kappa_val * math.asinh(x)
-    return _entangled_sign(state) * (mu * mu / (4.0 * math.pi)) * envelope * math.cos(phase)
+    envelope = 1.0 / (L * np.sqrt(1.0 + x * x))
+    phase = 2.0 * omega0 * kappa_val * np.arcsinh(x)
+    return _float_or_array(_entangled_sign(state) * (mu * mu / (4.0 * math.pi)) * envelope * np.cos(phase))
 
 
-def rcpi_closed_minkowski(L: float, omega0: float, mu: float, state: DickeState = DickeState.S) -> float:
+def rcpi_closed_minkowski(
+    L: float | np.ndarray, omega0: float, mu: float, state: DickeState = DickeState.S
+) -> float | np.ndarray:
     """Closed-form interaction energy in flat spacetime; no temperature enters,
-    because the thermal occupation factors at opposite frequencies cancel."""
-    if min(L, omega0, mu) <= 0:
-        raise ValueError("L, omega0 and mu must all be positive")
-    return _entangled_sign(state) * (mu * mu / (4.0 * math.pi)) * math.cos(omega0 * L) / L
+    because the thermal occupation factors at opposite frequencies cancel.
+
+    ``L`` may be a scalar (the result is a float) or a numpy array of separations.
+    """
+    _require_positive(L=L, omega0=omega0, mu=mu)
+    return _float_or_array(_entangled_sign(state) * (mu * mu / (4.0 * math.pi)) * np.cos(omega0 * L) / L)
 
 
-def rcpi_closed(spacetime: SpacetimeConfig, L: float, omega0: float, mu: float, state: DickeState = DickeState.S) -> float:
-    """Closed-form interaction energy for either spacetime configuration."""
+def rcpi_closed(
+    spacetime: SpacetimeConfig, L: float | np.ndarray, omega0: float, mu: float, state: DickeState = DickeState.S
+) -> float | np.ndarray:
+    """Closed-form interaction energy for either spacetime configuration, at a scalar or a numpy array of ``L``."""
     if isinstance(spacetime, DeSitterPatch):
         return rcpi_closed_desitter(L, kappa(spacetime), omega0, mu, state)
     if isinstance(spacetime, ThermalBath):
@@ -134,8 +136,7 @@ def rcpi_asymptotic(
     asinh-based phase by O(kappa^2/L^2).  NEAR (L << kappa): the flat-space
     1/L law.
     """
-    if min(L, kappa_val, omega0, mu) <= 0:
-        raise ValueError("L, kappa, omega0 and mu must all be positive")
+    _require_positive(L=L, kappa=kappa_val, omega0=omega0, mu=mu)
     sign = _entangled_sign(state)
     if regime is Regime.FAR:
         return sign * (mu * mu / (2.0 * math.pi)) * (kappa_val / (L * L)) * math.cos(
@@ -163,6 +164,7 @@ def rcpi_quadrature(
 
 def force_closed(spacetime: SpacetimeConfig, L: float, omega0: float, mu: float, state: DickeState = DickeState.S) -> float:
     """Interaction force -d(delta E)/dL from analytic differentiation of the closed form."""
+    _require_positive(L=L, omega0=omega0, mu=mu)
     if isinstance(spacetime, DeSitterPatch):
         k = kappa(spacetime)
         x = L / (2.0 * k)

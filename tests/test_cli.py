@@ -61,6 +61,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=fragment):
             config_from_dict(doc)
 
+    def test_removed_ode_tolerance_is_rejected(self, tmp_path, capsys):
+        doc = {**DS_DOC, "tolerances": {"ode_rtol": 1e-10}}
+        with pytest.raises(ConfigError, match="ode_rtol"):
+            config_from_dict(doc)
+        cfg = write_config(tmp_path, {**doc, "evolve": {"rho0": "E", "tau_max": 1.0, "stride": 0.5}})
+        assert main(["evolve", "--config", cfg]) == 1
+        assert "ode_rtol" in capsys.readouterr().err
+
     def test_json_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  \"spacetime\": }\n")
@@ -122,14 +130,6 @@ class TestSweepCommand:
             assert flag in ("0", "1")
             Ls.append(float(L))
         assert Ls == sorted(Ls)
-
-    def test_threads_do_not_change_output(self, tmp_path):
-        doc = {**DS_DOC, "sweep": {"L_min": 1.0, "L_max": 100.0, "n_points": 64, "spacing": "log"}}
-        cfg = write_config(tmp_path, doc)
-        one, four = tmp_path / "one.csv", tmp_path / "four.csv"
-        assert main(["sweep", "--config", cfg, "--out", str(one)]) == 0
-        assert main(["sweep", "--config", cfg, "--out", str(four), "--threads", "4"]) == 0
-        assert one.read_bytes() == four.read_bytes()
 
     def test_missing_sweep_section(self, tmp_path, capsys):
         cfg = write_config(tmp_path, DS_DOC)

@@ -4,12 +4,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from rcpi.dicke import DickeState, ket, projector
 from rcpi.geometry import DeSitterPatch, ThermalBath
 from rcpi.liouvillian import (
     CoefficientSet,
+    EvolutionError,
     TwoQubitState,
     assemble_generator,
     build_coefficients,
@@ -286,14 +288,32 @@ class TestEvolve:
         assert abs(phase2) == pytest.approx(2.0 * dt, rel=1e-6)
 
     def test_matches_matrix_exponential(self, gen_unit):
+        # evolve is the matrix exponential; the independent route is tightly
+        # toleranced adaptive DOP853 integration.
         psi = (ket(DickeState.G) + ket(DickeState.S) + ket(DickeState.E)) / math.sqrt(3.0)
         rho0 = np.outer(psi, psi.conj())
         tau = np.linspace(0.0, 30.0, 7)
         traj = evolve(rho0, gen_unit, tau)
         m = superoperator(gen_unit)
+        sol = solve_ivp(lambda _t, y: m @ y, (tau[0], tau[-1]), rho0.reshape(16), method="DOP853",
+                        t_eval=tau, rtol=1e-12, atol=1e-14)
+        assert sol.success
+        assert np.max(np.abs(traj.rho - sol.y.T.reshape(-1, 4, 4))) <= 1e-9
+
+    def test_non_uniform_grid_matches_matrix_exponential(self, gen_unit):
+        # The grid the evolve command builds for stride 0.3 up to 1.0: the last step is 0.1.
+        tau = np.append(np.arange(4) * 0.3, 1.0)
+        rho0 = projector(DickeState.E)
+        traj = evolve(rho0, gen_unit, tau)
+        m = superoperator(gen_unit)
         for i, t in enumerate(tau):
             exact = (expm(m * t) @ rho0.reshape(16)).reshape(4, 4)
-            assert np.max(np.abs(traj.rho[i] - exact)) < 1e-9
+            assert np.max(np.abs(traj.rho[i] - exact)) <= 1e-12
+
+    def test_overflowing_generator_raises(self):
+        coeffs = CoefficientSet(0.0, 0.0, 0.0, 0.0, at1=1.0, bt1=0.5, at2=0.0, bt2=0.0)
+        with pytest.raises(EvolutionError, match="non-finite"):
+            evolve(projector(DickeState.E), assemble_generator(coeffs, 1e200), [0.0, 1.0])
 
     def test_single_atom_steady_state_ratio(self, gen_unit):
         traj = evolve(projector(DickeState.G), gen_unit, np.linspace(0.0, 2000.0, 21))

@@ -55,16 +55,21 @@ class TestLevelShiftGeneral:
         assert ds == pytest.approx(-da, rel=1e-12)
 
     def test_matrix_element_route_agrees(self, gen):
-        # Independent route: materialize the correction as a 4x4 matrix and
-        # take expectation values in the Dicke vectors.
-        from rcpi.dicke import ket
-        from rcpi.liouvillian import h_ls_matrix
-
-        h = h_ls_matrix(gen)
-        for s in DickeState:
-            v = ket(s)
-            expected = float(np.real(v.conj() @ h @ v))
-            assert levelshift_general(gen, s) == pytest.approx(expected, rel=1e-12)
+        # Independent route: the per-state combinations of the 3x3 coefficient
+        # matrices, written out by hand.
+        for cross_only in (False, True):
+            hs = np.zeros((3, 3), dtype=complex) if cross_only else gen.H_same
+            hc = gen.H_cross
+            tr_s, tr_c, curl_s = np.trace(hs), np.trace(hc), hs[0, 1] - hs[1, 0]
+            expected = {
+                DickeState.G: -0.5j * (2.0 * hc[2, 2] + 2.0 * tr_s - 2.0j * curl_s),
+                DickeState.E: -0.5j * (2.0 * hc[2, 2] + 2.0 * tr_s + 2.0j * curl_s),
+                DickeState.S: -0.5j * (2.0 * tr_c + 2.0 * tr_s - 4.0 * hc[2, 2]),
+                DickeState.A: 0.5j * (2.0 * tr_c - 2.0 * tr_s),
+            }
+            for s, val in expected.items():
+                assert abs(val.imag) <= 1e-12 * abs(val.real)
+                assert levelshift_general(gen, s, cross_only) == pytest.approx(val.real, rel=1e-12)
 
     def test_agrees_with_closed_form(self, gen):
         closed = rcpi_closed_desitter(1.0, 1.0, 1.0, 0.1)
@@ -106,6 +111,45 @@ class TestClosedForms:
         L = np.geomspace(0.01, 1000.0, 300)
         env = 1.0 / (L * np.sqrt(1.0 + (L / 2.0) ** 2))
         assert np.all(np.diff(env) < 0)
+
+    @pytest.mark.parametrize("spacetime", [PATCH, ThermalBath(0.5)], ids=["desitter", "thermal"])
+    def test_array_of_separations_matches_scalar_loop(self, spacetime):
+        L = np.geomspace(0.01, 100.0, 37)
+        values = rcpi_closed(spacetime, L, 3.0, 0.1, DickeState.A)
+        assert isinstance(values, np.ndarray) and values.shape == L.shape
+        assert all(type(rcpi_closed(spacetime, x, 3.0, 0.1, DickeState.A)) is float for x in L[:3].tolist())
+        # Reference: the per-point math-module formula.  The phase (at most 30
+        # here) is rounded to within an ulp either way, so the two may differ
+        # by eps * phase of the envelope.
+        for x, v in zip(L.tolist(), values.tolist()):
+            if isinstance(spacetime, DeSitterPatch):
+                envelope = 1.0 / (x * math.sqrt(1.0 + (x / 2.0) ** 2))
+                phase = 6.0 * math.asinh(x / 2.0)
+            else:
+                envelope, phase = 1.0 / x, 3.0 * x
+            amplitude = 0.1**2 / (4.0 * math.pi) * envelope
+            assert abs(v - amplitude * math.cos(phase)) <= 1e-14 * amplitude
+        with pytest.raises(ValueError, match="L must be positive and finite, got nan"):
+            rcpi_closed(spacetime, np.append(L, math.nan), 3.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: rcpi_closed(PATCH, math.nan, 1.0, 0.1), "L"),
+            (lambda: rcpi_closed(PATCH, 1.0, math.nan, 0.1), "omega0"),
+            (lambda: rcpi_asymptotic(math.nan, 1.0, 1.0, 0.1, Regime.FAR), "L"),
+            (lambda: rcpi_closed_minkowski(math.inf, 1.0, 0.1), "L"),
+            (lambda: force_closed(ThermalBath(1.0), 0.0, 1.0, 0.1), "L"),
+            (lambda: force_closed(ThermalBath(1.0), -1.0, 1.0, 0.1), "L"),
+            (lambda: force_closed(ThermalBath(1.0), math.nan, 1.0, 0.1), "L"),
+            (lambda: force_closed(PATCH, 1.0, math.nan, 0.1), "omega0"),
+        ],
+        ids=["desitter-nan-L", "desitter-nan-omega0", "asymptotic-nan-L", "minkowski-inf-L",
+             "force-zero-L", "force-negative-L", "force-nan-L", "force-nan-omega0"],
+    )
+    def test_rejects_non_finite_or_non_positive_input(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            call()
 
     def test_rejects_product_states(self):
         with pytest.raises(ValueError):
