@@ -10,7 +10,6 @@ curved far zone falls off as 1/L^2, the flat/thermal law always as 1/L.
 __version__ = "0.1.0"
 
 from .correlators import (
-    CorrelatorQuery,
     Pair,
     TruncatedSum,
     wightman_desitter_cross,
@@ -25,6 +24,7 @@ from .discriminator import (
     SweepRecord,
     Verdict,
     classify,
+    envelope_points,
     extract_envelope,
     fit_power_law,
 )

@@ -21,10 +21,8 @@ from .dicke import DickeState, projector
 from .discriminator import (
     Classification,
     InsufficientOscillationsError,
-    SweepRecord,
-    _interior_maxima,
     classify,
-    extract_envelope,
+    envelope_points,
     fit_power_law,
     read_sweep_csv,
     write_sweep_csv,
@@ -145,15 +143,7 @@ def cmd_sweep(cfg: RunConfig, out: str | None) -> int:
         raise ConfigError("sweep: section is required for the sweep command")
     grid = _sweep_grid(cfg)
     dE_S = rcpi_closed(cfg.spacetime, grid, cfg.atoms.omega0, cfg.atoms.mu, DickeState.S)
-    records = [SweepRecord(L=L, delta_E_S=v, delta_E_A=-v) for L, v in zip(grid.tolist(), dE_S.tolist())]
-    flags = _interior_maxima(np.abs(dE_S))
-
-    path = out or cfg.output.path
-    if path is None:
-        write_sweep_csv(sys.stdout, records, envelope_flags=flags)
-    else:
-        with open(path, "w", newline="") as fh:
-            write_sweep_csv(fh, records, envelope_flags=flags)
+    write_sweep_csv(out or cfg.output.path or sys.stdout, grid, dE_S)
     return EXIT_OK
 
 
@@ -171,17 +161,12 @@ def cmd_evolve(cfg: RunConfig, out: str | None) -> int:
     if tau[-1] < cfg.evolve.tau_max - 1e-12 * cfg.evolve.tau_max:
         tau = np.append(tau, cfg.evolve.tau_max)
     traj = evolve(projector(DickeState(cfg.evolve.rho0)), gen, tau)
-    path = out or cfg.output.path
-    if path is None:
-        traj.to_csv(sys.stdout)
-    else:
-        traj.to_csv(path)
+    traj.to_csv(out or cfg.output.path or sys.stdout)
     return EXIT_OK
 
 
 def cmd_discriminate(input_path: str, lmin: float | None, lmax: float | None, strict: bool, out: str | None) -> int:
-    records = read_sweep_csv(input_path)
-    env_L, env_v = extract_envelope(records)
+    env_L, env_v = envelope_points(*read_sweep_csv(input_path))
     window = None
     if lmin is not None or lmax is not None:
         window = (lmin if lmin is not None else float(env_L.min()), lmax if lmax is not None else float(env_L.max()))

@@ -21,7 +21,10 @@ class AtomPair:
     """Transition frequency, coupling, and separation of the two probes.
 
     The separation is either the chord distance L directly, or the pair
-    (r, delta_theta) on the sphere of static radius r.
+    (r, delta_theta) on the sphere of static radius r, which gives the chord
+    L = 2 r sin(delta_theta / 2).  L and spacetime.r are independent inputs:
+    spacetime.r enters only through kappa = sqrt(alpha^2 - r^2), and no route
+    requires L <= 2 spacetime.r.
     """
 
     omega0: float
@@ -94,11 +97,6 @@ class ToleranceSettings:
 @dataclass(frozen=True)
 class OutputSettings:
     path: str | None = None
-    format: str = "csv"
-
-    def __post_init__(self) -> None:
-        if self.format not in ("csv", "json"):
-            raise ConfigError(f"output.format must be 'csv' or 'json', got {self.format!r}")
 
 
 @dataclass(frozen=True)
@@ -197,7 +195,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "quad_abs_tol": cfg.tolerances.quad_abs_tol,
         "quad_rel_tol": cfg.tolerances.quad_rel_tol,
     }
-    doc["output"] = {"path": cfg.output.path, "format": cfg.output.format}
+    doc["output"] = {"path": cfg.output.path}
     return doc
 
 

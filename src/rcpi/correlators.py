@@ -17,12 +17,10 @@ import numpy as np
 
 __all__ = [
     "Pair",
-    "CorrelatorQuery",
     "TruncatedSum",
     "wightman_desitter_same",
     "wightman_desitter_cross",
     "wightman_thermal_minkowski",
-    "evaluate",
 ]
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
@@ -33,28 +31,6 @@ class Pair(enum.Enum):
 
     SAME = "same"
     CROSS = "cross"
-
-
-@dataclass(frozen=True)
-class CorrelatorQuery:
-    """A single correlator evaluation point.
-
-    ``delta_tau`` is the proper-time difference, ``epsilon`` the regulator
-    (dimensionless for the de Sitter forms, a time for the thermal image sum),
-    and ``L`` the atom separation, required for cross-pair queries.
-    """
-
-    delta_tau: float
-    epsilon: float
-    pair: Pair
-    spacetime: object
-    L: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValueError(f"regulator epsilon must be positive, got {self.epsilon}")
-        if self.pair is Pair.CROSS and (self.L is None or self.L <= 0):
-            raise ValueError("cross-pair query needs a positive separation L")
 
 
 @dataclass(frozen=True)
@@ -139,21 +115,3 @@ def wightman_thermal_minkowski(
         tail = (temperature / (2.0 * math.pi**2)) / y0
     return TruncatedSum(value=value, terms_used=2 * n_max + 1, tail_bound=tail)
 
-
-def evaluate(query: CorrelatorQuery, n_max: int = 256):
-    """Evaluate an arbitrary correlator query against its spacetime configuration."""
-    from .geometry import DeSitterPatch, ThermalBath, kappa as _kappa
-
-    st = query.spacetime
-    if isinstance(st, DeSitterPatch):
-        k = _kappa(st)
-        if query.pair is Pair.SAME:
-            return wightman_desitter_same(query.delta_tau, query.epsilon, k)
-        # Recover the angular separation from the chord distance at radius r.
-        delta_theta = 2.0 * math.asin(min(1.0, query.L / (2.0 * st.r)))
-        return wightman_desitter_cross(query.delta_tau, query.epsilon, k, st.r, delta_theta)
-    if isinstance(st, ThermalBath):
-        return wightman_thermal_minkowski(
-            query.delta_tau, query.epsilon, st.temperature, query.L, query.pair, n_max
-        )
-    raise TypeError(f"unsupported spacetime configuration: {st!r}")

@@ -10,7 +10,6 @@ data of unknown origin.
 
 from __future__ import annotations
 
-import csv
 import enum
 import json
 import math
@@ -18,12 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import csvio
+
 __all__ = [
     "SweepRecord",
     "PowerLawFit",
     "Verdict",
     "Classification",
     "InsufficientOscillationsError",
+    "envelope_points",
     "extract_envelope",
     "fit_power_law",
     "classify",
@@ -107,19 +109,22 @@ def _interior_maxima(mag: np.ndarray) -> np.ndarray:
     return flags
 
 
-def extract_envelope(samples: list[SweepRecord]) -> tuple[np.ndarray, np.ndarray]:
+def envelope_points(L, dE_S) -> tuple[np.ndarray, np.ndarray]:
     """Locate the local maxima of |delta E_S(L)| and refine them by interpolation.
 
+    Takes the sweep as arrays of separations and symmetric-state shifts.
     Returns (L, |delta E|) arrays of envelope points, each refined with the
     vertex of the parabola through the three neighbouring samples in log-log
     coordinates.  Requires at least 3 sign changes of delta E_S or at least 5
     local maxima; otherwise the sweep window is too narrow to see the
     oscillation and an InsufficientOscillationsError is raised.
     """
-    if len(samples) < 5:
+    L = np.asarray(L, dtype=float)
+    v = np.asarray(dE_S, dtype=float)
+    if L.size < 5:
         raise InsufficientOscillationsError("need at least 5 samples to look for an envelope")
-    L = np.array([s.L for s in samples])
-    v = np.array([s.delta_E_S for s in samples])
+    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(v))):
+        raise ValueError("sweep samples must be finite")
     if np.any(np.diff(L) <= 0):
         raise ValueError("sweep samples must be ordered by strictly increasing L")
 
@@ -155,6 +160,11 @@ def extract_envelope(samples: list[SweepRecord]) -> tuple[np.ndarray, np.ndarray
         env_L.append(math.exp(x0))
         env_v.append(math.exp(y0))
     return np.array(env_L), np.array(env_v)
+
+
+def extract_envelope(samples: list[SweepRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """`envelope_points` of a sweep given as a list of SweepRecords."""
+    return envelope_points([s.L for s in samples], [s.delta_E_S for s in samples])
 
 
 def fit_power_law(
@@ -204,45 +214,34 @@ def classify(
     )
 
 
-def read_sweep_csv(path_or_buf) -> list[SweepRecord]:
-    """Parse a sweep CSV with header columns L,dE_S,dE_A (extra columns ignored)."""
-    own = isinstance(path_or_buf, (str, bytes))
-    fh = open(path_or_buf, newline="") if own else path_or_buf
-    try:
-        reader = csv.DictReader(fh)
-        required = {"L", "dE_S", "dE_A"}
-        if reader.fieldnames is None or not required.issubset(set(reader.fieldnames)):
-            raise ValueError(f"sweep CSV must have columns L,dE_S,dE_A, got {reader.fieldnames}")
-        records = []
-        for row_num, row in enumerate(reader, start=2):
-            try:
-                records.append(
-                    SweepRecord(L=float(row["L"]), delta_E_S=float(row["dE_S"]), delta_E_A=float(row["dE_A"]))
-                )
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"bad sweep row {row_num}: {exc}") from None
-    finally:
-        if own:
-            fh.close()
-    return records
+def read_sweep_csv(path_or_buf) -> tuple[np.ndarray, np.ndarray]:
+    """Read a sweep CSV with header columns L,dE_S,dE_A (extra columns ignored).
+
+    Returns the (L, dE_S) arrays.  A row whose L is not positive and finite,
+    whose shifts are not finite, or whose dE_A differs from -dE_S by more than
+    1e-10 of the larger magnitude raises ValueError naming the row.
+    """
+    rows, (L, dE_S, dE_A) = csvio.read_columns(path_or_buf, ("L", "dE_S", "dE_A"))
+    scale = np.maximum(np.maximum(np.abs(dE_S), np.abs(dE_A)), 1e-300)
+    with np.errstate(invalid="ignore"):  # inf - inf gives NaN, which fails the comparison
+        ok = np.isfinite(L) & (L > 0) & np.isfinite(dE_S) & np.isfinite(dE_A)
+        ok &= np.abs(dE_A + dE_S) <= 1e-10 * scale
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(
+            f"bad sweep row {rows[i]}: L={L[i]}, dE_S={dE_S[i]}, dE_A={dE_A[i]} "
+            "(need a positive finite L and finite dE_A = -dE_S)"
+        )
+    return L, dE_S
 
 
-def write_sweep_csv(path_or_buf, records: list[SweepRecord], envelope_flags=None) -> None:
-    """Write sweep records with 17-significant-digit floats; byte-stable for fixed input."""
-    own = isinstance(path_or_buf, (str, bytes))
-    fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-    try:
-        writer = csv.writer(fh)
-        if envelope_flags is None:
-            writer.writerow(["L", "dE_S", "dE_A"])
-            for rec in records:
-                writer.writerow([format(x, ".17g") for x in (rec.L, rec.delta_E_S, rec.delta_E_A)])
-        else:
-            writer.writerow(["L", "dE_S", "dE_A", "envelope"])
-            for rec, flag in zip(records, envelope_flags):
-                writer.writerow(
-                    [format(x, ".17g") for x in (rec.L, rec.delta_E_S, rec.delta_E_A)] + [str(int(flag))]
-                )
-    finally:
-        if own:
-            fh.close()
+def write_sweep_csv(path_or_buf, L, dE_S) -> None:
+    """Write a sweep as columns L, dE_S, dE_A = -dE_S and envelope, byte-stable for fixed input.
+
+    The envelope column is 1 at the interior local maxima of |dE_S| and 0
+    elsewhere.
+    """
+    dE_S = np.asarray(dE_S, dtype=float)
+    csvio.write_columns(
+        path_or_buf, ("L", "dE_S", "dE_A", "envelope"), (L, dE_S, -dE_S, _interior_maxima(np.abs(dE_S)))
+    )

@@ -15,7 +15,6 @@ scalars a1, b1, a2, b2 are those real coefficients.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
+from . import csvio
 from .correlators import Pair
 from .dicke import DickeState, ket, projector
 from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, local_temperature
@@ -382,20 +382,11 @@ class Trajectory:
 
     def to_csv(self, path_or_buf) -> None:
         """Write tau, Dicke populations, trace and minimum eigenvalue as CSV."""
-        own = isinstance(path_or_buf, (str, bytes))
-        fh = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
-            writer = csv.writer(fh)
-            writer.writerow(["tau", "pG", "pE", "pS", "pA", "trace", "min_eig"])
-            for i in range(self.tau.size):
-                writer.writerow(
-                    [format(x, ".17g") for x in (
-                        self.tau[i], *self.populations[i], self.trace[i], self.min_eigenvalue[i],
-                    )]
-                )
-        finally:
-            if own:
-                fh.close()
+        csvio.write_columns(
+            path_or_buf,
+            ("tau", "pG", "pE", "pS", "pA", "trace", "min_eig"),
+            (self.tau, *self.populations.T, self.trace, self.min_eigenvalue),
+        )
 
 
 def evolve(rho0, gen: GeneratorMatrices, tau_grid) -> Trajectory:

@@ -183,28 +183,12 @@ def _check_discriminator(full: bool) -> CheckResult:
     n = 2000 if full else 800
     patch = DeSitterPatch(alpha=1.0, r=0.0)
     L = np.geomspace(30.0, 1000.0, n)
-    recs = [
-        discriminator.SweepRecord(
-            Li,
-            shifts.rcpi_closed(patch, Li, 10.0, 0.1, DickeState.S),
-            shifts.rcpi_closed(patch, Li, 10.0, 0.1, DickeState.A),
-        )
-        for Li in L
-    ]
-    env_L, env_v = discriminator.extract_envelope(recs)
+    env_L, env_v = discriminator.envelope_points(L, shifts.rcpi_closed(patch, L, 10.0, 0.1, DickeState.S))
     fit_ds = discriminator.fit_power_law(env_L, env_v)
     verdict_ds = discriminator.classify(fit_ds).verdict
 
     L = np.geomspace(10.0, 100.0, n)
-    recs = [
-        discriminator.SweepRecord(
-            Li,
-            shifts.rcpi_closed_minkowski(Li, 1.0, 0.1, DickeState.S),
-            shifts.rcpi_closed_minkowski(Li, 1.0, 0.1, DickeState.A),
-        )
-        for Li in L
-    ]
-    env_L, env_v = discriminator.extract_envelope(recs)
+    env_L, env_v = discriminator.envelope_points(L, shifts.rcpi_closed_minkowski(L, 1.0, 0.1, DickeState.S))
     fit_m = discriminator.fit_power_law(env_L, env_v)
     verdict_m = discriminator.classify(fit_m).verdict
     ok = (

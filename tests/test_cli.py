@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -12,6 +14,10 @@ from rcpi.config import (
     dump_config,
     load_config,
 )
+from rcpi.dicke import DickeState, projector
+from rcpi.geometry import DeSitterPatch, ThermalBath
+from rcpi.liouvillian import assemble_generator, build_coefficients, evolve
+from rcpi.shifts import rcpi_closed
 
 DS_DOC = {
     "spacetime": {"type": "desitter", "alpha": 1.0, "r": 0.0},
@@ -61,13 +67,18 @@ class TestConfig:
         with pytest.raises(ConfigError, match=fragment):
             config_from_dict(doc)
 
-    def test_removed_ode_tolerance_is_rejected(self, tmp_path, capsys):
-        doc = {**DS_DOC, "tolerances": {"ode_rtol": 1e-10}}
-        with pytest.raises(ConfigError, match="ode_rtol"):
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [("tolerances", "ode_rtol", 1e-10), ("output", "format", "csv")],
+        ids=["tolerances.ode_rtol", "output.format"],
+    )
+    def test_removed_field_is_rejected(self, tmp_path, capsys, section, field, value):
+        doc = {**DS_DOC, section: {field: value}}
+        with pytest.raises(ConfigError, match=field):
             config_from_dict(doc)
         cfg = write_config(tmp_path, {**doc, "evolve": {"rho0": "E", "tau_max": 1.0, "stride": 0.5}})
         assert main(["evolve", "--config", cfg]) == 1
-        assert "ode_rtol" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
 
     def test_json_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -165,6 +176,55 @@ class TestEvolveCommand:
         assert main(["evolve", "--config", cfg, "--out", str(out)]) == 0
         last = out.read_text().strip().splitlines()[-1].split(",")
         assert float(last[4]) >= 0.999
+
+
+def per_row_csv(header, rows) -> bytes:
+    """Reference writer: csv.writer with one format(x, ".17g") call per value, as the files were first written."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([format(x, ".17g") if isinstance(x, float) else str(x) for x in row])
+    return buf.getvalue().encode()
+
+
+class TestCsvBytes:
+    @pytest.mark.parametrize(
+        "spacetime, config",
+        [
+            (DeSitterPatch(1.3, 0.4), {"type": "desitter", "alpha": 1.3, "r": 0.4}),
+            (ThermalBath(0.7), {"type": "thermal", "temperature": 0.7}),
+        ],
+        ids=["desitter", "thermal"],
+    )
+    def test_sweep_matches_per_row_writer(self, tmp_path, spacetime, config):
+        doc = {
+            "spacetime": config,
+            "atoms": {"omega0": 7.0, "mu": 0.1, "L": 1.0},
+            "sweep": {"L_min": 0.01, "L_max": 1000.0, "n_points": 1500, "spacing": "log"},
+        }
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        L = np.geomspace(0.01, 1000.0, 1500).tolist()
+        s = rcpi_closed(spacetime, np.array(L), 7.0, 0.1, DickeState.S).tolist()
+        m = [abs(v) for v in s]
+        flags = [0 < i < len(m) - 1 and m[i] >= m[i - 1] and m[i] >= m[i + 1] and m[i] > 0 for i in range(len(m))]
+        expected = per_row_csv(["L", "dE_S", "dE_A", "envelope"], [(Li, v, -v, int(f)) for Li, v, f in zip(L, s, flags)])
+        assert sum(flags) > 10
+        assert out.read_bytes() == expected
+
+    def test_trajectory_with_short_last_step_matches_per_row_writer(self, tmp_path):
+        doc = {
+            "spacetime": {"type": "desitter", "alpha": 1.0, "r": 0.0},
+            "atoms": {"omega0": 1.0, "mu": 0.5, "L": 1.0},
+            "evolve": {"rho0": "S", "tau_max": 10.0, "stride": 0.3},
+        }
+        out = tmp_path / "traj.csv"
+        assert main(["evolve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        gen = assemble_generator(build_coefficients(DeSitterPatch(1.0, 0.0), 1.0, 0.5, 1.0), 1.0)
+        traj = evolve(projector(DickeState.S), gen, np.append(np.arange(34) * 0.3, 10.0))
+        rows = zip(traj.tau.tolist(), *traj.populations.T.tolist(), traj.trace.tolist(), traj.min_eigenvalue.tolist())
+        assert out.read_bytes() == per_row_csv(["tau", "pG", "pE", "pS", "pA", "trace", "min_eig"], rows)
 
 
 class TestDiscriminateCommand:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcpi.correlators import (
-    CorrelatorQuery,
     Pair,
     wightman_desitter_cross,
     wightman_desitter_same,
@@ -126,12 +125,3 @@ class TestImageSum:
         with pytest.raises(ValueError):
             wightman_thermal_minkowski(1.0, 1e-3, -0.5)
 
-
-class TestQueryContainer:
-    def test_cross_requires_separation(self):
-        with pytest.raises(ValueError):
-            CorrelatorQuery(1.0, 1e-3, Pair.CROSS, DeSitterPatch(1.0, 0.5))
-
-    def test_rejects_nonpositive_epsilon(self):
-        with pytest.raises(ValueError):
-            CorrelatorQuery(1.0, 0.0, Pair.SAME, DeSitterPatch(1.0, 0.5))

@@ -73,6 +73,14 @@ class TestExtractEnvelope:
         with pytest.raises(ValueError):
             extract_envelope(recs[:5])
 
+    @pytest.mark.parametrize(
+        "bad", [SweepRecord(math.nan, math.nan, math.nan), SweepRecord(50.5, math.inf, -math.inf)], ids=["nan", "inf"]
+    )
+    def test_non_finite_sample_rejected(self, bad):
+        recs = minkowski_sweep(np.geomspace(10.0, 100.0, 800), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            extract_envelope(recs[:400] + [bad] + recs[400:])
+
     def test_desitter_far_envelope_matches_curved_law(self):
         # Fast oscillation (omega0 kappa = 10) so the product maxima sit on
         # the envelope: (mu^2 / 2 pi) kappa / L^2 within 1%.
@@ -177,15 +185,44 @@ class TestClassify:
         assert classify(fit_s).verdict is classify(fit).verdict
 
 
+SWEEP_HEAD = "L,dE_S,dE_A,envelope\r\n1,-0.5,0.5,0\r\n2,0.25,-0.25,1\r\n"
+
+
 class TestCsvInterface:
     def test_round_trip(self):
-        recs = minkowski_sweep(np.geomspace(5.0, 50.0, 40), 1.0)
+        L = np.geomspace(5.0, 50.0, 40)
+        dE_S = rcpi_closed_minkowski(L, 1.0, 0.1)
         buf = io.StringIO()
-        write_sweep_csv(buf, recs)
+        write_sweep_csv(buf, L, dE_S)
         buf.seek(0)
-        back = read_sweep_csv(buf)
-        assert len(back) == len(recs)
-        assert all(a == b for a, b in zip(back, recs))
+        L_back, dE_S_back = read_sweep_csv(buf)
+        assert np.array_equal(L_back, L)
+        assert np.array_equal(dE_S_back, dE_S)
+
+    @pytest.mark.parametrize(
+        "tail, fragment",
+        [
+            ("nan,nan,nan,0\r\n", "row 4"),
+            ("3,nan,nan,0\r\n", "row 4"),
+            ("3,0.1,nan,0\r\n", "row 4"),
+            ("3,0.1,inf,0\r\n", "row 4"),
+            ("inf,0.1,-0.1,0\r\n", "row 4"),
+            ("0,0.1,-0.1,0\r\n", "row 4"),
+            ("3,inf,-inf,0\r\n", "row 4"),
+            ("3,0.1,-0.2,0\r\n", "row 4"),
+            ("3,0.1,-0.1\r\n", "row 4"),
+            ("\r\n3,0.1,-0.1,0\r\n4,x,-0.1,0\r\n", "row 6"),
+        ],
+        ids=["nan-row", "nan-shifts", "nan-dE_A", "inf-dE_A", "inf-L", "zero-L", "inf-shifts", "asymmetric", "short", "after-blank"],
+    )
+    def test_bad_rows_rejected(self, tail, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            read_sweep_csv(io.StringIO(SWEEP_HEAD + tail))
+
+    def test_blank_lines_skipped(self):
+        L, dE_S = read_sweep_csv(io.StringIO(SWEEP_HEAD + "\r\n3,0.1,-0.1,0\r\n\r\n"))
+        assert L.tolist() == [1.0, 2.0, 3.0]
+        assert dE_S.tolist() == [-0.5, 0.25, 0.1]
 
     def test_bad_header_rejected(self):
         buf = io.StringIO("a,b,c\n1,2,3\n")
