@@ -36,8 +36,10 @@ from .geometry import (
     ThermalBath,
     embed,
     euclidean_separation,
+    field_temperature,
     kappa,
     local_temperature,
+    response_shape,
     ricci_scalar,
 )
 from .liouvillian import (
@@ -50,13 +52,10 @@ from .liouvillian import (
     build_coefficients,
     dissipator_coefficients,
     evolve,
-    hamiltonian_coefficients,
 )
 from .quadrature import IntegralResult, QuadratureError, rcpi_integral
 from .shifts import (
-    Method,
     Regime,
-    ShiftResult,
     force_closed,
     levelshift_general,
     rcpi_asymptotic,

@@ -57,7 +57,7 @@ def _build_parser() -> _Parser:
     p_shift = sub.add_parser("shift", help="single-point shift by closed form and quadrature")
     p_shift.add_argument("--config", required=True)
     p_shift.add_argument("--out", default=None)
-    p_shift.add_argument("--format", choices=("csv", "json"), default=None)
+    p_shift.add_argument("--format", choices=("json",), default="json")
 
     p_sweep = sub.add_parser("sweep", help="closed-form shift versus separation, written as CSV")
     p_sweep.add_argument("--config", required=True)
@@ -98,7 +98,7 @@ def _regime_hint(ratio: float) -> str:
     return "crossover"
 
 
-def cmd_shift(cfg: RunConfig, out: str | None, fmt: str | None) -> int:
+def cmd_shift(cfg: RunConfig, out: str | None) -> int:
     L = cfg.atoms.separation()
     report: dict = {"L": L}
     if isinstance(cfg.spacetime, DeSitterPatch):
@@ -120,14 +120,7 @@ def cmd_shift(cfg: RunConfig, out: str | None, fmt: str | None) -> int:
             "quadrature_error_estimate": quad_err,
         }
     )
-    fmt = fmt or "json"
-    if fmt == "json":
-        _write_text(json.dumps(report, indent=2), out)
-    else:
-        keys = list(report.keys())
-        lines = [",".join(keys)]
-        lines.append(",".join(format(report[k], ".17g") if isinstance(report[k], float) else str(report[k]) for k in keys))
-        _write_text("\n".join(lines) + "\n", out)
+    _write_text(json.dumps(report, indent=2), out)
     return EXIT_OK
 
 
@@ -193,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         if args.command == "shift":
-            return cmd_shift(load_config(args.config), args.out, args.format)
+            return cmd_shift(load_config(args.config), args.out)
         if args.command == "sweep":
             return cmd_sweep(load_config(args.config), args.out)
         if args.command == "evolve":

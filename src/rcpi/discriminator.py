@@ -47,6 +47,8 @@ class SweepRecord:
     delta_E_A: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.L) and math.isfinite(self.delta_E_S) and math.isfinite(self.delta_E_A)):
+            raise ValueError(f"sweep record must be finite, got ({self.L}, {self.delta_E_S}, {self.delta_E_A})")
         if self.L <= 0:
             raise ValueError(f"separation must be positive, got L={self.L}")
         scale = max(abs(self.delta_E_S), abs(self.delta_E_A), 1e-300)

@@ -9,6 +9,7 @@ enter the physics downstream.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,8 @@ __all__ = [
     "TemperatureDecomposition",
     "kappa",
     "local_temperature",
+    "field_temperature",
+    "response_shape",
     "ricci_scalar",
     "euclidean_separation",
     "embed",
@@ -33,7 +36,9 @@ class DeSitterPatch:
 
     The horizon r = alpha is rejected rather than clamped: the redshift factor
     vanishes there, the local temperature diverges, and every derived quantity
-    downstream blows up.  Failing fast beats returning infinities.
+    downstream blows up.  Failing fast beats returning infinities.  So is a
+    radius whose kappa^2 = (alpha - r)(alpha + r) overflows or falls below the
+    smallest normal double, where kappa comes out infinite or imprecise.
     """
 
     alpha: float
@@ -45,6 +50,12 @@ class DeSitterPatch:
         if not (0.0 <= self.r < self.alpha):
             raise ValueError(
                 f"atoms must sit strictly inside the horizon (0 <= r < alpha), got r={self.r}, alpha={self.alpha}"
+            )
+        kappa_sq = (self.alpha - self.r) * (self.alpha + self.r)
+        if not (math.isfinite(kappa_sq) and kappa_sq >= sys.float_info.min):
+            raise ValueError(
+                f"kappa^2 = (alpha - r)(alpha + r) = {kappa_sq} is outside the normal double range, "
+                f"got alpha={self.alpha}, r={self.r}"
             )
 
 
@@ -107,6 +118,39 @@ def local_temperature(patch: DeSitterPatch) -> TemperatureDecomposition:
     T_f = 1.0 / (2.0 * math.pi * patch.alpha)
     a = patch.r / (patch.alpha * k)
     return TemperatureDecomposition(T=T, T_f=T_f, T_a=a / (2.0 * math.pi), a=a)
+
+
+def field_temperature(spacetime: SpacetimeConfig) -> float:
+    """Temperature of the field's occupation factor: the local 1/(2 pi kappa) in de Sitter, T in a bath."""
+    if isinstance(spacetime, DeSitterPatch):
+        return local_temperature(spacetime).T
+    if isinstance(spacetime, ThermalBath):
+        return spacetime.temperature
+    raise TypeError(f"unsupported spacetime configuration: {spacetime!r}")
+
+
+def _desitter_shape(L, kappa_val: float):
+    """(sigma, c) = (2 kappa asinh(L / 2 kappa), L sqrt(1 + L^2 / 4 kappa^2)) for a scalar or an array ``L``."""
+    x = L / (2.0 * kappa_val)
+    sigma, c = 2.0 * kappa_val * np.arcsinh(x), L * np.sqrt(1.0 + x * x)
+    return (sigma, c) if np.ndim(sigma) else (float(sigma), float(c))
+
+
+def response_shape(spacetime: SpacetimeConfig, L):
+    """Oscillation scale sigma and envelope denominator c of the cross response at separation ``L``.
+
+    The cross spectrum is the same-atom one times (sigma / c) sinc(sigma lambda),
+    and the interaction energy goes as cos(omega0 sigma) / c.  In de Sitter
+    sigma = 2 kappa asinh(L / 2 kappa) and c = L sqrt(1 + L^2 / 4 kappa^2), so
+    c grows as L^2 beyond kappa; in a thermal bath sigma = c = L.  This is the
+    whole difference between the 1/L^2 and the 1/L laws.  ``L`` is a positive
+    scalar (floats come back) or a numpy array; callers check it.
+    """
+    if isinstance(spacetime, DeSitterPatch):
+        return _desitter_shape(L, kappa(spacetime))
+    if isinstance(spacetime, ThermalBath):
+        return L, L
+    raise TypeError(f"unsupported spacetime configuration: {spacetime!r}")
 
 
 def ricci_scalar(patch: DeSitterPatch) -> float:

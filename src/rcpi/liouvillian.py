@@ -4,9 +4,13 @@ The weak-coupling master equation is
     d rho / d tau = -i [H_eff, rho] + L[rho],
 with H_eff the free two-atom Hamiltonian plus a field-induced correction
 bilinear in Pauli operators, and L[rho] the dissipator built from the 3x3
-coefficient matrices of the same tensor structure.  The coefficients come
-from the spectral functions at +/- omega0 (dissipator side) and from their
-principal-value frequency transforms (Hamiltonian side).
+coefficient matrices of the same tensor structure.  Every coefficient is
+set by three numbers that ``geometry`` reads off the spacetime: the
+oscillation scale sigma and envelope denominator c of the cross response
+(``response_shape``) and the field temperature T (``field_temperature``).
+The dissipator side is the spectral functions at +/- omega0, taken in
+closed form; the Hamiltonian side is their principal-value frequency
+transforms, taken by the resonance quadrature kernel.
 
 Convention: the Hamiltonian-side matrices carry an overall factor -i times
 a real coefficient, which is what makes the correction Hermitian; the stored
@@ -23,11 +27,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import csvio
-from .correlators import Pair
 from .dicke import DickeState, ket, projector
-from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, local_temperature
-from .quadrature import _cauchy, _require_positive, _require_tolerance, _resonance_kernel, _shape_factor, rcpi_integral
-from .spectral import spectral_density
+from .geometry import SpacetimeConfig, field_temperature, response_shape
+from .quadrature import _cauchy, _require_positive, _require_tolerance, _resonance_kernel, rcpi_integral
 
 __all__ = [
     "CoefficientSet",
@@ -36,7 +38,6 @@ __all__ = [
     "EvolutionError",
     "Trajectory",
     "dissipator_coefficients",
-    "hamiltonian_coefficients",
     "hamiltonian_cross_coefficients",
     "hamiltonian_same_coefficients",
     "build_coefficients",
@@ -134,25 +135,6 @@ class GeneratorMatrices:
     omega0: float
 
 
-def dissipator_coefficients(
-    spacetime: SpacetimeConfig, omega0: float, mu: float, L: float
-) -> tuple[float, float, float, float]:
-    """Dissipator scalars (at1, bt1, at2, bt2) from the spectral functions at +/- omega0."""
-    if omega0 <= 0 or mu <= 0 or L <= 0:
-        raise ValueError("omega0, mu and L must all be positive")
-    quarter_mu_sq = 0.25 * mu * mu
-    gs_p = spectral_density(spacetime, omega0, Pair.SAME)
-    gs_m = spectral_density(spacetime, -omega0, Pair.SAME)
-    gc_p = spectral_density(spacetime, omega0, Pair.CROSS, L)
-    gc_m = spectral_density(spacetime, -omega0, Pair.CROSS, L)
-    return (
-        quarter_mu_sq * (gs_p + gs_m),
-        quarter_mu_sq * (gs_p - gs_m),
-        quarter_mu_sq * (gc_p + gc_m),
-        quarter_mu_sq * (gc_p - gc_m),
-    )
-
-
 def _w_coth(w: float, temperature: float) -> float:
     """w (n(w) - n(-w)) = w coth(w / 2T): 2T at w = 0, and w itself in the vacuum."""
     if temperature == 0.0:
@@ -161,13 +143,22 @@ def _w_coth(w: float, temperature: float) -> float:
     return w / math.tanh(x) if x else 2.0 * temperature
 
 
-def _bath_temperature(spacetime: SpacetimeConfig) -> float:
-    """Temperature of the occupation factor: the local 1/(2 pi kappa) in de Sitter, T in a bath."""
-    if isinstance(spacetime, DeSitterPatch):
-        return local_temperature(spacetime).T
-    if isinstance(spacetime, ThermalBath):
-        return spacetime.temperature
-    raise TypeError(f"unsupported spacetime configuration: {spacetime!r}")
+def dissipator_coefficients(
+    spacetime: SpacetimeConfig, omega0: float, mu: float, L: float
+) -> tuple[float, float, float, float]:
+    """Dissipator scalars (at1, bt1, at2, bt2): the spectral functions at +/- omega0 in closed form.
+
+    The same-atom weights G(+/- w0) = (1/2 pi) (+/- w0) / (1 - e^{-/+ w0/T})
+    sum to (w0/2 pi) coth(w0/2T) and differ by w0/2 pi, whatever T is; the
+    cross weights carry the even factor (sigma/c) sinc(sigma w0) on top.
+    """
+    _require_positive(omega0=omega0, mu=mu, L=L)
+    sigma, c = response_shape(spacetime, L)
+    pref = mu * mu / (8.0 * math.pi)
+    at1 = pref * _w_coth(omega0, field_temperature(spacetime))
+    bt1 = pref * omega0
+    cross = math.sin(sigma * omega0) / (c * omega0)
+    return at1, bt1, at1 * cross, bt1 * cross
 
 
 def hamiltonian_cross_coefficients(
@@ -187,8 +178,9 @@ def hamiltonian_cross_coefficients(
     """
     _require_positive(omega0=omega0, mu=mu, L=L)
     pref = mu * mu / (8.0 * math.pi**2)
-    T = _bath_temperature(spacetime)
-    amplitude, sigma = _shape_factor(spacetime, L)
+    T = field_temperature(spacetime)
+    sigma, c = response_shape(spacetime, L)
+    amplitude = sigma / c
 
     def p_b(w: float) -> float:
         # (w/(w - w0) - w/(w + w0)) coth(w/2T) = 2 w0 w coth(w/2T) / ((w + w0)(w - w0))
@@ -220,7 +212,7 @@ def hamiltonian_same_coefficients(
     if cutoff <= omega0:
         raise ValueError(f"cutoff must exceed the pole frequency, got cutoff={cutoff}, omega0={omega0}")
     pref = mu * mu / (8.0 * math.pi**2)
-    T = _bath_temperature(spacetime)
+    T = field_temperature(spacetime)
 
     def p_a(w: float) -> float:
         return 2.0 * w * w / (w + omega0)
@@ -233,27 +225,6 @@ def hamiltonian_same_coefficients(
         for p in (p_a, p_b)
     )
     return pref * a1.value, pref * b1.value
-
-
-def hamiltonian_coefficients(
-    spacetime: SpacetimeConfig,
-    omega0: float,
-    mu: float,
-    L: float,
-    cutoff: float | None = None,
-    abs_tol: float = 1e-9,
-    rel_tol: float = 1e-7,
-) -> tuple[float, float, float, float]:
-    """All four Hamiltonian-side coefficients (a1, b1, a2, b2).
-
-    The cross pair is cutoff-free; the same-atom pair requires ``cutoff`` and
-    raises without it.
-    """
-    if cutoff is None:
-        raise ValueError("a frequency cutoff is required for the same-atom coefficients")
-    a1, b1 = hamiltonian_same_coefficients(spacetime, omega0, mu, cutoff, abs_tol, rel_tol)
-    a2, b2 = hamiltonian_cross_coefficients(spacetime, omega0, mu, L, abs_tol, rel_tol)
-    return a1, b1, a2, b2
 
 
 def build_coefficients(

@@ -35,8 +35,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, kappa
-from .spectral import geometric_factor_f, oscillation_scale, sinc
+from .geometry import SpacetimeConfig, response_shape
 
 __all__ = ["IntegralResult", "QuadratureError", "rcpi_integral"]
 
@@ -169,22 +168,6 @@ def _resonance_kernel(
     return _require_tolerance(res, abs_tol, rel_tol, "resonance integral")
 
 
-def _shape_factor(spacetime: SpacetimeConfig, L: float) -> tuple[float, float]:
-    """Amplitude A and scale sigma of the cross shape factor A sinc(sigma w).
-
-    The shape factor is f(w, L/2) in de Sitter and sinc(w L) in a thermal bath;
-    both are a w-independent amplitude times sinc(sigma w), with sigma the
-    oscillation scale of the cross spectrum.
-    """
-    if isinstance(spacetime, DeSitterPatch):
-        amplitude = geometric_factor_f(0.0, L / 2.0, kappa(spacetime))
-    elif isinstance(spacetime, ThermalBath):
-        amplitude = sinc(0.0)
-    else:
-        raise TypeError(f"unsupported spacetime configuration: {spacetime!r}")
-    return amplitude, oscillation_scale(spacetime, L)
-
-
 def rcpi_integral(
     spacetime: SpacetimeConfig,
     omega0: float,
@@ -194,8 +177,9 @@ def rcpi_integral(
 ) -> IntegralResult:
     """Numerical resonance-interaction integral P int_0^inf (w/(w-w0) + w/(w+w0)) s(w) dw.
 
-    The shape factor s is the separation factor f(w, L/2) in de Sitter and
-    sinc(w L) in a thermal Minkowski bath; the result equals
+    The shape factor s = (sigma / c) sinc(sigma w), with sigma and c from
+    ``geometry.response_shape``, is the separation factor f(w, L/2) in de
+    Sitter and sinc(w L) in a thermal Minkowski bath; the result equals
     -(4 pi^2 / mu^2) times the symmetric-state energy shift.  The thermal
     occupation numbers at +/-w sum to one, which removes the bath temperature
     from the integrand exactly; the thermal result therefore cannot depend
@@ -206,7 +190,8 @@ def rcpi_integral(
     combined error estimate misses the requested tolerance.
     """
     _require_positive(omega0=omega0, L=L)
-    amplitude, sigma = _shape_factor(spacetime, L)
+    sigma, c = response_shape(spacetime, L)
+    amplitude = sigma / c
 
     def p(w: float) -> float:
         # w/(w - w0) + w/(w + w0) = 2 w^2 / ((w + w0)(w - w0))

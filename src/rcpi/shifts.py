@@ -13,19 +13,16 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dicke import DickeState, ket
-from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, kappa
+from .geometry import SpacetimeConfig, ThermalBath, _desitter_shape, response_shape
 from .liouvillian import GeneratorMatrices, h_ls_matrix
 from .quadrature import _require_positive, rcpi_integral
 
 __all__ = [
-    "Method",
     "Regime",
-    "ShiftResult",
     "levelshift_general",
     "rcpi_closed_desitter",
     "rcpi_closed_minkowski",
@@ -36,24 +33,9 @@ __all__ = [
 ]
 
 
-class Method(enum.Enum):
-    CLOSED_FORM = "closed_form"
-    QUADRATURE = "quadrature"
-    ASYMPTOTIC_FAR = "asymptotic_far"
-    ASYMPTOTIC_NEAR = "asymptotic_near"
-
-
 class Regime(enum.Enum):
     FAR = "far"
     NEAR = "near"
-
-
-@dataclass(frozen=True)
-class ShiftResult:
-    state: DickeState
-    delta_E: float
-    method: Method
-    spacetime: SpacetimeConfig
 
 
 def _entangled_sign(state: DickeState) -> float:
@@ -79,46 +61,37 @@ def levelshift_general(gen: GeneratorMatrices, state: DickeState, cross_only: bo
     return float(val.real)
 
 
-def _float_or_array(value: np.floating | np.ndarray) -> float | np.ndarray:
-    """A scalar result as a Python float, an array result as the array itself."""
+def _interaction(sigma, c, omega0: float, mu: float, state: DickeState) -> float | np.ndarray:
+    """The closed form sign (mu^2 / 4 pi) cos(omega0 sigma) / c of both spacetimes, at scalar or array (sigma, c)."""
+    value = _entangled_sign(state) * (mu * mu / (4.0 * math.pi)) * np.cos(omega0 * sigma) / c
     return float(value) if value.ndim == 0 else value
 
 
 def rcpi_closed_desitter(
     L: float | np.ndarray, kappa_val: float, omega0: float, mu: float, state: DickeState = DickeState.S
 ) -> float | np.ndarray:
-    """Closed-form interaction energy of a static pair in the de Sitter vacuum.
-
-    ``L`` may be a scalar (the result is a float) or a numpy array of separations.
-    """
+    """Closed-form interaction energy of a static pair in the de Sitter vacuum of redshifted scale ``kappa_val``."""
     _require_positive(L=L, kappa=kappa_val, omega0=omega0, mu=mu)
-    x = L / (2.0 * kappa_val)
-    envelope = 1.0 / (L * np.sqrt(1.0 + x * x))
-    phase = 2.0 * omega0 * kappa_val * np.arcsinh(x)
-    return _float_or_array(_entangled_sign(state) * (mu * mu / (4.0 * math.pi)) * envelope * np.cos(phase))
+    return _interaction(*_desitter_shape(L, kappa_val), omega0, mu, state)
 
 
 def rcpi_closed_minkowski(
     L: float | np.ndarray, omega0: float, mu: float, state: DickeState = DickeState.S
 ) -> float | np.ndarray:
     """Closed-form interaction energy in flat spacetime; no temperature enters,
-    because the thermal occupation factors at opposite frequencies cancel.
-
-    ``L`` may be a scalar (the result is a float) or a numpy array of separations.
-    """
-    _require_positive(L=L, omega0=omega0, mu=mu)
-    return _float_or_array(_entangled_sign(state) * (mu * mu / (4.0 * math.pi)) * np.cos(omega0 * L) / L)
+    because the thermal occupation factors at opposite frequencies cancel."""
+    return rcpi_closed(ThermalBath(0.0), L, omega0, mu, state)
 
 
 def rcpi_closed(
     spacetime: SpacetimeConfig, L: float | np.ndarray, omega0: float, mu: float, state: DickeState = DickeState.S
 ) -> float | np.ndarray:
-    """Closed-form interaction energy for either spacetime configuration, at a scalar or a numpy array of ``L``."""
-    if isinstance(spacetime, DeSitterPatch):
-        return rcpi_closed_desitter(L, kappa(spacetime), omega0, mu, state)
-    if isinstance(spacetime, ThermalBath):
-        return rcpi_closed_minkowski(L, omega0, mu, state)
-    raise TypeError(f"unsupported spacetime configuration: {spacetime!r}")
+    """Closed-form interaction energy for either spacetime, with (sigma, c) from ``geometry.response_shape``.
+
+    ``L`` may be a scalar (the result is a float) or a numpy array of separations.
+    """
+    _require_positive(L=L, omega0=omega0, mu=mu)
+    return _interaction(*response_shape(spacetime, L), omega0, mu, state)
 
 
 def rcpi_asymptotic(
@@ -165,23 +138,16 @@ def rcpi_quadrature(
 def force_closed(spacetime: SpacetimeConfig, L: float, omega0: float, mu: float, state: DickeState = DickeState.S) -> float:
     """Interaction force -d(delta E)/dL from analytic differentiation of the closed form."""
     _require_positive(L=L, omega0=omega0, mu=mu)
-    if isinstance(spacetime, DeSitterPatch):
-        k = kappa(spacetime)
-        x = L / (2.0 * k)
-        root = math.sqrt(1.0 + x * x)
-        env = L * root
-        env_prime = (1.0 + 2.0 * x * x) / root
-        phase = 2.0 * omega0 * k * math.asinh(x)
-        phase_prime = omega0 / root
-    elif isinstance(spacetime, ThermalBath):
-        env = L
-        env_prime = 1.0
-        phase = omega0 * L
-        phase_prime = omega0
-    else:
-        raise TypeError(f"unsupported spacetime configuration: {spacetime!r}")
-    # delta E = sign (mu^2/4 pi) cos(phase)/env, so
-    # F = -d(delta E)/dL = sign (mu^2/4 pi) [sin(phase) phase'/env + cos(phase) env'/env^2]
+    sigma, c = response_shape(spacetime, L)
+    # delta E = sign (mu^2/4 pi) cos(omega0 sigma)/c.  In both spacetimes
+    # sigma' = d sigma/dL = L/c and c' = dc/dL = (2 c^2 - L^2)/(L c): in de Sitter
+    # c^2 = L^2 + L^4/4 kappa^2 and sigma' = 1/sqrt(1 + L^2/4 kappa^2); in a bath
+    # sigma = c = L and both are 1.  c' is taken as 2c/L - sigma', which does not
+    # overflow with c^2.  So
+    # F = sign (mu^2/4 pi) [sin(omega0 sigma) omega0 sigma'/c + cos(omega0 sigma) c'/c^2].
+    sigma_prime = L / c
+    c_prime = 2.0 * c / L - sigma_prime
+    phase = omega0 * sigma
     return _entangled_sign(state) * (mu * mu / (4.0 * math.pi)) * (
-        math.sin(phase) * phase_prime / env + math.cos(phase) * env_prime / (env * env)
+        math.sin(phase) * omega0 * sigma_prime / c + math.cos(phase) * c_prime / (c * c)
     )

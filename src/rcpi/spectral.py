@@ -9,38 +9,29 @@ over the thermal images and factorizes the same way with sinc(lambda L).
 All functions accept scalars or numpy arrays and evaluate the removable
 singularities (lambda -> 0, z -> 0) through explicit series branches switched
 at |argument| < 1e-4; the two branches agree to ~1e-12 at the switch point.
+
+No production route calls these functions: the routes read the response
+shape and the field temperature from ``geometry``, and this module is the
+independent oracle that the tests and ``validate`` compare them against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .correlators import Pair
-from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, kappa
 
 __all__ = [
-    "SpectralValue",
     "fourier_desitter_same",
     "fourier_desitter_cross",
     "fourier_thermal_minkowski",
     "geometric_factor_f",
     "sinc",
-    "spectral_density",
-    "oscillation_scale",
 ]
 
 _SERIES_SWITCH = 1e-4
-
-
-@dataclass(frozen=True)
-class SpectralValue:
-    """A spectral weight at a single frequency; non-negative for same-pair lambda > 0."""
-
-    lam: float
-    value: float
 
 
 def _planck_weight(lam, beta):
@@ -137,33 +128,3 @@ def fourier_thermal_minkowski(lam, temperature: float, L: float | None = None, p
         out = same * sinc(lam_arr * L)
     return out if np.ndim(out) else float(out)
 
-
-def spectral_density(spacetime: SpacetimeConfig, lam, pair: Pair = Pair.SAME, L: float | None = None):
-    """Dispatch to the spectral family selected by the spacetime configuration."""
-    if isinstance(spacetime, DeSitterPatch):
-        k = kappa(spacetime)
-        if pair is Pair.SAME:
-            return fourier_desitter_same(lam, k)
-        if L is None or L <= 0:
-            raise ValueError("cross-pair spectral function needs a positive separation L")
-        return fourier_desitter_cross(lam, k, L)
-    if isinstance(spacetime, ThermalBath):
-        return fourier_thermal_minkowski(lam, spacetime.temperature, L, pair)
-    raise TypeError(f"unsupported spacetime configuration: {spacetime!r}")
-
-
-def oscillation_scale(spacetime: SpacetimeConfig, L: float) -> float:
-    """Angular frequency (in lambda) of the cross-spectrum oscillation at separation L.
-
-    In de Sitter this is 2 kappa asinh(L / 2 kappa); in flat spacetime it is L
-    itself.  The distinction is the entire content of the curved-versus-flat
-    decay laws downstream.
-    """
-    if L <= 0:
-        raise ValueError(f"separation L must be positive, got {L}")
-    if isinstance(spacetime, DeSitterPatch):
-        k = kappa(spacetime)
-        return 2.0 * k * math.asinh(L / (2.0 * k))
-    if isinstance(spacetime, ThermalBath):
-        return L
-    raise TypeError(f"unsupported spacetime configuration: {spacetime!r}")

@@ -123,6 +123,16 @@ class TestShiftCommand:
         assert abs(out["dE_S_closed"]) < 1e-12 * envelope
 
 
+    def test_json_is_the_only_format(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, DS_DOC)
+        assert main(["shift", "--config", cfg]) == 0
+        default = capsys.readouterr().out
+        assert main(["shift", "--config", cfg, "--format", "json"]) == 0
+        assert capsys.readouterr().out == default
+        assert main(["shift", "--config", cfg, "--format", "csv"]) == 1
+        capsys.readouterr()
+
+
 class TestSweepCommand:
     def test_deterministic_and_antisymmetric(self, tmp_path):
         doc = {**DS_DOC, "sweep": {"L_min": 0.01, "L_max": 1000.0, "n_points": 200, "spacing": "log"}}

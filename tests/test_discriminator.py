@@ -12,6 +12,7 @@ from rcpi.discriminator import (
     SweepRecord,
     Verdict,
     classify,
+    envelope_points,
     extract_envelope,
     fit_power_law,
     read_sweep_csv,
@@ -48,9 +49,14 @@ class TestSweepRecord:
         with pytest.raises(ValueError):
             SweepRecord(1.0, 1e-4, 1e-4)
 
-    def test_rejects_nonpositive_separation(self):
+    @pytest.mark.parametrize(
+        "record",
+        [(0.0, 1e-4, -1e-4), (math.nan, math.nan, math.nan), (math.inf, 1.0, -1.0)],
+        ids=["zero", "nan", "inf"],
+    )
+    def test_rejects_nonpositive_separation(self, record):
         with pytest.raises(ValueError):
-            SweepRecord(0.0, 1e-4, -1e-4)
+            SweepRecord(*record)
 
 
 class TestExtractEnvelope:
@@ -73,13 +79,16 @@ class TestExtractEnvelope:
         with pytest.raises(ValueError):
             extract_envelope(recs[:5])
 
-    @pytest.mark.parametrize(
-        "bad", [SweepRecord(math.nan, math.nan, math.nan), SweepRecord(50.5, math.inf, -math.inf)], ids=["nan", "inf"]
-    )
+    @pytest.mark.parametrize("bad", [(math.nan, math.nan, math.nan), (50.5, math.inf, -math.inf)], ids=["nan", "inf"])
     def test_non_finite_sample_rejected(self, bad):
-        recs = minkowski_sweep(np.geomspace(10.0, 100.0, 800), 1.0)
+        # Such a sample cannot be a SweepRecord; as bare arrays it is rejected by the envelope.
         with pytest.raises(ValueError, match="finite"):
-            extract_envelope(recs[:400] + [bad] + recs[400:])
+            SweepRecord(*bad)
+        recs = minkowski_sweep(np.geomspace(10.0, 100.0, 800), 1.0)
+        L = [s.L for s in recs]
+        dE = [s.delta_E_S for s in recs]
+        with pytest.raises(ValueError, match="finite"):
+            envelope_points(L[:400] + [bad[0]] + L[400:], dE[:400] + [bad[1]] + dE[400:])
 
     def test_desitter_far_envelope_matches_curved_law(self):
         # Fast oscillation (omega0 kappa = 10) so the product maxima sit on

@@ -10,10 +10,13 @@ from rcpi.geometry import (
     ThermalBath,
     embed,
     euclidean_separation,
+    field_temperature,
     kappa,
     local_temperature,
+    response_shape,
     ricci_scalar,
 )
+from rcpi.spectral import geometric_factor_f, sinc
 
 patches = st.builds(
     lambda alpha, frac: DeSitterPatch(alpha=alpha, r=frac * alpha),
@@ -30,13 +33,15 @@ class TestKappa:
     def test_three_four_five(self):
         assert kappa(DeSitterPatch(1.0, 0.6)) == pytest.approx(0.8, rel=1e-15)
 
-    def test_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            DeSitterPatch(1.0, 1.0)
-        with pytest.raises(ValueError):
-            DeSitterPatch(1.0, 1.5)
-        with pytest.raises(ValueError):
-            DeSitterPatch(-1.0, 0.0)
+    @pytest.mark.parametrize(
+        "alpha, r",
+        [(1.0, 1.0), (1.0, 1.5), (-1.0, 0.0), (1e200, 0.0), (1e-160, 0.0)],
+        ids=["horizon", "outside", "negative-alpha", "kappa-overflows", "kappa-underflows"],
+    )
+    def test_horizon_rejected(self, alpha, r):
+        # kappa = sqrt((alpha - r)(alpha + r)) must be finite and its square a normal double.
+        with pytest.raises(ValueError, match="alpha"):
+            DeSitterPatch(alpha, r)
 
     @given(st.floats(min_value=1e-2, max_value=10.0), st.data())
     def test_monotone_decreasing_in_r(self, alpha, data):
@@ -67,6 +72,37 @@ class TestLocalTemperature:
         dec = local_temperature(patch)
         assert dec.T**2 == pytest.approx(dec.T_f**2 + dec.T_a**2, rel=1e-12)
         assert dec.T >= dec.T_f
+
+
+class TestResponseShape:
+    @pytest.mark.parametrize(
+        "spacetime",
+        [DeSitterPatch(1.0), DeSitterPatch(1.0, 0.6), DeSitterPatch(5.0, 2.0), DeSitterPatch(0.3, 0.29), ThermalBath(0.7)],
+        ids=["desitter-origin", "desitter-r0.6", "desitter-alpha5", "desitter-near-horizon", "thermal"],
+    )
+    @pytest.mark.parametrize("L", (1e-6, 1e-3, 0.7, 1.3, 40.0, 1e3))
+    def test_matches_spectral_oracle(self, spacetime, L):
+        # The cross factor (sigma/c) sinc(sigma lambda) is f(lambda, L/2) in de Sitter, sinc(lambda L) in a bath.
+        lam = np.array([0.0, 1e-3, 0.05, 0.4, 1.1, 2.5])
+        sigma, c = response_shape(spacetime, L)
+        assert type(sigma) is float and type(c) is float
+        if isinstance(spacetime, DeSitterPatch):
+            oracle = geometric_factor_f(lam, L / 2.0, kappa(spacetime))
+        else:
+            oracle = sinc(lam * L)
+        assert sigma / c * sinc(sigma * lam) == pytest.approx(oracle, rel=1e-13)
+
+    @pytest.mark.parametrize("spacetime", [DeSitterPatch(1.0, 0.6), ThermalBath(0.7)], ids=["desitter", "thermal"])
+    def test_array_matches_scalars(self, spacetime):
+        L = np.geomspace(1e-3, 1e4, 50)
+        sigma, c = response_shape(spacetime, L)
+        assert sigma.shape == c.shape == L.shape
+        assert [response_shape(spacetime, x) for x in L.tolist()] == list(zip(sigma.tolist(), c.tolist()))
+
+    def test_field_temperature(self):
+        patch = DeSitterPatch(1.0, 0.6)
+        assert field_temperature(patch) == local_temperature(patch).T
+        assert field_temperature(ThermalBath(0.7)) == 0.7
 
 
 class TestRicci:

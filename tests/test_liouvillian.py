@@ -7,8 +7,9 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from rcpi.correlators import Pair
 from rcpi.dicke import DickeState, ket, projector
-from rcpi.geometry import DeSitterPatch, ThermalBath
+from rcpi.geometry import DeSitterPatch, ThermalBath, kappa
 from rcpi.liouvillian import (
     CoefficientSet,
     EvolutionError,
@@ -20,11 +21,11 @@ from rcpi.liouvillian import (
     evolve,
     h_eff_matrix,
     h_ls_matrix,
-    hamiltonian_coefficients,
     hamiltonian_cross_coefficients,
     hamiltonian_same_coefficients,
     superoperator,
 )
+from rcpi.spectral import fourier_desitter_cross, fourier_desitter_same, fourier_thermal_minkowski
 
 PATCH = DeSitterPatch(1.0, 0.0)
 
@@ -75,6 +76,31 @@ class TestDissipatorCoefficients:
         assert at2 == pytest.approx(at1, rel=1e-10)
         assert bt2 == pytest.approx(bt1, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "spacetime",
+        [DeSitterPatch(1.0, 0.0), DeSitterPatch(1.0, 0.8), DeSitterPatch(5.0, 2.0), ThermalBath(0.0), ThermalBath(0.7)],
+        ids=["desitter-origin", "desitter-r0.8", "desitter-alpha5", "thermal-T0", "thermal-T0.7"],
+    )
+    @pytest.mark.parametrize("omega0", (0.05, 1.3, 20.0))
+    @pytest.mark.parametrize("L", (1e-3, 0.7, 40.0))
+    def test_matches_spectral_functions(self, spacetime, omega0, L):
+        # Oracle: mu^2/4 times the sum and difference of the spectral functions at +/- omega0.
+        mu = 0.3
+        if isinstance(spacetime, DeSitterPatch):
+            k = kappa(spacetime)
+            same = [fourier_desitter_same(w, k) for w in (omega0, -omega0)]
+            cross = [fourier_desitter_cross(w, k, L) for w in (omega0, -omega0)]
+        else:
+            T = spacetime.temperature
+            same = [fourier_thermal_minkowski(w, T) for w in (omega0, -omega0)]
+            cross = [fourier_thermal_minkowski(w, T, L, Pair.CROSS) for w in (omega0, -omega0)]
+        q = 0.25 * mu * mu
+        expected = (
+            q * (same[0] + same[1]), q * (same[0] - same[1]), q * (cross[0] + cross[1]), q * (cross[0] - cross[1])
+        )
+        got = dissipator_coefficients(spacetime, omega0, mu, L)
+        assert got == pytest.approx(expected, rel=1e-11)
+
     def test_kossakowski_blocks_positive(self):
         # The 6x6 dissipator coefficient matrix is positive semidefinite.
         at1, bt1, at2, bt2 = dissipator_coefficients(PATCH, 1.0, 0.1, 0.7)
@@ -112,12 +138,19 @@ class TestHamiltonianCoefficients:
         expected = _b2_oracle(amplitude, sigma, T, omega0)
         assert b2 * 8.0 * math.pi**2 / mu**2 == pytest.approx(expected, rel=1e-9)
 
-    @pytest.mark.parametrize("arg", ["omega0", "mu", "L"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_cross_rejects_non_finite_arguments(self, arg, bad):
+    @pytest.mark.parametrize(
+        "fn, arg, bad",
+        [
+            pytest.param(fn, arg, bad, id=f"{prefix}{bad}-{arg}")
+            for fn, prefix in ((hamiltonian_cross_coefficients, ""), (dissipator_coefficients, "dissipator-"))
+            for arg in ("omega0", "mu", "L")
+            for bad in (math.nan, math.inf)
+        ],
+    )
+    def test_cross_rejects_non_finite_arguments(self, fn, arg, bad):
         kwargs = {"omega0": 1.0, "mu": 0.1, "L": 1.0, arg: bad}
         with pytest.raises(ValueError, match=arg):
-            hamiltonian_cross_coefficients(PATCH, **kwargs)
+            fn(PATCH, **kwargs)
 
     @pytest.mark.parametrize("arg", ["omega0", "mu", "cutoff"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -128,7 +161,7 @@ class TestHamiltonianCoefficients:
 
     def test_same_requires_cutoff(self):
         with pytest.raises(ValueError):
-            hamiltonian_coefficients(PATCH, 1.0, 0.1, 1.0, cutoff=None)
+            hamiltonian_same_coefficients(PATCH, 1.0, 0.1, None)
 
     def test_same_grows_with_cutoff(self):
         a1_small, b1_small = hamiltonian_same_coefficients(PATCH, 1.0, 0.1, cutoff=1e2)

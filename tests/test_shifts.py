@@ -8,9 +8,7 @@ from rcpi.dicke import DickeState
 from rcpi.geometry import DeSitterPatch, ThermalBath
 from rcpi.liouvillian import assemble_generator, build_coefficients
 from rcpi.shifts import (
-    Method,
     Regime,
-    ShiftResult,
     force_closed,
     levelshift_general,
     rcpi_asymptotic,
@@ -155,9 +153,11 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             rcpi_closed_desitter(1.0, 1.0, 1.0, 0.1, DickeState.G)
 
-    def test_shift_result_container(self):
-        res = ShiftResult(DickeState.S, -1e-4, Method.CLOSED_FORM, PATCH)
-        assert res.method is Method.CLOSED_FORM
+    def test_huge_curvature_scale_gives_the_flat_value(self):
+        # kappa = 1e200 is past the range DeSitterPatch accepts (kappa^2 overflows);
+        # the closed form takes kappa itself and reaches the flat limit.
+        flat = rcpi_closed_minkowski(1.3, 1.0, 0.1)
+        assert rcpi_closed_desitter(1.3, 1e200, 1.0, 0.1) == pytest.approx(flat, rel=1e-15)
 
 
 class TestAntisymmetry:

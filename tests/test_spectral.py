@@ -23,13 +23,6 @@ from rcpi.spectral import (
 _G11_LAM1_KAP1 = 0.1594527118997837148
 
 
-def test_spectral_value_container():
-    from rcpi.spectral import SpectralValue
-
-    sv = SpectralValue(lam=1.0, value=fourier_desitter_same(1.0, 1.0))
-    assert sv.value > 0  # positive-frequency same-pair weight is positive
-
-
 class TestSameAtomSpectrum:
     def test_reference_value(self):
         assert fourier_desitter_same(1.0, 1.0) == pytest.approx(_G11_LAM1_KAP1, rel=1e-15)
