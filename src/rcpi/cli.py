@@ -144,10 +144,7 @@ def cmd_evolve(cfg: RunConfig, out: str | None) -> int:
     if cfg.evolve is None:
         raise ConfigError("evolve: section is required for the evolve command")
     L = cfg.atoms.separation()
-    coeffs = build_coefficients(
-        cfg.spacetime, cfg.atoms.omega0, cfg.atoms.mu, L,
-        abs_tol=cfg.tolerances.quad_abs_tol, rel_tol=cfg.tolerances.quad_rel_tol,
-    )
+    coeffs = build_coefficients(cfg.spacetime, cfg.atoms.omega0, cfg.atoms.mu, L)
     gen = assemble_generator(coeffs, cfg.atoms.omega0)
     n = int(np.floor(cfg.evolve.tau_max / cfg.evolve.stride + 1e-9)) + 1
     tau = np.arange(n) * cfg.evolve.stride

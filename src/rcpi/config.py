@@ -85,6 +85,8 @@ class EvolveSettings:
 
 @dataclass(frozen=True)
 class ToleranceSettings:
+    """Targets of the resonance quadrature; only ``rcpi shift`` runs it, so they affect no other command."""
+
     quad_abs_tol: float = 1e-9
     quad_rel_tol: float = 1e-7
 

@@ -3,18 +3,20 @@
 The weak-coupling master equation is
     d rho / d tau = -i [H_eff, rho] + L[rho],
 with H_eff the free two-atom Hamiltonian plus a field-induced correction
-bilinear in Pauli operators, and L[rho] the dissipator built from the 3x3
-coefficient matrices of the same tensor structure.  Every coefficient is
-set by three numbers that ``geometry`` reads off the spacetime: the
-oscillation scale sigma and envelope denominator c of the cross response
-(``response_shape``) and the field temperature T (``field_temperature``).
-The dissipator side is the spectral functions at +/- omega0, taken in
-closed form; the Hamiltonian side is their principal-value frequency
-transforms, taken by the resonance quadrature kernel.
+bilinear in Pauli operators, and L[rho] the dissipator: the two-atom
+Lamb-shift Hamiltonian and Kossakowski matrix of Benatti and Floreanini (PRA
+70, 012112, 2004), built as one contraction with constant Pauli tensors.
+Every separation-dependent coefficient is a closed form in the (sigma, c) of
+``geometry.response_shape`` and the T of ``field_temperature``: the
+dissipator is the spectral functions at +/- omega0, and the Hamiltonian side
+is a2 = mu^2 cos(omega0 sigma) / (8 pi c).  The antisymmetric cross term of
+the Hamiltonian side cancels from the generator, since H_cross enters for
+both atom orderings and sum eps_ij3 (s_i x s_j + s_j x s_i) = 0; it is not
+computed.  Quadrature runs only for the same-atom a1, b1 under a cutoff.
 
 Convention: the Hamiltonian-side matrices carry an overall factor -i times
 a real coefficient, which is what makes the correction Hermitian; the stored
-scalars a1, b1, a2, b2 are those real coefficients.
+scalars a1, b1, a2 are those real coefficients.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from scipy.linalg import expm
 from . import csvio
 from .dicke import DickeState, ket, projector
 from .geometry import SpacetimeConfig, field_temperature, response_shape
-from .quadrature import _cauchy, _require_positive, _require_tolerance, _resonance_kernel, rcpi_integral
+from .quadrature import _cauchy, _require_positive, _require_tolerance
 
 __all__ = [
     "CoefficientSet",
@@ -62,6 +64,23 @@ _SIG = (
     tuple(np.kron(p, _I2) for p in _PAULI),
     tuple(np.kron(_I2, p) for p in _PAULI),
 )
+_I4 = np.eye(4, dtype=complex)
+_DICKE_KETS = np.array([ket(s) for s in (DickeState.G, DickeState.E, DickeState.S, DickeState.A)])
+
+# Constant tensors whose rows are the operators that single coefficients
+# multiply.  _PRODUCTS, over the pair index (3 atom + i, 3 atom' + j): the
+# product s_i s_j of the Hamiltonian correction.  _GENERATOR, acting on the
+# row-major vec(rho): first, over the 16 entries E of H_eff, the commutator
+# -i (E (x) 1 - 1 (x) E^T); then, over the pair index, the dissipator term
+# (1/2)(2 s_j (x) s_i^T - s_i s_j (x) 1 - 1 (x) (s_i s_j)^T).
+_FLAT_SIG = _SIG[0] + _SIG[1]
+_PRODUCTS = np.array([si @ sj for si in _FLAT_SIG for sj in _FLAT_SIG])
+_GENERATOR = np.array(
+    [-1j * (np.kron(e, _I4) - np.kron(_I4, e.T)).ravel() for e in np.eye(16, dtype=complex).reshape(16, 4, 4)]
+    + [0.5 * (2.0 * np.kron(sj, si.T) - np.kron(si @ sj, _I4) - np.kron(_I4, (si @ sj).T)).ravel()
+       for si in _FLAT_SIG for sj in _FLAT_SIG]
+)
+_CHUNK = 32  # output points filled per batched product of exact propagation
 
 
 class EvolutionError(RuntimeError):
@@ -70,7 +89,7 @@ class EvolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """The eight scalars feeding the generator.
+    """The seven scalars feeding the generator.
 
     a*/b* are the (real) Hamiltonian-side coefficients, at*/bt* the
     dissipator-side ones; subscript 1 is same-atom, 2 is cross-atom.  The
@@ -81,7 +100,6 @@ class CoefficientSet:
     a1: float
     b1: float
     a2: float
-    b2: float
     at1: float
     bt1: float
     at2: float
@@ -119,9 +137,7 @@ class TwoQubitState:
 
     def dicke_populations(self) -> np.ndarray:
         """Populations (pG, pE, pS, pA)."""
-        return np.array(
-            [np.real(ket(s).conj() @ self.rho @ ket(s)) for s in (DickeState.G, DickeState.E, DickeState.S, DickeState.A)]
-        )
+        return np.einsum("ki,ij,kj->k", _DICKE_KETS.conj(), self.rho, _DICKE_KETS).real
 
 
 @dataclass(frozen=True)
@@ -161,34 +177,16 @@ def dissipator_coefficients(
     return at1, bt1, at1 * cross, bt1 * cross
 
 
-def hamiltonian_cross_coefficients(
-    spacetime: SpacetimeConfig,
-    omega0: float,
-    mu: float,
-    L: float,
-    abs_tol: float = 1e-9,
-    rel_tol: float = 1e-7,
-) -> tuple[float, float]:
-    """Cross-atom Hamiltonian coefficients (a2, b2) by the resonance quadrature kernel.
+def _a2_closed_form(sigma, c, omega0: float, mu: float):
+    """a2 = mu^2 cos(omega0 sigma) / (8 pi c) at scalar or array (sigma, c); the S and A shifts are -/+ 2 a2."""
+    return (mu * mu / (8.0 * math.pi)) * np.cos(omega0 * sigma) / c
 
-    The occupation factors at +/- w fold onto the half line exactly: the a2
-    integrand carries no occupation weight at all and is the resonance
-    integral itself; the b2 integrand carries coth(w / 2T).  Both are
-    cutoff-free.
-    """
+
+def hamiltonian_cross_coefficients(spacetime: SpacetimeConfig, omega0: float, mu: float, L: float) -> float:
+    """Cross-atom Hamiltonian coefficient a2: mu^2 / 8 pi^2 times the resonance integral
+    (``quadrature.rcpi_integral``, its numerical oracle), which is pi cos(omega0 sigma) / c."""
     _require_positive(omega0=omega0, mu=mu, L=L)
-    pref = mu * mu / (8.0 * math.pi**2)
-    T = field_temperature(spacetime)
-    sigma, c = response_shape(spacetime, L)
-    amplitude = sigma / c
-
-    def p_b(w: float) -> float:
-        # (w/(w - w0) - w/(w + w0)) coth(w/2T) = 2 w0 w coth(w/2T) / ((w + w0)(w - w0))
-        return amplitude * 2.0 * omega0 * _w_coth(w, T) / (w + omega0)
-
-    a2 = pref * rcpi_integral(spacetime, omega0, L, abs_tol, rel_tol).value
-    b2 = pref * _resonance_kernel(p_b, omega0, sigma, abs_tol, rel_tol).value
-    return a2, b2
+    return float(_a2_closed_form(*response_shape(spacetime, L), omega0, mu))
 
 
 def hamiltonian_same_coefficients(
@@ -241,31 +239,23 @@ def build_coefficients(
     Without a cutoff the separation-independent Hamiltonian terms are set to
     zero: they shift all four collective levels but never contribute to the
     interatomic interaction, so dropping them is the default for interaction
-    studies; pass a cutoff to re-include them for exploratory dynamics.
+    studies; pass a cutoff to re-include them for exploratory dynamics.  Only
+    then does any quadrature run, and only then do the tolerances apply.
     """
     at1, bt1, at2, bt2 = dissipator_coefficients(spacetime, omega0, mu, L)
-    a2, b2 = hamiltonian_cross_coefficients(spacetime, omega0, mu, L, abs_tol, rel_tol)
-    if cutoff is not None:
-        a1, b1 = hamiltonian_same_coefficients(spacetime, omega0, mu, cutoff, abs_tol, rel_tol)
-    else:
-        a1, b1 = 0.0, 0.0
-    return CoefficientSet(a1=a1, b1=b1, a2=a2, b2=b2, at1=at1, bt1=bt1, at2=at2, bt2=bt2)
+    a2 = hamiltonian_cross_coefficients(spacetime, omega0, mu, L)
+    a1, b1 = (0.0, 0.0) if cutoff is None else hamiltonian_same_coefficients(spacetime, omega0, mu, cutoff, abs_tol, rel_tol)
+    return CoefficientSet(a1=a1, b1=b1, a2=a2, at1=at1, bt1=bt1, at2=at2, bt2=bt2)
 
 
 def _h_block(a: float, b: float) -> np.ndarray:
     # (-i a) delta_ij - i (-i b) eps_ij3 - (-i a) delta_3i delta_3j
-    return np.array(
-        [[-1j * a, -b, 0.0], [b, -1j * a, 0.0], [0.0, 0.0, 0.0]],
-        dtype=complex,
-    )
+    return np.array([[-1j * a, -b, 0.0], [b, -1j * a, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
 
 
 def _c_block(at: float, bt: float) -> np.ndarray:
     # at delta_ij - i bt eps_ij3 - at delta_3i delta_3j
-    return np.array(
-        [[at, -1j * bt, 0.0], [1j * bt, at, 0.0], [0.0, 0.0, 0.0]],
-        dtype=complex,
-    )
+    return np.array([[at, -1j * bt, 0.0], [1j * bt, at, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
 
 
 def assemble_generator(coeffs: CoefficientSet, omega0: float) -> GeneratorMatrices:
@@ -274,30 +264,29 @@ def assemble_generator(coeffs: CoefficientSet, omega0: float) -> GeneratorMatric
         raise ValueError(f"transition frequency must be positive, got {omega0}")
     return GeneratorMatrices(
         H_same=_h_block(coeffs.a1, coeffs.b1),
-        H_cross=_h_block(coeffs.a2, coeffs.b2),
+        H_cross=_h_block(coeffs.a2, 0.0),
         C_same=_c_block(coeffs.at1, coeffs.bt1),
         C_cross=_c_block(coeffs.at2, coeffs.bt2),
         omega0=omega0,
     )
 
 
-def _blocks(gen: GeneratorMatrices, cross_only: bool):
-    zero = np.zeros((3, 3), dtype=complex)
-    same = zero if cross_only else gen.H_same
-    return {(0, 0): same, (1, 1): same, (0, 1): gen.H_cross, (1, 0): gen.H_cross}
+def _pair_matrix(same: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """The 6x6 block matrix [[same, cross], [cross, same]] over the pair index, flattened to 36 weights."""
+    out = np.empty((2, 3, 2, 3), dtype=complex)
+    out[0, :, 0] = out[1, :, 1] = same
+    out[0, :, 1] = out[1, :, 0] = cross
+    return out.ravel()
 
 
 def h_ls_matrix(gen: GeneratorMatrices, cross_only: bool = False) -> np.ndarray:
     """Field-induced Hamiltonian correction as a 4x4 matrix,
     -(i/2) sum_{ab,ij} H^{(ab)}_{ij} sigma_i^{(a)} sigma_j^{(b)}."""
-    out = np.zeros((4, 4), dtype=complex)
-    for (a, b), block in _blocks(gen, cross_only).items():
-        for i in range(3):
-            for j in range(3):
-                coeff = block[i, j]
-                if coeff != 0.0:
-                    out += coeff * (_SIG[a][i] @ _SIG[b][j])
-    return -0.5j * out
+    same = np.zeros((3, 3), dtype=complex) if cross_only else gen.H_same
+    # sigma^(1) and sigma^(2) commute, so only the symmetric part of H_cross
+    # enters; taking it first cancels the antisymmetric part exactly.
+    cross = 0.5 * (gen.H_cross + gen.H_cross.T)
+    return -0.5j * np.einsum("k,kij->ij", _pair_matrix(same, cross), _PRODUCTS)
 
 
 def h_eff_matrix(gen: GeneratorMatrices, cross_only: bool = False) -> np.ndarray:
@@ -307,24 +296,11 @@ def h_eff_matrix(gen: GeneratorMatrices, cross_only: bool = False) -> np.ndarray
 
 
 def superoperator(gen: GeneratorMatrices, cross_only_hamiltonian: bool = False) -> np.ndarray:
-    """16x16 matrix generating d vec(rho)/d tau in row-major vectorization."""
-    eye4 = np.eye(4, dtype=complex)
+    """16x16 matrix generating d vec(rho)/d tau in row-major vectorization, as one contraction with _GENERATOR."""
     h = h_eff_matrix(gen, cross_only_hamiltonian)
-    m = -1j * (np.kron(h, eye4) - np.kron(eye4, h.T))
-    c_blocks = {(0, 0): gen.C_same, (1, 1): gen.C_same, (0, 1): gen.C_cross, (1, 0): gen.C_cross}
-    for (a, b), block in c_blocks.items():
-        for i in range(3):
-            for j in range(3):
-                c = block[i, j]
-                if c == 0.0:
-                    continue
-                si = _SIG[a][i]
-                sj = _SIG[b][j]
-                sisj = si @ sj
-                m += 0.5 * c * (
-                    2.0 * np.kron(sj, si.T) - np.kron(sisj, eye4) - np.kron(eye4, sisj.T)
-                )
-    return m
+    weights = np.concatenate((h.ravel(), _pair_matrix(gen.C_same, gen.C_cross)))
+    # A vector-matrix einsum, not @: a BLAS product of this size wakes the BLAS worker threads.
+    return np.einsum("k,kn->n", weights, _GENERATOR).reshape(16, 16)
 
 
 def dicke_population_rate(gen: GeneratorMatrices, state: DickeState) -> float:
@@ -360,16 +336,27 @@ class Trajectory:
         )
 
 
+def _powers(p: np.ndarray, count: int) -> np.ndarray:
+    """P, P^2, ..., P^count stacked, by doubling: count - 1 products in about log2(count) calls."""
+    out = p[None]
+    while len(out) < count:
+        out = np.concatenate((out, out[: count - len(out)] @ out[-1]))
+    return out
+
+
 def evolve(rho0, gen: GeneratorMatrices, tau_grid) -> Trajectory:
     """Propagate the master equation exactly over the given output grid.
 
     The generator M is constant, so rho(tau + h) = exp(M h) rho(tau) on the
-    vectorized density matrix.  One matrix exponential (scipy's scaling and
-    squaring, Al-Mohy & Higham 2009) is taken per distinct step of the grid
-    and applied from point to point.  No renormalization is applied; trace
-    drift is reported, not hidden.  A positivity violation beyond -1e-8 in the
-    minimum eigenvalue triggers a warning, and a non-finite propagated state
-    (an overflowing M h) raises EvolutionError.
+    vectorized density matrix.  The grid splits into runs of steps that are
+    equal up to the rounding of tau.  Per distinct step h of the runs, one
+    matrix exponential P_h (scipy's scaling and squaring, Al-Mohy & Higham
+    2009) and its powers up to P_h^32 are taken once; each run is then filled
+    up to 32 points at a time by one batched product.  No
+    renormalization is applied; trace drift is reported, not hidden.  A
+    positivity violation beyond -1e-8 in the minimum eigenvalue triggers a
+    warning, and a non-finite propagated state (an overflowing M h) raises
+    EvolutionError.
     """
     rho_init = rho0.rho if isinstance(rho0, TwoQubitState) else np.asarray(rho0, dtype=complex)
     if rho_init.shape != (4, 4):
@@ -379,12 +366,24 @@ def evolve(rho0, gen: GeneratorMatrices, tau_grid) -> Trajectory:
         raise ValueError("tau_grid must be a strictly increasing 1D grid with at least two points")
 
     m = superoperator(gen)
-    steps = np.diff(tau).tolist()
-    propagators = {h: expm(m * h) for h in set(steps)}
+    # Runs of steps equal up to the rounding of tau (a stride such as 0.3 is no binary
+    # fraction), each taken at its mean step; run_end[i] is one past the run of step i.
+    steps = np.diff(tau)
+    starts = np.flatnonzero(np.abs(np.diff(steps, prepend=np.inf)) > 4.0 * np.finfo(float).eps * np.max(np.abs(tau)))
+    ends = np.append(starts[1:], steps.size)
+    run_end = np.repeat(ends, ends - starts).tolist()
+    run_step = np.repeat((tau[ends] - tau[starts]) / (ends - starts), ends - starts).tolist()
+    powers: dict[float, np.ndarray] = {}
     y = np.empty((tau.size, 16), dtype=complex)
     y[0] = rho_init.reshape(16)
-    for i, h in enumerate(steps):
-        y[i + 1] = propagators[h] @ y[i]
+    i = 0
+    while i < steps.size:
+        h = run_step[i]
+        n = min(_CHUNK, run_end[i] - i)
+        if len(powers.get(h, ())) < n:
+            powers[h] = _powers(expm(m * h), n)
+        y[i + 1 : i + 1 + n] = powers[h][:n] @ y[i]
+        i += n
     if not np.all(np.isfinite(y)):
         raise EvolutionError(
             f"master-equation propagation gave a non-finite state (largest |M| entry {np.max(np.abs(m)):.3e})"
@@ -392,8 +391,7 @@ def evolve(rho0, gen: GeneratorMatrices, tau_grid) -> Trajectory:
 
     rhos = y.reshape(-1, 4, 4)
     adj = rhos.conj().transpose(0, 2, 1)
-    kets = np.array([ket(s) for s in (DickeState.G, DickeState.E, DickeState.S, DickeState.A)])
-    pops = np.einsum("ki,nij,kj->nk", kets.conj(), rhos, kets).real
+    pops = np.einsum("ki,nij,kj->nk", _DICKE_KETS.conj(), rhos, _DICKE_KETS).real
     trace = np.trace(rhos, axis1=1, axis2=2).real
     herm = np.max(np.abs(rhos - adj), axis=(1, 2))
     min_eig = np.linalg.eigvalsh(0.5 * (rhos + adj))[:, 0]

@@ -1,6 +1,6 @@
-"""Weighted QUADPACK quadrature of the resonance integrals.
+"""Weighted QUADPACK quadrature of the resonance integral.
 
-Every cross-atom integral has the form P int_0^inf p(w) sinc(sigma w) / (w - omega0) dw:
+The cross-atom integral has the form P int_0^inf p(w) sinc(sigma w) / (w - omega0) dw:
 a simple pole at the transition frequency times a shape factor that only
 oscillates over a 1/w envelope.  One kernel splits it into pieces, each
 taken by the rule of Piessens et al., QUADPACK (1983), that fits it:
@@ -122,10 +122,11 @@ def _resonance_kernel(
 ) -> IntegralResult:
     """P int_0^inf p(w) sinc(sigma w) / (w - omega0) dw by weighted QUADPACK rules.
 
-    Contract: p is smooth on [0, inf) and p(w) = O(w) as w -> inf, so that
-    the sine-weighted integrand p(w) / (sigma w (w - omega0)) decays at least
-    as 1/w.  A faster-growing p gives a divergent integral which the Fourier
-    rule's extrapolation may still sum to a finite value; it is not detected.
+    Contract: p is the resonance numerator amplitude 2 w^2 / (w + omega0) of
+    ``rcpi_integral``, or a polynomial of degree at most one, so that the
+    sine-weighted integrand p(w) / (sigma w (w - omega0)) decays as 1/w.  A
+    faster-growing p gives a divergent integral which the Fourier rule's
+    extrapolation may still sum to a finite value; it is not detected.
 
     Raises QuadratureError when the summed error estimate misses
     max(abs_tol, rel_tol |value|).

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dicke import DickeState, ket
 from .geometry import SpacetimeConfig, ThermalBath, _desitter_shape, response_shape
-from .liouvillian import GeneratorMatrices, h_ls_matrix
+from .liouvillian import GeneratorMatrices, _a2_closed_form, h_ls_matrix
 from .quadrature import _require_positive, rcpi_integral
 
 __all__ = [
@@ -62,8 +62,8 @@ def levelshift_general(gen: GeneratorMatrices, state: DickeState, cross_only: bo
 
 
 def _interaction(sigma, c, omega0: float, mu: float, state: DickeState) -> float | np.ndarray:
-    """The closed form sign (mu^2 / 4 pi) cos(omega0 sigma) / c of both spacetimes, at scalar or array (sigma, c)."""
-    value = _entangled_sign(state) * (mu * mu / (4.0 * math.pi)) * np.cos(omega0 * sigma) / c
+    """The closed form sign (mu^2 / 4 pi) cos(omega0 sigma) / c = -/+ 2 a2 for S/A, at scalar or array (sigma, c)."""
+    value = _entangled_sign(state) * 2.0 * _a2_closed_form(sigma, c, omega0, mu)
     return float(value) if value.ndim == 0 else value
 
 

@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from rcpi import cli, liouvillian
 from rcpi.cli import main
 from rcpi.config import (
     ConfigError,
@@ -14,10 +16,11 @@ from rcpi.config import (
     dump_config,
     load_config,
 )
-from rcpi.dicke import DickeState, projector
+from rcpi.dicke import DickeState, ket, projector
 from rcpi.geometry import DeSitterPatch, ThermalBath
-from rcpi.liouvillian import assemble_generator, build_coefficients, evolve
+from rcpi.liouvillian import assemble_generator, build_coefficients, dissipator_coefficients, evolve
 from rcpi.shifts import rcpi_closed
+from rcpi.validation import run_validation
 
 DS_DOC = {
     "spacetime": {"type": "desitter", "alpha": 1.0, "r": 0.0},
@@ -187,6 +190,51 @@ class TestEvolveCommand:
         last = out.read_text().strip().splitlines()[-1].split(",")
         assert float(last[4]) >= 0.999
 
+    @pytest.mark.parametrize(
+        "spacetime, config",
+        [
+            (DeSitterPatch(1.0, 0.4), {"type": "desitter", "alpha": 1.0, "r": 0.4}),
+            (ThermalBath(0.7), {"type": "thermal", "temperature": 0.7}),
+        ],
+        ids=["desitter", "thermal"],
+    )
+    @pytest.mark.parametrize("rho0", ["G", "E", "S", "A"])
+    def test_populations_follow_dicke_rate_equation(self, tmp_path, monkeypatch, spacetime, config, rho0):
+        # A Dicke-diagonal start stays diagonal, so the populations (G, E, S, A) obey the
+        # collective rate equation (Ficek and Tanas, Phys. Rep. 372, 369, 2002).  Downward
+        # rates through S and A are 2 [(at1 + bt1) +/- (at2 + bt2)], upward ones
+        # 2 [(at1 - bt1) +/- (at2 - bt2)].  The grid is the command's, with a short last step.
+        doc = {
+            "spacetime": config,
+            "atoms": {"omega0": 1.0, "mu": 0.5, "L": 0.8},
+            "evolve": {"rho0": rho0, "tau_max": 60.0, "stride": 0.7},
+        }
+        captured = []
+
+        def capture(*args):
+            captured.append(evolve(*args))
+            return captured[-1]
+
+        monkeypatch.setattr(cli, "evolve", capture)
+        assert main(["evolve", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "traj.csv")]) == 0
+        (traj,) = captured
+        at1, bt1, at2, bt2 = dissipator_coefficients(spacetime, 1.0, 0.5, 0.8)
+        down_s, down_a = 2.0 * (at1 + bt1 + at2 + bt2), 2.0 * (at1 + bt1 - at2 - bt2)
+        up_s, up_a = 2.0 * (at1 - bt1 + at2 - bt2), 2.0 * (at1 - bt1 - at2 + bt2)
+        rates = np.array([  # d/dtau (pG, pE, pS, pA)
+            [-up_s - up_a, 0.0, down_s, down_a],
+            [0.0, -down_s - down_a, up_s, up_a],
+            [up_s, down_s, -down_s - up_s, 0.0],
+            [up_a, down_a, 0.0, -down_a - up_a],
+        ])
+        p0 = np.array([float(rho0 == s) for s in "GESA"])
+        expected = np.array([expm(rates * t) @ p0 for t in traj.tau])
+        assert traj.tau[-1] == 60.0 and traj.tau[-1] - traj.tau[-2] < 0.7 - 1e-9
+        assert np.max(np.abs(traj.populations - expected)) <= 1e-10
+        kets = np.array([ket(DickeState(s)) for s in "GESA"])
+        dicke = np.einsum("ki,nij,lj->nkl", kets.conj(), traj.rho, kets)
+        assert np.max(np.abs(dicke - dicke * np.eye(4))) <= 1e-12
+
 
 def per_row_csv(header, rows) -> bytes:
     """Reference writer: csv.writer with one format(x, ".17g") call per value, as the files were first written."""
@@ -303,15 +351,31 @@ class TestValidateCommand:
             "lindblad_generator",
             "discriminator",
         ]
+        times = [c["elapsed_seconds"] for c in report["checks"]]
+        assert all(t >= 0.0 for t in times) and sum(times) <= report["elapsed_seconds"] + 1e-3
 
     def test_report_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(["validate", "--level", "quick", "--out", str(a)]) == 0
         assert main(["validate", "--level", "quick", "--out", str(b)]) == 0
         da, db = json.loads(a.read_text()), json.loads(b.read_text())
-        da.pop("elapsed_seconds")
-        db.pop("elapsed_seconds")
+        for report in (da, db):
+            report.pop("elapsed_seconds")
+            for check in report["checks"]:
+                check.pop("elapsed_seconds")
         assert da == db
+
+    @pytest.mark.parametrize(
+        "w_coth",
+        [lambda w, T: 2.0 * T if T else w, lambda w, T: w / math.tanh(w / T) if T else w],
+        ids=["high-temperature-limit", "coth-of-w-over-T"],
+    )
+    def test_detects_a_wrong_dissipator(self, monkeypatch, w_coth):
+        monkeypatch.setattr(liouvillian, "_w_coth", w_coth)
+        report = run_validation("quick")
+        assert report["passed"] is False
+        failed = {c["name"] for c in report["checks"] if not c["passed"]}
+        assert {"kms_desitter", "kms_thermal"} <= failed
 
 
 class TestExitCodes:

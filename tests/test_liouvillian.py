@@ -1,12 +1,12 @@
 import dataclasses
 import math
 
-import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from rcpi import liouvillian
 from rcpi.correlators import Pair
 from rcpi.dicke import DickeState, ket, projector
 from rcpi.geometry import DeSitterPatch, ThermalBath, kappa
@@ -25,29 +25,10 @@ from rcpi.liouvillian import (
     hamiltonian_same_coefficients,
     superoperator,
 )
+from rcpi.quadrature import rcpi_integral
 from rcpi.spectral import fourier_desitter_cross, fourier_desitter_same, fourier_thermal_minkowski
 
 PATCH = DeSitterPatch(1.0, 0.0)
-
-
-def _b2_oracle(amplitude, sigma, T, omega0):
-    """b2 8 pi^2 / mu^2 = (2 omega0 A / sigma) P int_0^inf coth(w/2T) sin(sigma w) / (w^2 - omega0^2) dw.
-
-    coth = 1 + 2 n(w) splits it in two: the vacuum part in closed form with
-    Si and Ci, and the Bose part, which decays exponentially, by mpmath
-    quadrature with the pole subtracted.
-    """
-    mpmath.mp.dps = 30
-    x = sigma * omega0
-    vacuum = (mpmath.cos(x) * mpmath.si(x) - mpmath.sin(x) * mpmath.ci(x)) / omega0
-
-    def h(w):
-        return 2 * mpmath.sin(sigma * w) / (mpmath.expm1(w / T) * (w + omega0))
-
-    h0 = h(mpmath.mpf(omega0))
-    near = mpmath.quad(lambda w: (h(w) - h0) / (w - omega0), [0, omega0, 2 * omega0])
-    far = mpmath.quad(lambda w: h(w) / (w - omega0), [2 * omega0, mpmath.inf])
-    return float(2 * omega0 * amplitude / sigma * (vacuum + near + far))
 
 
 @pytest.fixture(scope="module")
@@ -113,30 +94,26 @@ class TestDissipatorCoefficients:
 class TestHamiltonianCoefficients:
     @pytest.mark.parametrize("L", (0.1, 0.3, 1.0, 3.0, 10.0))
     @pytest.mark.parametrize("omega0", (0.5, 1.0, 2.0))
-    def test_cross_a2_matches_closed_form(self, omega0, L):
-        # a2 = (mu^2 / 8 pi^2) pi cos(sigma omega0) / D, the resonance integral's closed form.
+    @pytest.mark.parametrize("spacetime", (PATCH, ThermalBath(0.7)), ids=["desitter", "thermal"])
+    def test_cross_a2_matches_quadrature(self, spacetime, omega0, L):
+        # a2 is mu^2 / 8 pi^2 times the resonance integral, here taken by quadrature.
         mu = 0.1
-        sigma = 2.0 * math.asinh(L / 2.0)
-        D = L * math.sqrt(1.0 + (L / 2.0) ** 2)
-        a2, _ = hamiltonian_cross_coefficients(PATCH, omega0, mu, L)
-        assert a2 == pytest.approx(mu * mu / (8.0 * math.pi**2) * math.pi * math.cos(sigma * omega0) / D, rel=1e-9)
+        a2 = hamiltonian_cross_coefficients(spacetime, omega0, mu, L)
+        assert a2 == pytest.approx(mu * mu / (8.0 * math.pi**2) * rcpi_integral(spacetime, omega0, L).value, rel=1e-9)
 
     @pytest.mark.parametrize(
-        "spacetime, omega0, L, amplitude, sigma, T",
-        [
-            (ThermalBath(0.7), 1.0, 1.3, 1.0, 1.3, 0.7),
-            (
-                PATCH, 2.0, 5.0,
-                math.asinh(2.5) / (2.5 * math.sqrt(1.0 + 2.5**2)), 2.0 * math.asinh(2.5), 1.0 / (2.0 * math.pi),
-            ),
-        ],
-        ids=["thermal", "desitter"],
+        "spacetime", (PATCH, ThermalBath(0.0), ThermalBath(2.0)), ids=["desitter", "thermal-T0", "thermal-T2"]
     )
-    def test_cross_b2_matches_oracle(self, spacetime, omega0, L, amplitude, sigma, T):
-        mu = 0.1
-        _, b2 = hamiltonian_cross_coefficients(spacetime, omega0, mu, L)
-        expected = _b2_oracle(amplitude, sigma, T, omega0)
-        assert b2 * 8.0 * math.pi**2 / mu**2 == pytest.approx(expected, rel=1e-9)
+    @pytest.mark.parametrize("L", (0.01, 1.0, 30.0))
+    @pytest.mark.parametrize("b2", (1e-6, 1e-3, 0.3))
+    def test_antisymmetric_cross_term_leaves_generator_unchanged(self, spacetime, L, b2):
+        # H_cross enters for both atom orderings and sum eps_ij3 (s_i x s_j + s_j x s_i) = 0,
+        # so the antisymmetric cross coefficient b2 cannot reach the generator.
+        gen = assemble_generator(build_coefficients(spacetime, 1.0, 0.5, L), 1.0)
+        eps = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        moved = dataclasses.replace(gen, H_cross=gen.H_cross + b2 * eps)
+        assert np.max(np.abs(superoperator(moved) - superoperator(gen))) <= 1e-15 * b2
+        assert np.max(np.abs(h_ls_matrix(moved) - h_ls_matrix(gen))) <= 1e-15 * b2
 
     @pytest.mark.parametrize(
         "fn, arg, bad",
@@ -177,17 +154,17 @@ class TestHamiltonianCoefficients:
         assert a1 == pytest.approx(exact, rel=1e-9)
 
     def test_cross_vanishes_at_large_separation(self):
-        a2, _ = hamiltonian_cross_coefficients(PATCH, 1.0, 0.1, 1.0)
-        a2_far, _ = hamiltonian_cross_coefficients(PATCH, 1.0, 0.1, 300.0)
+        a2 = hamiltonian_cross_coefficients(PATCH, 1.0, 0.1, 1.0)
+        a2_far = hamiltonian_cross_coefficients(PATCH, 1.0, 0.1, 300.0)
         assert abs(a2_far) < 1e-2 * abs(a2)
 
 
 class TestCoefficientSet:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            CoefficientSet(0, 0, 0, 0, at1=-1.0, bt1=0.1, at2=0.0, bt2=0.0)
+            CoefficientSet(0, 0, 0, at1=-1.0, bt1=0.1, at2=0.0, bt2=0.0)
         with pytest.raises(ValueError):
-            CoefficientSet(0, 0, 0, 0, at1=1.0, bt1=0.1, at2=1.5, bt2=0.0)
+            CoefficientSet(0, 0, 0, at1=1.0, bt1=0.1, at2=1.5, bt2=0.0)
 
     def test_build_with_cutoff_populates_same_atom(self):
         coeffs = build_coefficients(PATCH, 1.0, 0.1, 1.0, cutoff=100.0)
@@ -279,7 +256,7 @@ class TestEvolve:
         # stability limit on modes the initial states do not excite, and the
         # hermiticity defect reached 6.7e-9.
         coeffs = build_coefficients(PATCH, 1.0, 0.5, 1.0)
-        coeffs = dataclasses.replace(coeffs, a2=0.005084946113404615, b2=0.0009838587762298749)
+        coeffs = dataclasses.replace(coeffs, a2=0.005084946113404615)
         gen = assemble_generator(coeffs, 1.0)
         for s in DickeState:
             traj = evolve(projector(s), gen, np.linspace(0.0, 50.0, 26))
@@ -298,7 +275,7 @@ class TestEvolve:
     def test_closed_system_limit(self):
         # Zero dissipator: populations frozen, coherences rotate; compare with
         # the exact unitary propagator.
-        coeffs = CoefficientSet(0.0, 0.0, 0.0, 0.0, at1=1e-300, bt1=0.0, at2=0.0, bt2=0.0)
+        coeffs = CoefficientSet(0.0, 0.0, 0.0, at1=1e-300, bt1=0.0, at2=0.0, bt2=0.0)
         gen = assemble_generator(coeffs, 1.0)
         psi = (ket(DickeState.G) + ket(DickeState.S) + ket(DickeState.E)) / math.sqrt(3.0)
         rho0 = np.outer(psi, psi.conj())
@@ -333,18 +310,31 @@ class TestEvolve:
         assert sol.success
         assert np.max(np.abs(traj.rho - sol.y.T.reshape(-1, 4, 4))) <= 1e-9
 
-    def test_non_uniform_grid_matches_matrix_exponential(self, gen_unit):
-        # The grid the evolve command builds for stride 0.3 up to 1.0: the last step is 0.1.
-        tau = np.append(np.arange(4) * 0.3, 1.0)
+    @pytest.mark.parametrize(
+        "tau, exponentials",
+        [
+            # The grids the evolve command builds for stride 0.3 up to 1.0 and up to 100:
+            # 0.3 is no binary fraction, so the steps differ in their last bits, and the
+            # last step is 0.1.  Each run of equal steps takes one matrix exponential.
+            (np.append(np.arange(4) * 0.3, 1.0), 2),
+            (np.append(np.arange(334) * 0.3, 100.0), 2),
+            (np.geomspace(1e-3, 30.0, 40), 39),
+        ],
+        ids=["stride0.3-to-1", "stride0.3-to-100", "geometric"],
+    )
+    def test_non_uniform_grid_matches_matrix_exponential(self, gen_unit, monkeypatch, tau, exponentials):
+        calls = []
+        monkeypatch.setattr(liouvillian, "expm", lambda a: calls.append(a) or expm(a))
         rho0 = projector(DickeState.E)
         traj = evolve(rho0, gen_unit, tau)
+        assert len(calls) == exponentials
         m = superoperator(gen_unit)
         for i, t in enumerate(tau):
-            exact = (expm(m * t) @ rho0.reshape(16)).reshape(4, 4)
+            exact = (expm(m * (t - tau[0])) @ rho0.reshape(16)).reshape(4, 4)
             assert np.max(np.abs(traj.rho[i] - exact)) <= 1e-12
 
     def test_overflowing_generator_raises(self):
-        coeffs = CoefficientSet(0.0, 0.0, 0.0, 0.0, at1=1.0, bt1=0.5, at2=0.0, bt2=0.0)
+        coeffs = CoefficientSet(0.0, 0.0, 0.0, at1=1.0, bt1=0.5, at2=0.0, bt2=0.0)
         with pytest.raises(EvolutionError, match="non-finite"):
             evolve(projector(DickeState.E), assemble_generator(coeffs, 1e200), [0.0, 1.0])
 
