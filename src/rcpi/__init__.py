@@ -9,13 +9,6 @@ curved far zone falls off as 1/L^2, the flat/thermal law always as 1/L.
 
 __version__ = "0.1.0"
 
-from .correlators import (
-    Pair,
-    TruncatedSum,
-    wightman_desitter_cross,
-    wightman_desitter_same,
-    wightman_thermal_minkowski,
-)
 from .dicke import DickeState
 from .discriminator import (
     Classification,
@@ -29,12 +22,10 @@ from .discriminator import (
     fit_power_law,
 )
 from .geometry import (
-    AtomPairGeometry,
     DeSitterPatch,
     SpacetimeConfig,
     TemperatureDecomposition,
     ThermalBath,
-    embed,
     euclidean_separation,
     field_temperature,
     kappa,
@@ -63,10 +54,4 @@ from .shifts import (
     rcpi_closed_desitter,
     rcpi_closed_minkowski,
     rcpi_quadrature,
-)
-from .spectral import (
-    fourier_desitter_cross,
-    fourier_desitter_same,
-    fourier_thermal_minkowski,
-    geometric_factor_f,
 )

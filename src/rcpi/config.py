@@ -1,12 +1,13 @@
 """Run configuration: a flat JSON document mapped onto dataclasses.
 
-The parse -> serialize -> parse round trip is the identity, which the CLI
-relies on for reproducible fixtures.
+Each dataclass checks its fields as it is built and raises a ``ConfigError``
+that names the offending field; the CLI maps it to exit code 1.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, euclidean_separation
@@ -62,8 +63,8 @@ class SweepSettings:
     def __post_init__(self) -> None:
         if not (0 < self.L_min < self.L_max):
             raise ConfigError(f"sweep bounds must satisfy 0 < L_min < L_max, got [{self.L_min}, {self.L_max}]")
-        if self.n_points < 2:
-            raise ConfigError(f"sweep.n_points must be at least 2, got {self.n_points}")
+        if not (isinstance(self.n_points, int) and self.n_points >= 2):
+            raise ConfigError(f"sweep.n_points must be an integer of at least 2, got {self.n_points!r}")
         if self.spacing not in ("log", "linear"):
             raise ConfigError(f"sweep.spacing must be 'log' or 'linear', got {self.spacing!r}")
 
@@ -77,8 +78,8 @@ class EvolveSettings:
     def __post_init__(self) -> None:
         if self.rho0 not in ("G", "E", "S", "A"):
             raise ConfigError(f"evolve.rho0 must be one of G, E, S, A, got {self.rho0!r}")
-        if self.tau_max <= 0:
-            raise ConfigError(f"evolve.tau_max must be positive, got {self.tau_max}")
+        if not (math.isfinite(self.tau_max) and self.tau_max > 0):
+            raise ConfigError(f"evolve.tau_max must be positive and finite, got {self.tau_max}")
         if not (0 < self.stride <= self.tau_max):
             raise ConfigError(f"evolve.stride must lie in (0, tau_max], got {self.stride}")
 
@@ -92,8 +93,9 @@ class ToleranceSettings:
 
     def __post_init__(self) -> None:
         for name in ("quad_abs_tol", "quad_rel_tol"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"tolerances.{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"tolerances.{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -123,12 +125,6 @@ def _spacetime_from_dict(d: dict) -> SpacetimeConfig:
     except ValueError as exc:
         raise ConfigError(f"spacetime: {exc}") from None
     raise ConfigError(f"spacetime.type must be 'desitter' or 'thermal', got {kind!r}")
-
-
-def _spacetime_to_dict(st: SpacetimeConfig) -> dict:
-    if isinstance(st, DeSitterPatch):
-        return {"type": "desitter", "alpha": st.alpha, "r": st.r}
-    return {"type": "thermal", "temperature": st.temperature}
 
 
 def _section(cls, d: dict | None, name: str):
@@ -169,38 +165,6 @@ def config_from_dict(doc: dict) -> RunConfig:
     )
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    doc: dict = {
-        "spacetime": _spacetime_to_dict(cfg.spacetime),
-        "atoms": {
-            k: v
-            for k, v in (
-                ("omega0", cfg.atoms.omega0),
-                ("mu", cfg.atoms.mu),
-                ("L", cfg.atoms.L),
-                ("r", cfg.atoms.r),
-                ("delta_theta", cfg.atoms.delta_theta),
-            )
-            if v is not None
-        },
-    }
-    if cfg.sweep is not None:
-        doc["sweep"] = {
-            "L_min": cfg.sweep.L_min,
-            "L_max": cfg.sweep.L_max,
-            "n_points": cfg.sweep.n_points,
-            "spacing": cfg.sweep.spacing,
-        }
-    if cfg.evolve is not None:
-        doc["evolve"] = {"rho0": cfg.evolve.rho0, "tau_max": cfg.evolve.tau_max, "stride": cfg.evolve.stride}
-    doc["tolerances"] = {
-        "quad_abs_tol": cfg.tolerances.quad_abs_tol,
-        "quad_rel_tol": cfg.tolerances.quad_rel_tol,
-    }
-    doc["output"] = {"path": cfg.output.path}
-    return doc
-
-
 def load_config(path: str) -> RunConfig:
     with open(path) as fh:
         try:
@@ -209,6 +173,3 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     return config_from_dict(doc)
 
-
-def dump_config(cfg: RunConfig) -> str:
-    return json.dumps(config_to_dict(cfg), indent=2)

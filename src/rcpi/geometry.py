@@ -18,7 +18,6 @@ __all__ = [
     "DeSitterPatch",
     "ThermalBath",
     "SpacetimeConfig",
-    "AtomPairGeometry",
     "TemperatureDecomposition",
     "kappa",
     "local_temperature",
@@ -26,7 +25,6 @@ __all__ = [
     "response_shape",
     "ricci_scalar",
     "euclidean_separation",
-    "embed",
 ]
 
 
@@ -71,25 +69,6 @@ class ThermalBath:
 
 
 SpacetimeConfig = DeSitterPatch | ThermalBath
-
-
-@dataclass(frozen=True)
-class AtomPairGeometry:
-    """Two static atoms at common radius ``r``, separated by the angle ``delta_theta``."""
-
-    r: float
-    delta_theta: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.r) and self.r > 0):
-            raise ValueError(f"radius must be positive, got r={self.r}")
-        if not (0.0 < self.delta_theta <= math.pi):
-            raise ValueError(f"angular separation must lie in (0, pi], got {self.delta_theta}")
-
-    @property
-    def L(self) -> float:
-        """Euclidean chord distance between the two atoms."""
-        return euclidean_separation(self.r, self.delta_theta)
 
 
 @dataclass(frozen=True)
@@ -166,21 +145,3 @@ def euclidean_separation(r: float, delta_theta: float) -> float:
         raise ValueError(f"angular separation must lie in (0, pi], got {delta_theta}")
     return 2.0 * r * math.sin(0.5 * delta_theta)
 
-
-def embed(patch: DeSitterPatch, t: float, theta: float, phi: float) -> np.ndarray:
-    """Embed a static-coordinate event into the 5D hyperboloid.
-
-    Returns the flat 5-vector (z0, ..., z4); the result satisfies
-    z0^2 - z1^2 - z2^2 - z3^2 - z4^2 = -alpha^2 identically.
-    """
-    k = kappa(patch)
-    r = patch.r
-    return np.array(
-        [
-            k * math.sinh(t / patch.alpha),
-            k * math.cosh(t / patch.alpha),
-            r * math.cos(theta),
-            r * math.sin(theta) * math.cos(phi),
-            r * math.sin(theta) * math.sin(phi),
-        ]
-    )

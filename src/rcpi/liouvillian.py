@@ -289,15 +289,15 @@ def h_ls_matrix(gen: GeneratorMatrices, cross_only: bool = False) -> np.ndarray:
     return -0.5j * np.einsum("k,kij->ij", _pair_matrix(same, cross), _PRODUCTS)
 
 
-def h_eff_matrix(gen: GeneratorMatrices, cross_only: bool = False) -> np.ndarray:
+def h_eff_matrix(gen: GeneratorMatrices) -> np.ndarray:
     """Effective Hamiltonian: free splitting plus the field-induced correction."""
     free = 0.5 * gen.omega0 * (_SIG[0][2] + _SIG[1][2])
-    return free + h_ls_matrix(gen, cross_only)
+    return free + h_ls_matrix(gen)
 
 
-def superoperator(gen: GeneratorMatrices, cross_only_hamiltonian: bool = False) -> np.ndarray:
+def superoperator(gen: GeneratorMatrices) -> np.ndarray:
     """16x16 matrix generating d vec(rho)/d tau in row-major vectorization, as one contraction with _GENERATOR."""
-    h = h_eff_matrix(gen, cross_only_hamiltonian)
+    h = h_eff_matrix(gen)
     weights = np.concatenate((h.ravel(), _pair_matrix(gen.C_same, gen.C_cross)))
     # A vector-matrix einsum, not @: a BLAS product of this size wakes the BLAS worker threads.
     return np.einsum("k,kn->n", weights, _GENERATOR).reshape(16, 16)

@@ -10,9 +10,10 @@ All functions accept scalars or numpy arrays and evaluate the removable
 singularities (lambda -> 0, z -> 0) through explicit series branches switched
 at |argument| < 1e-4; the two branches agree to ~1e-12 at the switch point.
 
-No production route calls these functions: the routes read the response
-shape and the field temperature from ``geometry``, and this module is the
-independent oracle that the tests and ``validate`` compare them against.
+No route imports this module: the routes read the response shape and the
+field temperature from ``geometry``, and this module is the independent
+frequency-domain oracle that the tests compare them against.  The tests in
+turn check it against the time-domain Wightman functions.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .correlators import Pair
 
 __all__ = [
     "fourier_desitter_same",
@@ -105,26 +104,24 @@ def fourier_desitter_cross(lam, kappa_val: float, L: float):
     return out if np.ndim(out) else float(out)
 
 
-def fourier_thermal_minkowski(lam, temperature: float, L: float | None = None, pair: Pair = Pair.SAME):
+def fourier_thermal_minkowski(lam, temperature: float, L: float | None = None):
     """Spectral function of a thermal Minkowski bath at the given temperature.
 
     Obtained by residue summation over the thermal images of the correlator:
-    the same-atom weight is the Planck form (lambda/2 pi)/(1 - e^{-lambda/T}),
-    and the cross weight carries the extra factor sinc(lambda L).  At T = 0
-    only positive frequencies respond (vacuum step).
+    the same-atom weight (``L=None``) is the Planck form
+    (lambda/2 pi)/(1 - e^{-lambda/T}), and the cross weight at a positive
+    separation ``L`` carries the extra factor sinc(lambda L).  At T = 0 only
+    positive frequencies respond (vacuum step).
     """
     if temperature < 0:
         raise ValueError(f"temperature must be >= 0, got {temperature}")
+    if L is not None and not L > 0:
+        raise ValueError(f"cross spectral function needs a positive separation L, got {L}")
     lam_arr = np.asarray(lam, dtype=float)
     if temperature == 0.0:
         same = np.where(lam_arr > 0, lam_arr, 0.0) / (2.0 * math.pi)
     else:
         same = _planck_weight(lam_arr, 1.0 / temperature) / (2.0 * math.pi)
-    if pair is Pair.SAME:
-        out = same
-    else:
-        if L is None or L <= 0:
-            raise ValueError("cross-pair spectral function needs a positive separation L")
-        out = same * sinc(lam_arr * L)
+    out = same if L is None else same * sinc(lam_arr * L)
     return out if np.ndim(out) else float(out)
 

@@ -1,36 +1,22 @@
-"""Positive-frequency Wightman functions along static two-atom trajectories.
+"""Time-domain oracles: positive-frequency Wightman functions along static two-atom trajectories.
 
-These time-domain correlators are the ground truth that the closed-form
-spectral functions are checked against; the production path goes through the
-frequency domain, so the functions here serve as oracles and for plots.  The
-i-epsilon regulator is an explicit argument everywhere so that epsilon -> 0
-extrapolations stay testable.
+These correlators are the ground truth that the closed-form spectral
+functions of ``rcpi.spectral`` are checked against; no ``rcpi`` route runs
+them.  The i-epsilon regulator is an explicit argument everywhere so that
+epsilon -> 0 extrapolations stay testable.  ``embed`` places a static event
+on the 5D hyperboloid, from which the cross-atom denominator is rebuilt.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Pair",
-    "TruncatedSum",
-    "wightman_desitter_same",
-    "wightman_desitter_cross",
-    "wightman_thermal_minkowski",
-]
+from rcpi import geometry
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
-
-
-class Pair(enum.Enum):
-    """Which two-point function: a single atom with itself, or the two distinct atoms."""
-
-    SAME = "same"
-    CROSS = "cross"
 
 
 @dataclass(frozen=True)
@@ -71,12 +57,12 @@ def wightman_thermal_minkowski(
     epsilon: float,
     temperature: float,
     L: float | None = None,
-    pair: Pair = Pair.SAME,
     n_max: int = 256,
 ) -> TruncatedSum:
     """Thermal Minkowski correlator as a symmetric partial image sum.
 
-    Sums the images n in [-n_max, n_max] of
+    ``L=None`` gives the same-atom correlator and a positive ``L`` the cross
+    one.  Sums the images n in [-n_max, n_max] of
     -1 / (4 pi^2 [(dtau - i n/T - i eps)^2 - L^2]) and returns a rigorous
     bound on the dropped |n| > n_max tail from the integral comparison test
     (the term magnitudes decay like 1/n^2).  At T = 0 only the n = 0 vacuum
@@ -88,12 +74,9 @@ def wightman_thermal_minkowski(
         raise ValueError(f"regulator epsilon must be positive, got {epsilon}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    if pair is Pair.CROSS:
-        if L is None or L <= 0:
-            raise ValueError("cross-pair correlator needs a positive separation L")
-        L_sq = L * L
-    else:
-        L_sq = 0.0
+    if L is not None and not L > 0:
+        raise ValueError(f"cross correlator needs a positive separation L, got {L}")
+    L_sq = 0.0 if L is None else L * L
 
     if temperature == 0.0:
         z0 = delta_tau - 1j * epsilon
@@ -106,12 +89,29 @@ def wightman_thermal_minkowski(
     # Integral comparison bound for the |n| > n_max tail: each term magnitude
     # is at most 1/(4 pi^2 [(|n|/T - eps)^2 - L^2]) once |n|/T - eps > L.
     y0 = n_max / temperature - epsilon
-    if y0 <= (math.sqrt(L_sq) if L_sq else 0.0):
+    if y0 <= (L or 0.0):
         tail = math.inf
-    elif L_sq > 0.0:
-        Lv = math.sqrt(L_sq)
-        tail = (temperature / (2.0 * math.pi**2)) * (0.5 / Lv) * math.log((y0 + Lv) / (y0 - Lv))
+    elif L is not None:
+        tail = (temperature / (2.0 * math.pi**2)) * (0.5 / L) * math.log((y0 + L) / (y0 - L))
     else:
         tail = (temperature / (2.0 * math.pi**2)) / y0
     return TruncatedSum(value=value, terms_used=2 * n_max + 1, tail_bound=tail)
 
+
+def embed(patch: geometry.DeSitterPatch, t: float, theta: float, phi: float) -> np.ndarray:
+    """Embed a static-coordinate event into the 5D hyperboloid.
+
+    Returns the flat 5-vector (z0, ..., z4); the result satisfies
+    z0^2 - z1^2 - z2^2 - z3^2 - z4^2 = -alpha^2 identically.
+    """
+    k = geometry.kappa(patch)
+    r = patch.r
+    return np.array(
+        [
+            k * math.sinh(t / patch.alpha),
+            k * math.cosh(t / patch.alpha),
+            r * math.cos(theta),
+            r * math.sin(theta) * math.cos(phi),
+            r * math.sin(theta) * math.sin(phi),
+        ]
+    )

@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +13,7 @@ from scipy.linalg import expm
 
 from rcpi import cli, liouvillian
 from rcpi.cli import main
-from rcpi.config import (
-    ConfigError,
-    config_from_dict,
-    config_to_dict,
-    dump_config,
-    load_config,
-)
+from rcpi.config import ConfigError, config_from_dict, load_config
 from rcpi.dicke import DickeState, ket, projector
 from rcpi.geometry import DeSitterPatch, ThermalBath
 from rcpi.liouvillian import assemble_generator, build_coefficients, dissipator_coefficients, evolve
@@ -35,19 +33,6 @@ def write_config(tmp_path, doc, name="cfg.json"):
 
 
 class TestConfig:
-    def test_round_trip_identity(self):
-        doc = {
-            "spacetime": {"type": "desitter", "alpha": 2.0, "r": 0.5},
-            "atoms": {"omega0": 1.0, "mu": 0.1, "r": 0.5, "delta_theta": 1.2},
-            "sweep": {"L_min": 0.1, "L_max": 10.0, "n_points": 50, "spacing": "log"},
-            "evolve": {"rho0": "A", "tau_max": 10.0, "stride": 0.5},
-        }
-        cfg = config_from_dict(doc)
-        again = config_from_dict(config_to_dict(cfg))
-        assert again == cfg
-        assert config_to_dict(again) == config_to_dict(cfg)
-        assert json.loads(dump_config(cfg)) == config_to_dict(cfg)
-
     def test_separation_from_angle(self):
         doc = dict(DS_DOC)
         doc["atoms"] = {"omega0": 1.0, "mu": 0.1, "r": 1.0, "delta_theta": math.pi / 3.0}
@@ -82,6 +67,23 @@ class TestConfig:
         cfg = write_config(tmp_path, {**doc, "evolve": {"rho0": "E", "tau_max": 1.0, "stride": 0.5}})
         assert main(["evolve", "--config", cfg]) == 1
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, section, field, value",
+        [
+            ("evolve", "evolve", "tau_max", math.inf),
+            ("sweep", "sweep", "n_points", 10.5),
+            ("shift", "tolerances", "quad_abs_tol", math.nan),
+            ("shift", "tolerances", "quad_abs_tol", math.inf),
+        ],
+        ids=["evolve.tau_max-inf", "sweep.n_points-fractional", "tolerances.quad_abs_tol-nan", "tolerances.quad_abs_tol-inf"],
+    )
+    def test_bad_value_exits_with_usage_error(self, tmp_path, capsys, command, section, field, value):
+        # json.dumps writes inf and nan as Infinity and NaN, which json.load reads back.
+        base = {"evolve": {"rho0": "E", "tau_max": 1.0, "stride": 0.5}, "sweep": {"L_min": 0.1, "L_max": 10.0, "n_points": 10}}
+        cfg = write_config(tmp_path, {**DS_DOC, section: {**base.get(section, {}), field: value}})
+        assert main([command, "--config", cfg]) == 1
+        assert f"{section}.{field}" in capsys.readouterr().err
 
     def test_json_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -398,3 +400,17 @@ class TestExitCodes:
         cfg = write_config(tmp_path, doc)
         assert main(["shift", "--config", cfg]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestImportSurface:
+    def test_routes_load_no_oracle(self, tmp_path):
+        # Every route reads the response shape from geometry, so the frequency-domain
+        # oracle stays unloaded; the time-domain one lives in tests/oracles.py.
+        code = (
+            "import importlib.util, sys, rcpi.cli; "
+            "assert 'rcpi.spectral' not in sys.modules, 'import rcpi.cli loads rcpi.spectral'; "
+            "assert importlib.util.find_spec('rcpi.correlators') is None, 'rcpi.correlators still imports'"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rcpi.geometry import (
-    AtomPairGeometry,
     DeSitterPatch,
     ThermalBath,
-    embed,
     euclidean_separation,
     field_temperature,
     kappa,
@@ -131,45 +129,8 @@ class TestSeparation:
         st.floats(min_value=1e-3, max_value=1e3),
         st.floats(min_value=1e-6, max_value=math.pi),
     )
-    def test_pair_geometry_invariants(self, r, dtheta):
-        pair = AtomPairGeometry(r=r, delta_theta=dtheta)
-        assert 0.0 < pair.L <= 2.0 * r * (1.0 + 1e-15)
-
-
-class TestEmbed:
-    def test_origin_point(self):
-        z = embed(DeSitterPatch(1.0, 0.0), 0.0, 0.3, 0.7)
-        assert np.allclose(z, [0.0, 1.0, 0.0, 0.0, 0.0])
-
-    @given(
-        patches,
-        st.floats(min_value=-3.0, max_value=3.0),
-        st.floats(min_value=0.0, max_value=math.pi),
-        st.floats(min_value=0.0, max_value=2.0 * math.pi),
-    )
-    def test_hyperboloid_constraint(self, patch, t_over_alpha, theta, phi):
-        # The identity is exact in real arithmetic; in floats the
-        # sinh^2 - cosh^2 cancellation costs eps * cosh^2(t/alpha), which
-        # bounds the window where the 1e-12 tolerance is meaningful.
-        z = embed(patch, t_over_alpha * patch.alpha, theta, phi)
-        interval = z[0] ** 2 - np.sum(z[1:] ** 2)
-        assert interval == pytest.approx(-patch.alpha**2, rel=1e-12)
-
-    def test_constraint_residual_scales_with_boost(self):
-        patch = DeSitterPatch(1.0, 0.5)
-        for t in (5.0, 10.0, 20.0):
-            z = embed(patch, t, 1.0, 2.0)
-            interval = z[0] ** 2 - np.sum(z[1:] ** 2)
-            tol = max(1e-12, 8.0 * np.finfo(float).eps * math.cosh(t) ** 2)
-            assert abs(interval + patch.alpha**2) <= tol * patch.alpha**2
-
-    def test_equal_time_interval_is_chord_squared(self):
-        patch = DeSitterPatch(2.0, 0.8)
-        dtheta = 0.9
-        z1 = embed(patch, 0.3, 0.4, 1.1)
-        z2 = embed(patch, 0.3, 0.4 + dtheta, 1.1)
-        spatial = np.sum((z1[1:] - z2[1:]) ** 2) - (z1[0] - z2[0]) ** 2
-        assert spatial == pytest.approx(2.0 * patch.r**2 * (1.0 - math.cos(dtheta)), rel=1e-12)
+    def test_chord_within_diameter(self, r, dtheta):
+        assert 0.0 < euclidean_separation(r, dtheta) <= 2.0 * r * (1.0 + 1e-15)
 
 
 def test_thermal_bath_validation():

@@ -7,7 +7,6 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from rcpi import liouvillian
-from rcpi.correlators import Pair
 from rcpi.dicke import DickeState, ket, projector
 from rcpi.geometry import DeSitterPatch, ThermalBath, kappa
 from rcpi.liouvillian import (
@@ -74,7 +73,7 @@ class TestDissipatorCoefficients:
         else:
             T = spacetime.temperature
             same = [fourier_thermal_minkowski(w, T) for w in (omega0, -omega0)]
-            cross = [fourier_thermal_minkowski(w, T, L, Pair.CROSS) for w in (omega0, -omega0)]
+            cross = [fourier_thermal_minkowski(w, T, L) for w in (omega0, -omega0)]
         q = 0.25 * mu * mu
         expected = (
             q * (same[0] + same[1]), q * (same[0] - same[1]), q * (cross[0] + cross[1]), q * (cross[0] - cross[1])

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
-from rcpi.correlators import (
-    Pair,
-    wightman_desitter_cross,
-    wightman_desitter_same,
-    wightman_thermal_minkowski,
-)
+from oracles import wightman_desitter_cross, wightman_desitter_same, wightman_thermal_minkowski
 from rcpi.spectral import (
     fourier_desitter_cross,
     fourier_desitter_same,
@@ -127,9 +122,9 @@ class TestThermalSpectrum:
         ratio = fourier_thermal_minkowski(lam, T) / fourier_thermal_minkowski(-lam, T)
         assert ratio == pytest.approx(math.exp(lam / T), rel=1e-12)
 
-    def test_cross_to_same_ratio_is_sinc_at_zero_temperature(self):
-        lam, L = 1.3, 2.4
-        ratio = fourier_thermal_minkowski(lam, 0.0, L, Pair.CROSS) / fourier_thermal_minkowski(lam, 0.0)
+    @pytest.mark.parametrize("lam, T, L", [(1.3, 0.0, 2.4), (1.0, 0.5, 3.0)])
+    def test_cross_to_same_ratio_is_sinc(self, lam, T, L):
+        ratio = fourier_thermal_minkowski(lam, T, L) / fourier_thermal_minkowski(lam, T)
         assert ratio == pytest.approx(math.sin(lam * L) / (lam * L), rel=1e-13)
 
     def test_cross_matches_same_at_small_separation(self):
@@ -137,7 +132,7 @@ class TestThermalSpectrum:
         lam, T = 1.0, 0.7
         for L in (1e-3, 3e-4):
             same = fourier_thermal_minkowski(lam, T)
-            cross = fourier_thermal_minkowski(lam, T, L, Pair.CROSS)
+            cross = fourier_thermal_minkowski(lam, T, L)
             assert abs(cross - same) <= 0.2 * (lam * L) ** 2 * same
 
     def test_occupation_fold_identity(self):
@@ -151,6 +146,11 @@ class TestThermalSpectrum:
     def test_rejects_negative_temperature(self):
         with pytest.raises(ValueError):
             fourier_thermal_minkowski(1.0, -0.1)
+
+    @pytest.mark.parametrize("L", [0.0, -1.0])
+    def test_rejects_nonpositive_separation(self, L):
+        with pytest.raises(ValueError, match="positive separation"):
+            fourier_thermal_minkowski(1.0, 0.5, L)
 
 
 def _windowed_transform(corr, lam, window, points=None):
@@ -202,11 +202,11 @@ class TestFourierOracle:
         T, L, lam = 0.25, 1.2, 0.7
         est = _epsilon_extrapolated(
             lambda e: _windowed_transform(
-                lambda t: wightman_thermal_minkowski(t, e, T, L, Pair.CROSS, 3000).value,
+                lambda t: wightman_thermal_minkowski(t, e, T, L, 3000).value,
                 lam,
                 30.0,
                 points=[L],
             ),
             4e-3,
         )
-        assert est == pytest.approx(fourier_thermal_minkowski(lam, T, L, Pair.CROSS), rel=1e-3)
+        assert est == pytest.approx(fourier_thermal_minkowski(lam, T, L), rel=1e-3)
