@@ -17,6 +17,11 @@ class ConfigError(ValueError):
     """A configuration document failed validation; the message names the field."""
 
 
+def _require_positive_finite(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class AtomPair:
     """Transition frequency, coupling, and separation of the two probes.
@@ -35,17 +40,15 @@ class AtomPair:
     delta_theta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.omega0 <= 0:
-            raise ConfigError(f"atoms.omega0 must be positive, got {self.omega0}")
-        if self.mu <= 0:
-            raise ConfigError(f"atoms.mu must be positive, got {self.mu}")
+        for name in ("omega0", "mu"):
+            _require_positive_finite(f"atoms.{name}", getattr(self, name))
         by_angle = self.r is not None or self.delta_theta is not None
         if self.L is None and not (self.r is not None and self.delta_theta is not None):
             raise ConfigError("atoms: give either L or both r and delta_theta")
         if self.L is not None and by_angle:
             raise ConfigError("atoms: give L or (r, delta_theta), not both")
-        if self.L is not None and self.L <= 0:
-            raise ConfigError(f"atoms.L must be positive, got {self.L}")
+        if self.L is not None:
+            _require_positive_finite("atoms.L", self.L)
 
     def separation(self) -> float:
         if self.L is not None:
@@ -61,7 +64,9 @@ class SweepSettings:
     spacing: str = "log"
 
     def __post_init__(self) -> None:
-        if not (0 < self.L_min < self.L_max):
+        for name in ("L_min", "L_max"):
+            _require_positive_finite(f"sweep.{name}", getattr(self, name))
+        if not self.L_min < self.L_max:
             raise ConfigError(f"sweep bounds must satisfy 0 < L_min < L_max, got [{self.L_min}, {self.L_max}]")
         if not (isinstance(self.n_points, int) and self.n_points >= 2):
             raise ConfigError(f"sweep.n_points must be an integer of at least 2, got {self.n_points!r}")
@@ -78,8 +83,7 @@ class EvolveSettings:
     def __post_init__(self) -> None:
         if self.rho0 not in ("G", "E", "S", "A"):
             raise ConfigError(f"evolve.rho0 must be one of G, E, S, A, got {self.rho0!r}")
-        if not (math.isfinite(self.tau_max) and self.tau_max > 0):
-            raise ConfigError(f"evolve.tau_max must be positive and finite, got {self.tau_max}")
+        _require_positive_finite("evolve.tau_max", self.tau_max)
         if not (0 < self.stride <= self.tau_max):
             raise ConfigError(f"evolve.stride must lie in (0, tau_max], got {self.stride}")
 
@@ -93,9 +97,7 @@ class ToleranceSettings:
 
     def __post_init__(self) -> None:
         for name in ("quad_abs_tol", "quad_rel_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"tolerances.{name} must be positive and finite, got {value}")
+            _require_positive_finite(f"tolerances.{name}", getattr(self, name))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,18 @@ class InsufficientOscillationsError(ValueError):
     """The sweep window contains too few oscillations to extract an envelope."""
 
 
+_SAMPLE_RULE = "need a positive finite L and finite dE_A = -dE_S"
+
+
+def _valid_samples(L, dE_S, dE_A) -> np.ndarray:
+    """Mask of the sweep samples that meet _SAMPLE_RULE, dE_A = -dE_S within 1e-10 of the larger magnitude."""
+    L, dE_S, dE_A = (np.asarray(x, dtype=float) for x in (L, dE_S, dE_A))
+    scale = np.maximum(np.maximum(np.abs(dE_S), np.abs(dE_A)), 1e-300)
+    with np.errstate(invalid="ignore"):  # inf - inf gives NaN, which fails the comparison
+        ok = np.isfinite(L) & (L > 0) & np.isfinite(dE_S) & np.isfinite(dE_A)
+        return ok & (np.abs(dE_A + dE_S) <= 1e-10 * scale)
+
+
 @dataclass(frozen=True)
 class SweepRecord:
     """One (separation, shift) sample; the antisymmetric shift rides along as a sanity check."""
@@ -47,16 +59,8 @@ class SweepRecord:
     delta_E_A: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.L) and math.isfinite(self.delta_E_S) and math.isfinite(self.delta_E_A)):
-            raise ValueError(f"sweep record must be finite, got ({self.L}, {self.delta_E_S}, {self.delta_E_A})")
-        if self.L <= 0:
-            raise ValueError(f"separation must be positive, got L={self.L}")
-        scale = max(abs(self.delta_E_S), abs(self.delta_E_A), 1e-300)
-        if abs(self.delta_E_A + self.delta_E_S) > 1e-10 * scale:
-            raise ValueError(
-                f"sweep record at L={self.L} violates delta_E_A = -delta_E_S "
-                f"({self.delta_E_A} vs {-self.delta_E_S})"
-            )
+        if not _valid_samples(self.L, self.delta_E_S, self.delta_E_A):
+            raise ValueError(f"bad sweep record ({self.L}, {self.delta_E_S}, {self.delta_E_A}): {_SAMPLE_RULE}")
 
 
 @dataclass(frozen=True)
@@ -224,16 +228,10 @@ def read_sweep_csv(path_or_buf) -> tuple[np.ndarray, np.ndarray]:
     1e-10 of the larger magnitude raises ValueError naming the row.
     """
     rows, (L, dE_S, dE_A) = csvio.read_columns(path_or_buf, ("L", "dE_S", "dE_A"))
-    scale = np.maximum(np.maximum(np.abs(dE_S), np.abs(dE_A)), 1e-300)
-    with np.errstate(invalid="ignore"):  # inf - inf gives NaN, which fails the comparison
-        ok = np.isfinite(L) & (L > 0) & np.isfinite(dE_S) & np.isfinite(dE_A)
-        ok &= np.abs(dE_A + dE_S) <= 1e-10 * scale
+    ok = _valid_samples(L, dE_S, dE_A)
     if not ok.all():
         i = int(np.argmin(ok))
-        raise ValueError(
-            f"bad sweep row {rows[i]}: L={L[i]}, dE_S={dE_S[i]}, dE_A={dE_A[i]} "
-            "(need a positive finite L and finite dE_A = -dE_S)"
-        )
+        raise ValueError(f"bad sweep row {rows[i]}: L={L[i]}, dE_S={dE_S[i]}, dE_A={dE_A[i]} ({_SAMPLE_RULE})")
     return L, dE_S
 
 

@@ -108,6 +108,21 @@ def field_temperature(spacetime: SpacetimeConfig) -> float:
     raise TypeError(f"unsupported spacetime configuration: {spacetime!r}")
 
 
+def _require_positive(**values) -> None:
+    """Raise ValueError naming the first argument that is not positive and finite.
+
+    A value may be a scalar or a numpy array; for an array the message quotes its first bad element.
+    """
+    for name, x in values.items():
+        if getattr(x, "ndim", 0) == 0:
+            bad = () if math.isfinite(x) and x > 0 else (x,)
+        else:
+            x = np.asarray(x, dtype=float)
+            bad = x[~(np.isfinite(x) & (x > 0))]
+        if len(bad):
+            raise ValueError(f"{name} must be positive and finite, got {bad[0]}")
+
+
 def _desitter_shape(L, kappa_val: float):
     """(sigma, c) = (2 kappa asinh(L / 2 kappa), L sqrt(1 + L^2 / 4 kappa^2)) for a scalar or an array ``L``."""
     x = L / (2.0 * kappa_val)

@@ -3,20 +3,21 @@
 The weak-coupling master equation is
     d rho / d tau = -i [H_eff, rho] + L[rho],
 with H_eff the free two-atom Hamiltonian plus a field-induced correction
-bilinear in Pauli operators, and L[rho] the dissipator: the two-atom
-Lamb-shift Hamiltonian and Kossakowski matrix of Benatti and Floreanini (PRA
-70, 012112, 2004), built as one contraction with constant Pauli tensors.
-Every separation-dependent coefficient is a closed form in the (sigma, c) of
-``geometry.response_shape`` and the T of ``field_temperature``: the
-dissipator is the spectral functions at +/- omega0, and the Hamiltonian side
-is a2 = mu^2 cos(omega0 sigma) / (8 pi c).  The antisymmetric cross term of
-the Hamiltonian side cancels from the generator, since H_cross enters for
-both atom orderings and sum eps_ij3 (s_i x s_j + s_j x s_i) = 0; it is not
-computed.  Quadrature runs only for the same-atom a1, b1 under a cutoff.
+bilinear in Pauli operators, and L[rho] the dissipator of Benatti and
+Floreanini (PRA 70, 012112, 2004), built as one contraction of its
+Kossakowski matrix with constant Pauli tensors.  Every coefficient is a
+closed form in the (sigma, c) of ``geometry.response_shape`` and the T of
+``field_temperature``: the dissipator is the spectral functions at
++/- omega0, and the Hamiltonian side is the single cross-atom coefficient
+a2 = mu^2 cos(omega0 sigma) / (8 pi c), which gives the correction
+h_ls = -a2 (s1 x s1 + s2 x s2).
 
-Convention: the Hamiltonian-side matrices carry an overall factor -i times
-a real coefficient, which is what makes the correction Hermitian; the stored
-scalars a1, b1, a2 are those real coefficients.
+Two terms of the general correction are left out.  The antisymmetric cross
+term cancels from the generator, since it enters for both atom orderings and
+sum eps_ij3 (s_i x s_j + s_j x s_i) = 0.  The same-atom Lamb shift diverges
+without a frequency cutoff and does not depend on the separation: its a1
+shifts all four levels by one constant, which drops out of the commutator,
+and its b1 only renormalises omega0.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from scipy.linalg import expm
 
 from . import csvio
 from .dicke import DickeState, ket, projector
-from .geometry import SpacetimeConfig, field_temperature, response_shape
-from .quadrature import _cauchy, _require_positive, _require_tolerance
+from .geometry import SpacetimeConfig, _require_positive, field_temperature, response_shape
 
 __all__ = [
     "CoefficientSet",
@@ -41,7 +41,6 @@ __all__ = [
     "Trajectory",
     "dissipator_coefficients",
     "hamiltonian_cross_coefficients",
-    "hamiltonian_same_coefficients",
     "build_coefficients",
     "assemble_generator",
     "h_ls_matrix",
@@ -67,14 +66,15 @@ _SIG = (
 _I4 = np.eye(4, dtype=complex)
 _DICKE_KETS = np.array([ket(s) for s in (DickeState.G, DickeState.E, DickeState.S, DickeState.A)])
 
-# Constant tensors whose rows are the operators that single coefficients
-# multiply.  _PRODUCTS, over the pair index (3 atom + i, 3 atom' + j): the
-# product s_i s_j of the Hamiltonian correction.  _GENERATOR, acting on the
-# row-major vec(rho): first, over the 16 entries E of H_eff, the commutator
-# -i (E (x) 1 - 1 (x) E^T); then, over the pair index, the dissipator term
+# s1 x s1 + s2 x s2 over the pair, the operator that -a2 multiplies in h_ls.
+_FLIP_FLOP = _SIG[0][0] @ _SIG[1][0] + _SIG[0][1] @ _SIG[1][1]
+
+# Constant tensor whose rows are the operators that single coefficients
+# multiply, acting on the row-major vec(rho): first, over the 16 entries E
+# of H_eff, the commutator -i (E (x) 1 - 1 (x) E^T); then, over the pair
+# index (3 atom + i, 3 atom' + j), the dissipator term
 # (1/2)(2 s_j (x) s_i^T - s_i s_j (x) 1 - 1 (x) (s_i s_j)^T).
 _FLAT_SIG = _SIG[0] + _SIG[1]
-_PRODUCTS = np.array([si @ sj for si in _FLAT_SIG for sj in _FLAT_SIG])
 _GENERATOR = np.array(
     [-1j * (np.kron(e, _I4) - np.kron(_I4, e.T)).ravel() for e in np.eye(16, dtype=complex).reshape(16, 4, 4)]
     + [0.5 * (2.0 * np.kron(sj, si.T) - np.kron(si @ sj, _I4) - np.kron(_I4, (si @ sj).T)).ravel()
@@ -89,16 +89,14 @@ class EvolutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """The seven scalars feeding the generator.
+    """The five scalars feeding the generator.
 
-    a*/b* are the (real) Hamiltonian-side coefficients, at*/bt* the
-    dissipator-side ones; subscript 1 is same-atom, 2 is cross-atom.  The
-    cross dissipator coefficients are bounded by the same-atom ones because
-    the separation factor has magnitude at most one.
+    a2 is the (real) cross-atom Hamiltonian coefficient, at*/bt* the
+    dissipator ones; subscript 1 is same-atom, 2 is cross-atom.  The cross
+    dissipator coefficients are bounded by the same-atom ones because the
+    separation factor has magnitude at most one.
     """
 
-    a1: float
-    b1: float
     a2: float
     at1: float
     bt1: float
@@ -142,10 +140,9 @@ class TwoQubitState:
 
 @dataclass(frozen=True)
 class GeneratorMatrices:
-    """3x3 coefficient matrices of the generator plus the transition frequency."""
+    """Cross-atom Hamiltonian coefficient, 3x3 Kossakowski blocks and the transition frequency."""
 
-    H_same: np.ndarray
-    H_cross: np.ndarray
+    a2: float
     C_same: np.ndarray
     C_cross: np.ndarray
     omega0: float
@@ -189,68 +186,11 @@ def hamiltonian_cross_coefficients(spacetime: SpacetimeConfig, omega0: float, mu
     return float(_a2_closed_form(*response_shape(spacetime, L), omega0, mu))
 
 
-def hamiltonian_same_coefficients(
-    spacetime: SpacetimeConfig,
-    omega0: float,
-    mu: float,
-    cutoff: float,
-    abs_tol: float = 1e-9,
-    rel_tol: float = 1e-7,
-) -> tuple[float, float]:
-    """Same-atom Hamiltonian coefficients (a1, b1) with an explicit frequency cutoff.
-
-    Both integrals diverge as the cutoff grows (linearly and logarithmically);
-    the cutoff regularizes the separation-independent self-energy in the
-    spirit of Bethe's treatment, and the result is only meaningful together
-    with the cutoff used.  Each is one Cauchy-weighted quadrature on [0, cutoff].
-    """
-    if cutoff is None:
-        raise ValueError("a frequency cutoff is required for the same-atom coefficients")
-    _require_positive(omega0=omega0, mu=mu, cutoff=cutoff)
-    if cutoff <= omega0:
-        raise ValueError(f"cutoff must exceed the pole frequency, got cutoff={cutoff}, omega0={omega0}")
-    pref = mu * mu / (8.0 * math.pi**2)
-    T = field_temperature(spacetime)
-
-    def p_a(w: float) -> float:
-        return 2.0 * w * w / (w + omega0)
-
-    def p_b(w: float) -> float:
-        return 2.0 * omega0 * _w_coth(w, T) / (w + omega0)
-
-    a1, b1 = (
-        _require_tolerance(_cauchy(p, 0.0, cutoff, omega0, abs_tol, rel_tol), abs_tol, rel_tol, "same-atom coefficient")
-        for p in (p_a, p_b)
-    )
-    return pref * a1.value, pref * b1.value
-
-
-def build_coefficients(
-    spacetime: SpacetimeConfig,
-    omega0: float,
-    mu: float,
-    L: float,
-    cutoff: float | None = None,
-    abs_tol: float = 1e-9,
-    rel_tol: float = 1e-7,
-) -> CoefficientSet:
-    """Assemble the full coefficient set for one configuration.
-
-    Without a cutoff the separation-independent Hamiltonian terms are set to
-    zero: they shift all four collective levels but never contribute to the
-    interatomic interaction, so dropping them is the default for interaction
-    studies; pass a cutoff to re-include them for exploratory dynamics.  Only
-    then does any quadrature run, and only then do the tolerances apply.
-    """
+def build_coefficients(spacetime: SpacetimeConfig, omega0: float, mu: float, L: float) -> CoefficientSet:
+    """Assemble the full coefficient set for one configuration, all in closed form."""
     at1, bt1, at2, bt2 = dissipator_coefficients(spacetime, omega0, mu, L)
     a2 = hamiltonian_cross_coefficients(spacetime, omega0, mu, L)
-    a1, b1 = (0.0, 0.0) if cutoff is None else hamiltonian_same_coefficients(spacetime, omega0, mu, cutoff, abs_tol, rel_tol)
-    return CoefficientSet(a1=a1, b1=b1, a2=a2, at1=at1, bt1=bt1, at2=at2, bt2=bt2)
-
-
-def _h_block(a: float, b: float) -> np.ndarray:
-    # (-i a) delta_ij - i (-i b) eps_ij3 - (-i a) delta_3i delta_3j
-    return np.array([[-1j * a, -b, 0.0], [b, -1j * a, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
+    return CoefficientSet(a2=a2, at1=at1, bt1=bt1, at2=at2, bt2=bt2)
 
 
 def _c_block(at: float, bt: float) -> np.ndarray:
@@ -259,12 +199,11 @@ def _c_block(at: float, bt: float) -> np.ndarray:
 
 
 def assemble_generator(coeffs: CoefficientSet, omega0: float) -> GeneratorMatrices:
-    """Materialize the 3x3 coefficient matrices of the master equation."""
+    """Materialize the Kossakowski blocks of the master equation."""
     if omega0 <= 0:
         raise ValueError(f"transition frequency must be positive, got {omega0}")
     return GeneratorMatrices(
-        H_same=_h_block(coeffs.a1, coeffs.b1),
-        H_cross=_h_block(coeffs.a2, 0.0),
+        a2=coeffs.a2,
         C_same=_c_block(coeffs.at1, coeffs.bt1),
         C_cross=_c_block(coeffs.at2, coeffs.bt2),
         omega0=omega0,
@@ -279,14 +218,9 @@ def _pair_matrix(same: np.ndarray, cross: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
-def h_ls_matrix(gen: GeneratorMatrices, cross_only: bool = False) -> np.ndarray:
-    """Field-induced Hamiltonian correction as a 4x4 matrix,
-    -(i/2) sum_{ab,ij} H^{(ab)}_{ij} sigma_i^{(a)} sigma_j^{(b)}."""
-    same = np.zeros((3, 3), dtype=complex) if cross_only else gen.H_same
-    # sigma^(1) and sigma^(2) commute, so only the symmetric part of H_cross
-    # enters; taking it first cancels the antisymmetric part exactly.
-    cross = 0.5 * (gen.H_cross + gen.H_cross.T)
-    return -0.5j * np.einsum("k,kij->ij", _pair_matrix(same, cross), _PRODUCTS)
+def h_ls_matrix(gen: GeneratorMatrices) -> np.ndarray:
+    """Field-induced Hamiltonian correction as a 4x4 matrix, -a2 (s1 x s1 + s2 x s2)."""
+    return -gen.a2 * _FLIP_FLOP
 
 
 def h_eff_matrix(gen: GeneratorMatrices) -> np.ndarray:

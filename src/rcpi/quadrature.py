@@ -32,10 +32,9 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable
 
-import numpy as np
 from scipy import integrate
 
-from .geometry import SpacetimeConfig, response_shape
+from .geometry import SpacetimeConfig, _require_positive, response_shape
 
 __all__ = ["IntegralResult", "QuadratureError", "rcpi_integral"]
 
@@ -59,21 +58,6 @@ class IntegralResult:
     error: float
     evaluations: int = 0
     lobes: int = 0
-
-
-def _require_positive(**values) -> None:
-    """Raise ValueError naming the first argument that is not positive and finite.
-
-    A value may be a scalar or a numpy array; for an array the message quotes its first bad element.
-    """
-    for name, x in values.items():
-        if getattr(x, "ndim", 0) == 0:
-            bad = () if math.isfinite(x) and x > 0 else (x,)
-        else:
-            x = np.asarray(x, dtype=float)
-            bad = x[~(np.isfinite(x) & (x > 0))]
-        if len(bad):
-            raise ValueError(f"{name} must be positive and finite, got {bad[0]}")
 
 
 def _piece(f: Callable[[float], float], a: float, b: float, abs_tol: float, rel_tol: float = 0.0, **weight) -> IntegralResult:

@@ -17,9 +17,9 @@ import math
 import numpy as np
 
 from .dicke import DickeState, ket
-from .geometry import SpacetimeConfig, ThermalBath, _desitter_shape, response_shape
+from .geometry import SpacetimeConfig, ThermalBath, _desitter_shape, _require_positive, response_shape
 from .liouvillian import GeneratorMatrices, _a2_closed_form, h_ls_matrix
-from .quadrature import _require_positive, rcpi_integral
+from .quadrature import rcpi_integral
 
 __all__ = [
     "Regime",
@@ -47,18 +47,14 @@ def _entangled_sign(state: DickeState) -> float:
     raise ValueError(f"interaction shift exists only for the S and A states, got {state}")
 
 
-def levelshift_general(gen: GeneratorMatrices, state: DickeState, cross_only: bool = False) -> float:
+def levelshift_general(gen: GeneratorMatrices, state: DickeState) -> float:
     """Expectation <psi|h_ls|psi> of the field-induced Hamiltonian correction in a Dicke state.
 
-    With ``cross_only`` the separation-independent same-atom terms are
-    dropped, making the S/A output directly comparable to the closed-form
-    interaction energy.
+    h_ls holds only the separation-dependent cross-atom term, so the S/A
+    values are the closed-form interaction energies and G/E get zero.
     """
     v = ket(state)
-    val = v.conj() @ h_ls_matrix(gen, cross_only) @ v
-    if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)):
-        raise ValueError(f"level shift came out non-real ({val}); generator matrices are inconsistent")
-    return float(val.real)
+    return float((v.conj() @ h_ls_matrix(gen) @ v).real)
 
 
 def _interaction(sigma, c, omega0: float, mu: float, state: DickeState) -> float | np.ndarray:

@@ -20,6 +20,9 @@ from rcpi.liouvillian import assemble_generator, build_coefficients, dissipator_
 from rcpi.shifts import rcpi_closed
 from rcpi.validation import run_validation
 
+# Every route runs in-process here, so a stray numpy RuntimeWarning fails the test that raised it.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 DS_DOC = {
     "spacetime": {"type": "desitter", "alpha": 1.0, "r": 0.0},
     "atoms": {"omega0": 1.0, "mu": 0.1, "L": 1.0},
@@ -75,12 +78,24 @@ class TestConfig:
             ("sweep", "sweep", "n_points", 10.5),
             ("shift", "tolerances", "quad_abs_tol", math.nan),
             ("shift", "tolerances", "quad_abs_tol", math.inf),
+            ("shift", "atoms", "mu", math.nan),
+            ("evolve", "atoms", "omega0", math.inf),
+            ("shift", "atoms", "L", math.inf),
+            ("sweep", "sweep", "L_min", math.nan),
+            ("sweep", "sweep", "L_max", math.inf),
         ],
-        ids=["evolve.tau_max-inf", "sweep.n_points-fractional", "tolerances.quad_abs_tol-nan", "tolerances.quad_abs_tol-inf"],
+        ids=[
+            "evolve.tau_max-inf", "sweep.n_points-fractional", "tolerances.quad_abs_tol-nan", "tolerances.quad_abs_tol-inf",
+            "atoms.mu-nan", "atoms.omega0-inf", "atoms.L-inf", "sweep.L_min-nan", "sweep.L_max-inf",
+        ],
     )
     def test_bad_value_exits_with_usage_error(self, tmp_path, capsys, command, section, field, value):
         # json.dumps writes inf and nan as Infinity and NaN, which json.load reads back.
-        base = {"evolve": {"rho0": "E", "tau_max": 1.0, "stride": 0.5}, "sweep": {"L_min": 0.1, "L_max": 10.0, "n_points": 10}}
+        base = {
+            "atoms": DS_DOC["atoms"],
+            "evolve": {"rho0": "E", "tau_max": 1.0, "stride": 0.5},
+            "sweep": {"L_min": 0.1, "L_max": 10.0, "n_points": 10},
+        }
         cfg = write_config(tmp_path, {**DS_DOC, section: {**base.get(section, {}), field: value}})
         assert main([command, "--config", cfg]) == 1
         assert f"{section}.{field}" in capsys.readouterr().err

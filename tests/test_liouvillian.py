@@ -21,7 +21,6 @@ from rcpi.liouvillian import (
     h_eff_matrix,
     h_ls_matrix,
     hamiltonian_cross_coefficients,
-    hamiltonian_same_coefficients,
     superoperator,
 )
 from rcpi.quadrature import rcpi_integral
@@ -104,15 +103,28 @@ class TestHamiltonianCoefficients:
         "spacetime", (PATCH, ThermalBath(0.0), ThermalBath(2.0)), ids=["desitter", "thermal-T0", "thermal-T2"]
     )
     @pytest.mark.parametrize("L", (0.01, 1.0, 30.0))
-    @pytest.mark.parametrize("b2", (1e-6, 1e-3, 0.3))
-    def test_antisymmetric_cross_term_leaves_generator_unchanged(self, spacetime, L, b2):
-        # H_cross enters for both atom orderings and sum eps_ij3 (s_i x s_j + s_j x s_i) = 0,
-        # so the antisymmetric cross coefficient b2 cannot reach the generator.
+    @pytest.mark.parametrize("b2", (0.0, 1e-3, 0.3))
+    def test_h_ls_is_the_double_sum(self, spacetime, L, b2):
+        # Benatti-Floreanini: h_ls = -(i/2) sum_{ab,ij} H^(ab)_ij s_i^(a) s_j^(b), with no
+        # same-atom block and H^(12) = H^(21) = -i a2 delta_ij + b2 eps_ij3 (i, j < 3).  The
+        # antisymmetric b2 enters for both atom orderings, and s^(1), s^(2) commute, so it cancels.
         gen = assemble_generator(build_coefficients(spacetime, 1.0, 0.5, L), 1.0)
-        eps = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        moved = dataclasses.replace(gen, H_cross=gen.H_cross + b2 * eps)
-        assert np.max(np.abs(superoperator(moved) - superoperator(gen))) <= 1e-15 * b2
-        assert np.max(np.abs(h_ls_matrix(moved) - h_ls_matrix(gen))) <= 1e-15 * b2
+        s1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        s2 = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
+        s3 = np.diag([-1.0, 1.0]).astype(complex)
+        one = np.eye(2)
+        sig = ([np.kron(s, one) for s in (s1, s2, s3)], [np.kron(one, s) for s in (s1, s2, s3)])
+        cross = np.array([[-1j * gen.a2, b2, 0.0], [-b2, -1j * gen.a2, 0.0], [0.0, 0.0, 0.0]])
+        h = -0.5j * sum(
+            cross[i, j] * sig[a][i] @ sig[1 - a][j] for a in (0, 1) for i in range(3) for j in range(3)
+        )
+        tol = 1e-15 * max(abs(gen.a2), b2)
+        assert np.max(np.abs(h_ls_matrix(gen) - h)) <= tol
+        # Without the dissipator the generator is the commutator with the free part plus h.
+        h_eff = 0.5 * gen.omega0 * (sig[0][2] + sig[1][2]) + h
+        closed = dataclasses.replace(gen, C_same=np.zeros((3, 3)), C_cross=np.zeros((3, 3)))
+        commutator = -1j * (np.kron(h_eff, np.eye(4)) - np.kron(np.eye(4), h_eff.T))
+        assert np.max(np.abs(superoperator(closed) - commutator)) <= tol
 
     @pytest.mark.parametrize(
         "fn, arg, bad",
@@ -128,30 +140,6 @@ class TestHamiltonianCoefficients:
         with pytest.raises(ValueError, match=arg):
             fn(PATCH, **kwargs)
 
-    @pytest.mark.parametrize("arg", ["omega0", "mu", "cutoff"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_same_rejects_non_finite_arguments(self, arg, bad):
-        kwargs = {"omega0": 1.0, "mu": 0.1, "cutoff": 10.0, arg: bad}
-        with pytest.raises(ValueError, match=arg):
-            hamiltonian_same_coefficients(PATCH, **kwargs)
-
-    def test_same_requires_cutoff(self):
-        with pytest.raises(ValueError):
-            hamiltonian_same_coefficients(PATCH, 1.0, 0.1, None)
-
-    def test_same_grows_with_cutoff(self):
-        a1_small, b1_small = hamiltonian_same_coefficients(PATCH, 1.0, 0.1, cutoff=1e2)
-        a1_large, b1_large = hamiltonian_same_coefficients(PATCH, 1.0, 0.1, cutoff=1e4)
-        assert a1_large > 50.0 * a1_small  # dominated by the linear divergence
-        assert b1_large > b1_small  # logarithmic growth
-
-    def test_a1_linear_divergence_analytic(self):
-        # P int_0^W (w/(w-w0) + w/(w+w0)) dw = 2W + w0 ln((W-w0)/(W+w0)).
-        omega0, mu, W = 1.0, 0.1, 50.0
-        a1, _ = hamiltonian_same_coefficients(PATCH, omega0, mu, cutoff=W)
-        exact = mu**2 / (8.0 * math.pi**2) * (2.0 * W + omega0 * math.log((W - omega0) / (W + omega0)))
-        assert a1 == pytest.approx(exact, rel=1e-9)
-
     def test_cross_vanishes_at_large_separation(self):
         a2 = hamiltonian_cross_coefficients(PATCH, 1.0, 0.1, 1.0)
         a2_far = hamiltonian_cross_coefficients(PATCH, 1.0, 0.1, 300.0)
@@ -161,13 +149,9 @@ class TestHamiltonianCoefficients:
 class TestCoefficientSet:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            CoefficientSet(0, 0, 0, at1=-1.0, bt1=0.1, at2=0.0, bt2=0.0)
+            CoefficientSet(0, at1=-1.0, bt1=0.1, at2=0.0, bt2=0.0)
         with pytest.raises(ValueError):
-            CoefficientSet(0, 0, 0, at1=1.0, bt1=0.1, at2=1.5, bt2=0.0)
-
-    def test_build_with_cutoff_populates_same_atom(self):
-        coeffs = build_coefficients(PATCH, 1.0, 0.1, 1.0, cutoff=100.0)
-        assert coeffs.a1 != 0.0 and coeffs.b1 != 0.0
+            CoefficientSet(0, at1=1.0, bt1=0.1, at2=1.5, bt2=0.0)
 
 
 class TestGeneratorStructure:
@@ -178,15 +162,9 @@ class TestGeneratorStructure:
         )
         assert np.array_equal(gen_unit.C_same, expected)
         assert gen_unit.C_same[2, 2] == 0.0
-        assert gen_unit.H_cross[2, 2] == 0.0
 
     def test_h_ls_hermitian(self, gen_unit):
         h = h_ls_matrix(gen_unit)
-        assert np.max(np.abs(h - h.conj().T)) < 1e-15
-
-    def test_h_ls_hermitian_with_same_atom_terms(self):
-        coeffs = build_coefficients(PATCH, 1.0, 0.1, 1.0, cutoff=100.0)
-        h = h_ls_matrix(assemble_generator(coeffs, 1.0))
         assert np.max(np.abs(h - h.conj().T)) < 1e-15
 
     def test_generator_preserves_trace_on_random_states(self, gen_unit):
@@ -274,7 +252,7 @@ class TestEvolve:
     def test_closed_system_limit(self):
         # Zero dissipator: populations frozen, coherences rotate; compare with
         # the exact unitary propagator.
-        coeffs = CoefficientSet(0.0, 0.0, 0.0, at1=1e-300, bt1=0.0, at2=0.0, bt2=0.0)
+        coeffs = CoefficientSet(0.0, at1=1e-300, bt1=0.0, at2=0.0, bt2=0.0)
         gen = assemble_generator(coeffs, 1.0)
         psi = (ket(DickeState.G) + ket(DickeState.S) + ket(DickeState.E)) / math.sqrt(3.0)
         rho0 = np.outer(psi, psi.conj())
@@ -333,7 +311,7 @@ class TestEvolve:
             assert np.max(np.abs(traj.rho[i] - exact)) <= 1e-12
 
     def test_overflowing_generator_raises(self):
-        coeffs = CoefficientSet(0.0, 0.0, 0.0, at1=1.0, bt1=0.5, at2=0.0, bt2=0.0)
+        coeffs = CoefficientSet(0.0, at1=1.0, bt1=0.5, at2=0.0, bt2=0.0)
         with pytest.raises(EvolutionError, match="non-finite"):
             evolve(projector(DickeState.E), assemble_generator(coeffs, 1e200), [0.0, 1.0])
 

@@ -23,55 +23,40 @@ PATCH = DeSitterPatch(1.0, 0.0)
 
 @pytest.fixture(scope="module")
 def gen():
-    coeffs = build_coefficients(PATCH, 1.0, 0.1, 1.0, cutoff=100.0)
+    coeffs = build_coefficients(PATCH, 1.0, 0.1, 1.0)
     return assemble_generator(coeffs, 1.0)
 
 
 class TestLevelShiftGeneral:
     def test_product_states_have_no_interaction(self, gen):
-        # Cross-only G and E shifts vanish identically: their only cross entry
-        # is the (3,3) element, which the tensor structure kills.
-        assert levelshift_general(gen, DickeState.G, cross_only=True) == 0.0
-        assert levelshift_general(gen, DickeState.E, cross_only=True) == 0.0
+        # h_ls holds only the cross-atom flip-flop term, which G and E do not see.
+        assert levelshift_general(gen, DickeState.G) == 0.0
+        assert levelshift_general(gen, DickeState.E) == 0.0
 
-    def test_product_state_shifts_are_separation_free(self):
-        shifts_by_L = []
-        for L in (0.5, 1.0, 2.0):
-            coeffs = build_coefficients(PATCH, 1.0, 0.1, L, cutoff=100.0)
-            gen = assemble_generator(coeffs, 1.0)
-            shifts_by_L.append(
-                (levelshift_general(gen, DickeState.G), levelshift_general(gen, DickeState.E))
-            )
-        for a, b in zip(shifts_by_L, shifts_by_L[1:]):
-            assert a[0] == pytest.approx(b[0], rel=1e-9)
-            assert a[1] == pytest.approx(b[1], rel=1e-9)
+    @pytest.mark.parametrize(
+        "spacetime", (PATCH, DeSitterPatch(3.0, 2.0), ThermalBath(0.0), ThermalBath(2.0)),
+        ids=["desitter", "desitter-r2", "thermal-T0", "thermal-T2"],
+    )
+    @pytest.mark.parametrize("L", (0.01, 0.5, 1.0, 2.0, 30.0))
+    def test_matches_closed_form(self, spacetime, L):
+        # The product states get exactly nothing at every separation, and S/A get the
+        # closed-form interaction energy -/+ 2 a2.
+        gen = assemble_generator(build_coefficients(spacetime, 1.0, 0.1, L), 1.0)
+        assert levelshift_general(gen, DickeState.G) == 0.0
+        assert levelshift_general(gen, DickeState.E) == 0.0
+        for state in (DickeState.S, DickeState.A):
+            closed = rcpi_closed(spacetime, L, 1.0, 0.1, state)
+            assert levelshift_general(gen, state) == pytest.approx(closed, rel=1e-14)
 
     def test_symmetric_antisymmetric_difference_is_cross_trace(self, gen):
-        ds = levelshift_general(gen, DickeState.S, cross_only=True)
-        da = levelshift_general(gen, DickeState.A, cross_only=True)
+        ds = levelshift_general(gen, DickeState.S)
+        da = levelshift_general(gen, DickeState.A)
         # delta E_S - delta E_A carries the cross terms; each is -/+ 2 a2.
         assert ds == pytest.approx(-da, rel=1e-12)
 
-    def test_matrix_element_route_agrees(self, gen):
-        # Independent route: the per-state combinations of the 3x3 coefficient
-        # matrices, written out by hand.
-        for cross_only in (False, True):
-            hs = np.zeros((3, 3), dtype=complex) if cross_only else gen.H_same
-            hc = gen.H_cross
-            tr_s, tr_c, curl_s = np.trace(hs), np.trace(hc), hs[0, 1] - hs[1, 0]
-            expected = {
-                DickeState.G: -0.5j * (2.0 * hc[2, 2] + 2.0 * tr_s - 2.0j * curl_s),
-                DickeState.E: -0.5j * (2.0 * hc[2, 2] + 2.0 * tr_s + 2.0j * curl_s),
-                DickeState.S: -0.5j * (2.0 * tr_c + 2.0 * tr_s - 4.0 * hc[2, 2]),
-                DickeState.A: 0.5j * (2.0 * tr_c - 2.0 * tr_s),
-            }
-            for s, val in expected.items():
-                assert abs(val.imag) <= 1e-12 * abs(val.real)
-                assert levelshift_general(gen, s, cross_only) == pytest.approx(val.real, rel=1e-12)
-
     def test_agrees_with_closed_form(self, gen):
         closed = rcpi_closed_desitter(1.0, 1.0, 1.0, 0.1)
-        assert levelshift_general(gen, DickeState.S, cross_only=True) == pytest.approx(closed, rel=1e-6)
+        assert levelshift_general(gen, DickeState.S) == pytest.approx(closed, rel=1e-6)
 
 
 class TestClosedForms:
