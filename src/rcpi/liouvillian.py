@@ -4,8 +4,10 @@ The weak-coupling master equation is
     d rho / d tau = -i [H_eff, rho] + L[rho],
 with H_eff the free two-atom Hamiltonian plus a field-induced correction
 bilinear in Pauli operators, and L[rho] the dissipator of Benatti and
-Floreanini (PRA 70, 012112, 2004), built as one contraction of its
-Kossakowski matrix with constant Pauli tensors.  Every coefficient is a
+Floreanini (PRA 70, 012112, 2004).  For a static pair the generator is
+linear in six real numbers (omega0, a2 and the dissipator's at1, bt1, at2,
+bt2) and is built as one contraction of them with a constant tensor holding
+the operator each one multiplies.  Every coefficient is a
 closed form in the (sigma, c) of ``geometry.response_shape`` and the T of
 ``field_temperature``: the dissipator is the spectral functions at
 +/- omega0, and the Hamiltonian side is the single cross-atom coefficient
@@ -44,7 +46,6 @@ __all__ = [
     "build_coefficients",
     "assemble_generator",
     "h_ls_matrix",
-    "h_eff_matrix",
     "superoperator",
     "dicke_population_rate",
     "evolve",
@@ -69,17 +70,31 @@ _DICKE_KETS = np.array([ket(s) for s in (DickeState.G, DickeState.E, DickeState.
 # s1 x s1 + s2 x s2 over the pair, the operator that -a2 multiplies in h_ls.
 _FLIP_FLOP = _SIG[0][0] @ _SIG[1][0] + _SIG[0][1] @ _SIG[1][1]
 
-# Constant tensor whose rows are the operators that single coefficients
-# multiply, acting on the row-major vec(rho): first, over the 16 entries E
-# of H_eff, the commutator -i (E (x) 1 - 1 (x) E^T); then, over the pair
-# index (3 atom + i, 3 atom' + j), the dissipator term
-# (1/2)(2 s_j (x) s_i^T - s_i s_j (x) 1 - 1 (x) (s_i s_j)^T).
-_FLAT_SIG = _SIG[0] + _SIG[1]
+
+def _commutator(h: np.ndarray) -> np.ndarray:
+    """-i [h, .] on the row-major vec(rho): -i (h (x) 1 - 1 (x) h^T)."""
+    return -1j * (np.kron(h, _I4) - np.kron(_I4, h.T))
+
+
+def _dissipator_term(si: np.ndarray, sj: np.ndarray) -> np.ndarray:
+    """s_j rho s_i - (1/2){s_i s_j, rho} on the row-major vec(rho)."""
+    return 0.5 * (2.0 * np.kron(sj, si.T) - np.kron(si @ sj, _I4) - np.kron(_I4, (si @ sj).T))
+
+
+# Nonzero entries (i, j, C_ij) of the 3x3 block C_ij = at delta_ij - i bt eps_ij3
+# (i, j < 3) per unit at and per unit bt; C_ij weights s_i of atom a with s_j of atom b.
+_UNIT_BLOCKS = (((0, 0, 1.0), (1, 1, 1.0)), ((0, 1, -1j), (1, 0, 1j)))
+
+# Constant tensor with one row per scalar of GeneratorMatrices, in the order
+# (omega0, a2, at1, bt1, at2, bt2): the operator that scalar multiplies on the
+# row-major vec(rho).  omega0 and a2 give the commutators with the free
+# splitting (1/2)(s3 x 1 + 1 x s3) and with -(s1 x s1 + s2 x s2); at1, bt1 sum
+# the dissipator over the same-atom pairs (a, b), at2, bt2 over the cross ones.
 _GENERATOR = np.array(
-    [-1j * (np.kron(e, _I4) - np.kron(_I4, e.T)).ravel() for e in np.eye(16, dtype=complex).reshape(16, 4, 4)]
-    + [0.5 * (2.0 * np.kron(sj, si.T) - np.kron(si @ sj, _I4) - np.kron(_I4, (si @ sj).T)).ravel()
-       for si in _FLAT_SIG for sj in _FLAT_SIG]
-)
+    [_commutator(0.5 * (_SIG[0][2] + _SIG[1][2])), _commutator(-_FLIP_FLOP)]
+    + [sum(c * _dissipator_term(_SIG[a][i], _SIG[b][j]) for a, b in pairs for i, j, c in block)
+       for pairs in (((0, 0), (1, 1)), ((0, 1), (1, 0))) for block in _UNIT_BLOCKS]
+).reshape(6, 256)
 _CHUNK = 32  # output points filled per batched product of exact propagation
 
 
@@ -140,12 +155,15 @@ class TwoQubitState:
 
 @dataclass(frozen=True)
 class GeneratorMatrices:
-    """Cross-atom Hamiltonian coefficient, 3x3 Kossakowski blocks and the transition frequency."""
+    """The six scalars the generator is linear in: the transition frequency, the
+    cross-atom Hamiltonian coefficient a2 and the dissipator's at1, bt1, at2, bt2."""
 
-    a2: float
-    C_same: np.ndarray
-    C_cross: np.ndarray
     omega0: float
+    a2: float
+    at1: float
+    bt1: float
+    at2: float
+    bt2: float
 
 
 def _w_coth(w: float, temperature: float) -> float:
@@ -193,29 +211,12 @@ def build_coefficients(spacetime: SpacetimeConfig, omega0: float, mu: float, L: 
     return CoefficientSet(a2=a2, at1=at1, bt1=bt1, at2=at2, bt2=bt2)
 
 
-def _c_block(at: float, bt: float) -> np.ndarray:
-    # at delta_ij - i bt eps_ij3 - at delta_3i delta_3j
-    return np.array([[at, -1j * bt, 0.0], [1j * bt, at, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
-
-
 def assemble_generator(coeffs: CoefficientSet, omega0: float) -> GeneratorMatrices:
-    """Materialize the Kossakowski blocks of the master equation."""
-    if omega0 <= 0:
-        raise ValueError(f"transition frequency must be positive, got {omega0}")
+    """Pair the five scalars of the coefficient set with the transition frequency."""
+    _require_positive(omega0=omega0)
     return GeneratorMatrices(
-        a2=coeffs.a2,
-        C_same=_c_block(coeffs.at1, coeffs.bt1),
-        C_cross=_c_block(coeffs.at2, coeffs.bt2),
-        omega0=omega0,
+        omega0=omega0, a2=coeffs.a2, at1=coeffs.at1, bt1=coeffs.bt1, at2=coeffs.at2, bt2=coeffs.bt2
     )
-
-
-def _pair_matrix(same: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """The 6x6 block matrix [[same, cross], [cross, same]] over the pair index, flattened to 36 weights."""
-    out = np.empty((2, 3, 2, 3), dtype=complex)
-    out[0, :, 0] = out[1, :, 1] = same
-    out[0, :, 1] = out[1, :, 0] = cross
-    return out.ravel()
 
 
 def h_ls_matrix(gen: GeneratorMatrices) -> np.ndarray:
@@ -223,16 +224,9 @@ def h_ls_matrix(gen: GeneratorMatrices) -> np.ndarray:
     return -gen.a2 * _FLIP_FLOP
 
 
-def h_eff_matrix(gen: GeneratorMatrices) -> np.ndarray:
-    """Effective Hamiltonian: free splitting plus the field-induced correction."""
-    free = 0.5 * gen.omega0 * (_SIG[0][2] + _SIG[1][2])
-    return free + h_ls_matrix(gen)
-
-
 def superoperator(gen: GeneratorMatrices) -> np.ndarray:
     """16x16 matrix generating d vec(rho)/d tau in row-major vectorization, as one contraction with _GENERATOR."""
-    h = h_eff_matrix(gen)
-    weights = np.concatenate((h.ravel(), _pair_matrix(gen.C_same, gen.C_cross)))
+    weights = np.array((gen.omega0, gen.a2, gen.at1, gen.bt1, gen.at2, gen.bt2))
     # A vector-matrix einsum, not @: a BLAS product of this size wakes the BLAS worker threads.
     return np.einsum("k,kn->n", weights, _GENERATOR).reshape(16, 16)
 
@@ -296,8 +290,8 @@ def evolve(rho0, gen: GeneratorMatrices, tau_grid) -> Trajectory:
     if rho_init.shape != (4, 4):
         raise ValueError(f"initial state must be 4x4, got shape {rho_init.shape}")
     tau = np.asarray(tau_grid, dtype=float)
-    if tau.ndim != 1 or tau.size < 2 or np.any(np.diff(tau) <= 0):
-        raise ValueError("tau_grid must be a strictly increasing 1D grid with at least two points")
+    if tau.ndim != 1 or tau.size < 2 or not np.all(np.isfinite(tau)) or np.any(np.diff(tau) <= 0):
+        raise ValueError("tau_grid must be a finite, strictly increasing 1D grid with at least two points")
 
     m = superoperator(gen)
     # Runs of steps equal up to the rounding of tau (a stride such as 0.3 is no binary

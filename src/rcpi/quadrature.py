@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from itertools import pairwise
 from typing import Callable
 
-from scipy import integrate
-
 from .geometry import SpacetimeConfig, _require_positive, response_shape
 
 __all__ = ["IntegralResult", "QuadratureError", "rcpi_integral"]
@@ -66,6 +64,8 @@ def _piece(f: Callable[[float], float], a: float, b: float, abs_tol: float, rel_
     A rule that stops short of its target still returns its best value and
     error estimate; the caller judges the error of the whole integral.
     """
+    from scipy import integrate  # deferred: slow to import, and only `rcpi shift` and `validate` use it
+
     value, error, info = integrate.quad(
         f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=_QUAD_LIMIT, full_output=1, **weight
     )[:3]

@@ -424,7 +424,8 @@ class TestImportSurface:
         code = (
             "import importlib.util, sys, rcpi.cli; "
             "assert 'rcpi.spectral' not in sys.modules, 'import rcpi.cli loads rcpi.spectral'; "
-            "assert importlib.util.find_spec('rcpi.correlators') is None, 'rcpi.correlators still imports'"
+            "assert importlib.util.find_spec('rcpi.correlators') is None, 'rcpi.correlators still imports'; "
+            "assert 'scipy.integrate' not in sys.modules, 'import rcpi.cli loads scipy.integrate'"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)

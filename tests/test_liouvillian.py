@@ -18,7 +18,6 @@ from rcpi.liouvillian import (
     dicke_population_rate,
     dissipator_coefficients,
     evolve,
-    h_eff_matrix,
     h_ls_matrix,
     hamiltonian_cross_coefficients,
     superoperator,
@@ -26,7 +25,21 @@ from rcpi.liouvillian import (
 from rcpi.quadrature import rcpi_integral
 from rcpi.spectral import fourier_desitter_cross, fourier_desitter_same, fourier_thermal_minkowski
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 PATCH = DeSitterPatch(1.0, 0.0)
+
+# _PAIR_SIG[a][i] = sigma_{i+1} on atom a, written out independently of the module's own tensors.
+_S = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex),
+    np.diag([-1.0, 1.0]).astype(complex),
+)
+_PAIR_SIG = ([np.kron(s, np.eye(2)) for s in _S], [np.kron(np.eye(2), s) for s in _S])
+
+
+def _commutator(h):
+    return -1j * (np.kron(h, np.eye(4)) - np.kron(np.eye(4), h.T))
 
 
 @pytest.fixture(scope="module")
@@ -109,22 +122,40 @@ class TestHamiltonianCoefficients:
         # same-atom block and H^(12) = H^(21) = -i a2 delta_ij + b2 eps_ij3 (i, j < 3).  The
         # antisymmetric b2 enters for both atom orderings, and s^(1), s^(2) commute, so it cancels.
         gen = assemble_generator(build_coefficients(spacetime, 1.0, 0.5, L), 1.0)
-        s1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        s2 = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
-        s3 = np.diag([-1.0, 1.0]).astype(complex)
-        one = np.eye(2)
-        sig = ([np.kron(s, one) for s in (s1, s2, s3)], [np.kron(one, s) for s in (s1, s2, s3)])
         cross = np.array([[-1j * gen.a2, b2, 0.0], [-b2, -1j * gen.a2, 0.0], [0.0, 0.0, 0.0]])
         h = -0.5j * sum(
-            cross[i, j] * sig[a][i] @ sig[1 - a][j] for a in (0, 1) for i in range(3) for j in range(3)
+            cross[i, j] * _PAIR_SIG[a][i] @ _PAIR_SIG[1 - a][j] for a in (0, 1) for i in range(3) for j in range(3)
         )
         tol = 1e-15 * max(abs(gen.a2), b2)
         assert np.max(np.abs(h_ls_matrix(gen) - h)) <= tol
         # Without the dissipator the generator is the commutator with the free part plus h.
-        h_eff = 0.5 * gen.omega0 * (sig[0][2] + sig[1][2]) + h
-        closed = dataclasses.replace(gen, C_same=np.zeros((3, 3)), C_cross=np.zeros((3, 3)))
-        commutator = -1j * (np.kron(h_eff, np.eye(4)) - np.kron(np.eye(4), h_eff.T))
-        assert np.max(np.abs(superoperator(closed) - commutator)) <= tol
+        h_eff = 0.5 * gen.omega0 * (_PAIR_SIG[0][2] + _PAIR_SIG[1][2]) + h
+        closed = dataclasses.replace(gen, at1=0.0, bt1=0.0, at2=0.0, bt2=0.0)
+        assert np.max(np.abs(superoperator(closed) - _commutator(h_eff))) <= tol
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_dissipator_is_the_double_sum(self, seed):
+        # Benatti-Floreanini: L[rho] = sum_{ab,ij} C^(ab)_ij (s_j^(b) rho s_i^(a) - (1/2){s_i^(a) s_j^(b), rho})
+        # with C^(11) = C^(22) = C(at1, bt1), C^(12) = C^(21) = C(at2, bt2) and
+        # C(at, bt)_ij = at delta_ij - i bt eps_ij3 (i, j < 3), summed from explicit 3x3 blocks.
+        rng = np.random.default_rng(seed)
+        at1, bt1 = rng.uniform(0.1, 2.0), rng.uniform(-2.0, 2.0)
+        at2, bt2 = at1 * rng.uniform(-1.0, 1.0), bt1 * rng.uniform(-1.0, 1.0)
+        gen = assemble_generator(CoefficientSet(0.0, at1=at1, bt1=bt1, at2=at2, bt2=bt2), rng.uniform(0.1, 3.0))
+
+        def block(at, bt):
+            return np.array([[at, -1j * bt, 0.0], [1j * bt, at, 0.0], [0.0, 0.0, 0.0]])
+
+        blocks = ((block(at1, bt1), block(at2, bt2)), (block(at2, bt2), block(at1, bt1)))
+        x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = x + x.conj().T
+        expected = 0.0
+        for a, b, i, j in np.ndindex(2, 2, 3, 3):
+            si, sj = _PAIR_SIG[a][i], _PAIR_SIG[b][j]
+            expected = expected + blocks[a][b][i, j] * (sj @ rho @ si - 0.5 * (si @ sj @ rho + rho @ si @ sj))
+        dissipator = superoperator(gen) - _commutator(0.5 * gen.omega0 * (_PAIR_SIG[0][2] + _PAIR_SIG[1][2]))
+        got = (dissipator @ rho.reshape(16)).reshape(4, 4)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize(
         "fn, arg, bad",
@@ -155,13 +186,11 @@ class TestCoefficientSet:
 
 
 class TestGeneratorStructure:
-    def test_c_same_block(self, gen_unit):
-        at1, bt1 = gen_unit.C_same[0, 0].real, gen_unit.C_same[1, 0].imag
-        expected = np.array(
-            [[at1, -1j * bt1, 0.0], [1j * bt1, at1, 0.0], [0.0, 0.0, 0.0]], dtype=complex
-        )
-        assert np.array_equal(gen_unit.C_same, expected)
-        assert gen_unit.C_same[2, 2] == 0.0
+    @pytest.mark.parametrize("omega0", (0.0, -1.0, math.nan, math.inf))
+    def test_assemble_rejects_bad_omega0(self, omega0):
+        coeffs = CoefficientSet(0.0, at1=1.0, bt1=0.5, at2=0.0, bt2=0.0)
+        with pytest.raises(ValueError, match="omega0"):
+            assemble_generator(coeffs, omega0)
 
     def test_h_ls_hermitian(self, gen_unit):
         h = h_ls_matrix(gen_unit)
@@ -259,7 +288,7 @@ class TestEvolve:
         tau = np.linspace(0.0, 10.0, 21)
         traj = evolve(rho0, gen, tau)
         assert np.max(np.abs(traj.populations - traj.populations[0])) < 1e-9
-        h = h_eff_matrix(gen)
+        h = 0.5 * gen.omega0 * (_PAIR_SIG[0][2] + _PAIR_SIG[1][2]) + h_ls_matrix(gen)
         worst = 0.0
         for i, t in enumerate(tau):
             u = expm(-1j * h * t)
@@ -343,6 +372,11 @@ class TestEvolve:
     def test_excited_state_decays_monotonically_at_early_times(self, gen_unit):
         traj = evolve(projector(DickeState.E), gen_unit, np.linspace(0.0, 20.0, 41))
         assert np.all(np.diff(traj.populations[:, 1]) < 0)
+
+    @pytest.mark.parametrize("tau", ([0.0, math.nan], [math.nan, 1.0], [0.0, 1.0, math.nan], [0.0, math.inf]))
+    def test_non_finite_grid_rejected(self, gen_unit, tau):
+        with pytest.raises(ValueError, match="tau_grid"):
+            evolve(projector(DickeState.G), gen_unit, tau)
 
     def test_grid_validation(self, gen_unit):
         with pytest.raises(ValueError):
