@@ -34,7 +34,6 @@ from .geometry import (
     ricci_scalar,
 )
 from .liouvillian import (
-    CoefficientSet,
     EvolutionError,
     GeneratorMatrices,
     Trajectory,

@@ -28,7 +28,7 @@ from .discriminator import (
     write_sweep_csv,
 )
 from .geometry import DeSitterPatch, kappa
-from .liouvillian import EvolutionError, assemble_generator, build_coefficients, evolve
+from .liouvillian import EvolutionError, build_coefficients, evolve
 from .quadrature import QuadratureError
 from .shifts import rcpi_closed, rcpi_quadrature
 from .validation import run_validation
@@ -144,8 +144,7 @@ def cmd_evolve(cfg: RunConfig, out: str | None) -> int:
     if cfg.evolve is None:
         raise ConfigError("evolve: section is required for the evolve command")
     L = cfg.atoms.separation()
-    coeffs = build_coefficients(cfg.spacetime, cfg.atoms.omega0, cfg.atoms.mu, L)
-    gen = assemble_generator(coeffs, cfg.atoms.omega0)
+    gen = build_coefficients(cfg.spacetime, cfg.atoms.omega0, cfg.atoms.mu, L)
     n = int(np.floor(cfg.evolve.tau_max / cfg.evolve.stride + 1e-9)) + 1
     tau = np.arange(n) * cfg.evolve.stride
     if tau[-1] < cfg.evolve.tau_max - 1e-12 * cfg.evolve.tau_max:

@@ -49,6 +49,10 @@ class AtomPair:
             raise ConfigError("atoms: give L or (r, delta_theta), not both")
         if self.L is not None:
             _require_positive_finite("atoms.L", self.L)
+        else:
+            _require_positive_finite("atoms.r", self.r)
+            if not 0.0 < self.delta_theta <= math.pi:
+                raise ConfigError(f"atoms.delta_theta must lie in (0, pi], got {self.delta_theta}")
 
     def separation(self) -> float:
         if self.L is not None:

@@ -129,8 +129,8 @@ def envelope_points(L, dE_S) -> tuple[np.ndarray, np.ndarray]:
     v = np.asarray(dE_S, dtype=float)
     if L.size < 5:
         raise InsufficientOscillationsError("need at least 5 samples to look for an envelope")
-    if not (np.all(np.isfinite(L)) and np.all(np.isfinite(v))):
-        raise ValueError("sweep samples must be finite")
+    if not (np.all(np.isfinite(L) & (L > 0)) and np.all(np.isfinite(v))):
+        raise ValueError("sweep samples must be finite, with L > 0")
     if np.any(np.diff(L) <= 0):
         raise ValueError("sweep samples must be ordered by strictly increasing L")
 

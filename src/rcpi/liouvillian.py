@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -36,7 +36,6 @@ from .dicke import DickeState, ket, projector
 from .geometry import SpacetimeConfig, _require_positive, field_temperature, response_shape
 
 __all__ = [
-    "CoefficientSet",
     "TwoQubitState",
     "GeneratorMatrices",
     "EvolutionError",
@@ -95,35 +94,10 @@ _GENERATOR = np.array(
     + [sum(c * _dissipator_term(_SIG[a][i], _SIG[b][j]) for a, b in pairs for i, j, c in block)
        for pairs in (((0, 0), (1, 1)), ((0, 1), (1, 0))) for block in _UNIT_BLOCKS]
 ).reshape(6, 256)
-_CHUNK = 32  # output points filled per batched product of exact propagation
 
 
 class EvolutionError(RuntimeError):
     """The master-equation propagation produced a non-finite state."""
-
-
-@dataclass(frozen=True)
-class CoefficientSet:
-    """The five scalars feeding the generator.
-
-    a2 is the (real) cross-atom Hamiltonian coefficient, at*/bt* the
-    dissipator ones; subscript 1 is same-atom, 2 is cross-atom.  The cross
-    dissipator coefficients are bounded by the same-atom ones because the
-    separation factor has magnitude at most one.
-    """
-
-    a2: float
-    at1: float
-    bt1: float
-    at2: float
-    bt2: float
-
-    def __post_init__(self) -> None:
-        slack = 1e-12 * max(abs(self.at1), 1.0)
-        if self.at1 <= 0:
-            raise ValueError(f"same-atom dissipator coefficient must be positive, got at1={self.at1}")
-        if abs(self.at2) > abs(self.at1) + slack or abs(self.bt2) > abs(self.bt1) + slack:
-            raise ValueError("cross dissipator coefficients must not exceed the same-atom ones")
 
 
 @dataclass(frozen=True)
@@ -155,8 +129,13 @@ class TwoQubitState:
 
 @dataclass(frozen=True)
 class GeneratorMatrices:
-    """The six scalars the generator is linear in: the transition frequency, the
-    cross-atom Hamiltonian coefficient a2 and the dissipator's at1, bt1, at2, bt2."""
+    """The six scalars the generator is linear in.
+
+    omega0 is the transition frequency, a2 the (real) cross-atom Hamiltonian
+    coefficient and at*/bt* the dissipator ones; subscript 1 is same-atom, 2
+    is cross-atom.  The cross dissipator coefficients are bounded by the
+    same-atom ones because the separation factor has magnitude at most one.
+    """
 
     omega0: float
     a2: float
@@ -164,6 +143,17 @@ class GeneratorMatrices:
     bt1: float
     at2: float
     bt2: float
+
+    def __post_init__(self) -> None:
+        _require_positive(omega0=self.omega0)
+        for name in ("a2", "at1", "bt1", "at2", "bt2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"generator coefficient {name} must be finite, got {getattr(self, name)}")
+        if self.at1 <= 0:
+            raise ValueError(f"same-atom dissipator coefficient must be positive, got at1={self.at1}")
+        slack = 1e-12 * max(abs(self.at1), 1.0)
+        if abs(self.at2) > abs(self.at1) + slack or abs(self.bt2) > abs(self.bt1) + slack:
+            raise ValueError("cross dissipator coefficients must not exceed the same-atom ones")
 
 
 def _w_coth(w: float, temperature: float) -> float:
@@ -204,19 +194,16 @@ def hamiltonian_cross_coefficients(spacetime: SpacetimeConfig, omega0: float, mu
     return float(_a2_closed_form(*response_shape(spacetime, L), omega0, mu))
 
 
-def build_coefficients(spacetime: SpacetimeConfig, omega0: float, mu: float, L: float) -> CoefficientSet:
-    """Assemble the full coefficient set for one configuration, all in closed form."""
+def build_coefficients(spacetime: SpacetimeConfig, omega0: float, mu: float, L: float) -> GeneratorMatrices:
+    """The generator's six scalars for one configuration, all in closed form."""
     at1, bt1, at2, bt2 = dissipator_coefficients(spacetime, omega0, mu, L)
     a2 = hamiltonian_cross_coefficients(spacetime, omega0, mu, L)
-    return CoefficientSet(a2=a2, at1=at1, bt1=bt1, at2=at2, bt2=bt2)
+    return GeneratorMatrices(omega0=omega0, a2=a2, at1=at1, bt1=bt1, at2=at2, bt2=bt2)
 
 
-def assemble_generator(coeffs: CoefficientSet, omega0: float) -> GeneratorMatrices:
-    """Pair the five scalars of the coefficient set with the transition frequency."""
-    _require_positive(omega0=omega0)
-    return GeneratorMatrices(
-        omega0=omega0, a2=coeffs.a2, at1=coeffs.at1, bt1=coeffs.bt1, at2=coeffs.at2, bt2=coeffs.bt2
-    )
+def assemble_generator(coeffs: GeneratorMatrices, omega0: float) -> GeneratorMatrices:
+    """The same scalars at another transition frequency."""
+    return replace(coeffs, omega0=omega0)
 
 
 def h_ls_matrix(gen: GeneratorMatrices) -> np.ndarray:
@@ -264,12 +251,17 @@ class Trajectory:
         )
 
 
-def _powers(p: np.ndarray, count: int) -> np.ndarray:
-    """P, P^2, ..., P^count stacked, by doubling: count - 1 products in about log2(count) calls."""
-    out = p[None]
-    while len(out) < count:
-        out = np.concatenate((out, out[: count - len(out)] @ out[-1]))
-    return out
+def _fill_run(y: np.ndarray, p: np.ndarray) -> None:
+    """y[k] = P^k y[0] along the run, by doubling: y[k:2k] = P^k y[0:k], then P^k <- P^k P^k."""
+    k = 1
+    while True:
+        # One 16x16 matrix-vector product per row: a single (k, 16) x (16, 16) BLAS product
+        # wakes the BLAS worker threads, and an einsum's complex loop is three times slower.
+        y[k : 2 * k] = (p @ y[: min(k, len(y) - k), :, None])[:, :, 0]
+        k *= 2
+        if k >= len(y):
+            return
+        p = p @ p
 
 
 def evolve(rho0, gen: GeneratorMatrices, tau_grid) -> Trajectory:
@@ -277,14 +269,13 @@ def evolve(rho0, gen: GeneratorMatrices, tau_grid) -> Trajectory:
 
     The generator M is constant, so rho(tau + h) = exp(M h) rho(tau) on the
     vectorized density matrix.  The grid splits into runs of steps that are
-    equal up to the rounding of tau.  Per distinct step h of the runs, one
-    matrix exponential P_h (scipy's scaling and squaring, Al-Mohy & Higham
-    2009) and its powers up to P_h^32 are taken once; each run is then filled
-    up to 32 points at a time by one batched product.  No
-    renormalization is applied; trace drift is reported, not hidden.  A
-    positivity violation beyond -1e-8 in the minimum eigenvalue triggers a
-    warning, and a non-finite propagated state (an overflowing M h) raises
-    EvolutionError.
+    equal up to the rounding of tau.  There is one ``expm`` per run, at its
+    mean step h (scipy's scaling and squaring, Al-Mohy & Higham 2009), and
+    the run is filled by doubling, about 2 log2(n) small products for n
+    steps.  No renormalization is applied; trace drift is
+    reported, not hidden.  A positivity violation beyond -1e-8 in the minimum
+    eigenvalue triggers a warning, and a non-finite propagated state (an
+    overflowing M h) raises EvolutionError.
     """
     rho_init = rho0.rho if isinstance(rho0, TwoQubitState) else np.asarray(rho0, dtype=complex)
     if rho_init.shape != (4, 4):
@@ -295,23 +286,14 @@ def evolve(rho0, gen: GeneratorMatrices, tau_grid) -> Trajectory:
 
     m = superoperator(gen)
     # Runs of steps equal up to the rounding of tau (a stride such as 0.3 is no binary
-    # fraction), each taken at its mean step; run_end[i] is one past the run of step i.
+    # fraction), each taken at its mean step.
     steps = np.diff(tau)
     starts = np.flatnonzero(np.abs(np.diff(steps, prepend=np.inf)) > 4.0 * np.finfo(float).eps * np.max(np.abs(tau)))
     ends = np.append(starts[1:], steps.size)
-    run_end = np.repeat(ends, ends - starts).tolist()
-    run_step = np.repeat((tau[ends] - tau[starts]) / (ends - starts), ends - starts).tolist()
-    powers: dict[float, np.ndarray] = {}
     y = np.empty((tau.size, 16), dtype=complex)
     y[0] = rho_init.reshape(16)
-    i = 0
-    while i < steps.size:
-        h = run_step[i]
-        n = min(_CHUNK, run_end[i] - i)
-        if len(powers.get(h, ())) < n:
-            powers[h] = _powers(expm(m * h), n)
-        y[i + 1 : i + 1 + n] = powers[h][:n] @ y[i]
-        i += n
+    for s, e in zip(starts.tolist(), ends.tolist()):
+        _fill_run(y[s : e + 1], expm(m * ((tau[e] - tau[s]) / (e - s))))
     if not np.all(np.isfinite(y)):
         raise EvolutionError(
             f"master-equation propagation gave a non-finite state (largest |M| entry {np.max(np.abs(m)):.3e})"

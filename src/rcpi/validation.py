@@ -125,8 +125,7 @@ def _check_antisymmetry() -> CheckResult:
 
 def _unit_generator(L: float) -> liouvillian.GeneratorMatrices:
     """Generator of the pair in the de Sitter patch alpha = 1 at the origin, omega0 = 1, mu = 0.5."""
-    coeffs = liouvillian.build_coefficients(DeSitterPatch(alpha=1.0, r=0.0), 1.0, 0.5, L)
-    return liouvillian.assemble_generator(coeffs, 1.0)
+    return liouvillian.build_coefficients(DeSitterPatch(alpha=1.0, r=0.0), 1.0, 0.5, L)
 
 
 def _check_lindblad_quick() -> CheckResult:

