@@ -31,13 +31,11 @@ from .geometry import (
     kappa,
     local_temperature,
     response_shape,
-    ricci_scalar,
 )
 from .liouvillian import (
     EvolutionError,
     GeneratorMatrices,
     Trajectory,
-    TwoQubitState,
     assemble_generator,
     build_coefficients,
     dissipator_coefficients,
@@ -46,8 +44,6 @@ from .liouvillian import (
 from .quadrature import IntegralResult, QuadratureError, rcpi_integral
 from .shifts import (
     Regime,
-    force_closed,
-    levelshift_general,
     rcpi_asymptotic,
     rcpi_closed,
     rcpi_closed_desitter,

@@ -17,6 +17,12 @@ class ConfigError(ValueError):
     """A configuration document failed validation; the message names the field."""
 
 
+# Most grid points a config may ask for, in a sweep or a trajectory.  A point
+# costs about 400 (sweep) to 800 (evolve) bytes of peak memory, mostly while the
+# CSV is formatted (see the README), so a run at the cap needs 4 to 8 GB.
+MAX_GRID_POINTS = 10**7
+
+
 def _require_positive_finite(name: str, value: float) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{name} must be positive and finite, got {value}")
@@ -72,8 +78,10 @@ class SweepSettings:
             _require_positive_finite(f"sweep.{name}", getattr(self, name))
         if not self.L_min < self.L_max:
             raise ConfigError(f"sweep bounds must satisfy 0 < L_min < L_max, got [{self.L_min}, {self.L_max}]")
-        if not (isinstance(self.n_points, int) and self.n_points >= 2):
-            raise ConfigError(f"sweep.n_points must be an integer of at least 2, got {self.n_points!r}")
+        if not (isinstance(self.n_points, int) and 2 <= self.n_points <= MAX_GRID_POINTS):
+            raise ConfigError(
+                f"sweep.n_points must be an integer from 2 to {MAX_GRID_POINTS}, got {self.n_points!r}"
+            )
         if self.spacing not in ("log", "linear"):
             raise ConfigError(f"sweep.spacing must be 'log' or 'linear', got {self.spacing!r}")
 
@@ -90,6 +98,12 @@ class EvolveSettings:
         _require_positive_finite("evolve.tau_max", self.tau_max)
         if not (0 < self.stride <= self.tau_max):
             raise ConfigError(f"evolve.stride must lie in (0, tau_max], got {self.stride}")
+        # floor(tau_max / stride) + 1 points, without the floor, which fails on an infinite ratio.
+        if self.tau_max / self.stride >= MAX_GRID_POINTS:
+            raise ConfigError(
+                f"evolve.tau_max {self.tau_max} and evolve.stride {self.stride} give more than "
+                f"{MAX_GRID_POINTS} grid points"
+            )
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ __all__ = [
     "local_temperature",
     "field_temperature",
     "response_shape",
-    "ricci_scalar",
     "euclidean_separation",
 ]
 
@@ -145,11 +144,6 @@ def response_shape(spacetime: SpacetimeConfig, L):
     if isinstance(spacetime, ThermalBath):
         return L, L
     raise TypeError(f"unsupported spacetime configuration: {spacetime!r}")
-
-
-def ricci_scalar(patch: DeSitterPatch) -> float:
-    """Constant curvature scalar 12 / alpha^2."""
-    return 12.0 / patch.alpha**2
 
 
 def euclidean_separation(r: float, delta_theta: float) -> float:

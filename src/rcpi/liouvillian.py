@@ -1,18 +1,27 @@
-"""Markovian generator of the two-atom reduced dynamics and its exact propagator.
+"""Markovian generator of the two-atom reduced dynamics and the exact propagator of its populations.
 
 The weak-coupling master equation is
     d rho / d tau = -i [H_eff, rho] + L[rho],
 with H_eff the free two-atom Hamiltonian plus a field-induced correction
 bilinear in Pauli operators, and L[rho] the dissipator of Benatti and
 Floreanini (PRA 70, 012112, 2004).  For a static pair the generator is
-linear in six real numbers (omega0, a2 and the dissipator's at1, bt1, at2,
-bt2) and is built as one contraction of them with a constant tensor holding
-the operator each one multiplies.  Every coefficient is a
-closed form in the (sigma, c) of ``geometry.response_shape`` and the T of
+linear in six real numbers: omega0, a2 and the dissipator's at1, bt1, at2,
+bt2 (subscript 1 same-atom, 2 cross-atom).  Every one is a closed form in
+the (sigma, c) of ``geometry.response_shape`` and the T of
 ``field_temperature``: the dissipator is the spectral functions at
 +/- omega0, and the Hamiltonian side is the single cross-atom coefficient
 a2 = mu^2 cos(omega0 sigma) / (8 pi c), which gives the correction
 h_ls = -a2 (s1 x s1 + s2 x s2).
+
+In the collective basis (G, E, S, A) of ``dicke`` H_eff is diagonal, so
+omega0 and a2 only rotate coherences.  A Dicke-diagonal state stays
+Dicke-diagonal, and its populations p obey the collective rate equations
+(Ficek and Tanas, Phys. Rep. 372, 369, 2002) d p / d tau = R p, with the
+real 4x4 ``rate_matrix`` R built from the dissipator alone.  Every command
+starts from a Dicke projector, so ``evolve`` takes Dicke-diagonal starts
+and propagates p.  The full 16x16 generator on vec(rho) is the independent
+reference that R is tested against; it lives with the other oracles in
+tests/oracles.py.
 
 Two terms of the general correction are left out.  The antisymmetric cross
 term cancels from the generator, since it enters for both atom orderings and
@@ -29,14 +38,12 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import csvio
-from .dicke import DickeState, ket, projector
+from .dicke import DickeState, ket
 from .geometry import SpacetimeConfig, _require_positive, field_temperature, response_shape
 
 __all__ = [
-    "TwoQubitState",
     "GeneratorMatrices",
     "EvolutionError",
     "Trajectory",
@@ -44,87 +51,18 @@ __all__ = [
     "hamiltonian_cross_coefficients",
     "build_coefficients",
     "assemble_generator",
-    "h_ls_matrix",
-    "superoperator",
+    "rate_matrix",
     "dicke_population_rate",
     "evolve",
 ]
 
-# Pauli matrices in single-atom basis order (|g>, |e>), so that the product
-# basis comes out as (gg, ge, eg, ee) and sigma_3 |e> = +|e>.
-_S1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_S2 = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
-_S3 = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
-_PAULI = (_S1, _S2, _S3)
-
-# _SIG[atom][i] = sigma_{i+1} acting on the given atom of the pair.
-_SIG = (
-    tuple(np.kron(p, _I2) for p in _PAULI),
-    tuple(np.kron(_I2, p) for p in _PAULI),
-)
-_I4 = np.eye(4, dtype=complex)
-_DICKE_KETS = np.array([ket(s) for s in (DickeState.G, DickeState.E, DickeState.S, DickeState.A)])
-
-# s1 x s1 + s2 x s2 over the pair, the operator that -a2 multiplies in h_ls.
-_FLIP_FLOP = _SIG[0][0] @ _SIG[1][0] + _SIG[0][1] @ _SIG[1][1]
-
-
-def _commutator(h: np.ndarray) -> np.ndarray:
-    """-i [h, .] on the row-major vec(rho): -i (h (x) 1 - 1 (x) h^T)."""
-    return -1j * (np.kron(h, _I4) - np.kron(_I4, h.T))
-
-
-def _dissipator_term(si: np.ndarray, sj: np.ndarray) -> np.ndarray:
-    """s_j rho s_i - (1/2){s_i s_j, rho} on the row-major vec(rho)."""
-    return 0.5 * (2.0 * np.kron(sj, si.T) - np.kron(si @ sj, _I4) - np.kron(_I4, (si @ sj).T))
-
-
-# Nonzero entries (i, j, C_ij) of the 3x3 block C_ij = at delta_ij - i bt eps_ij3
-# (i, j < 3) per unit at and per unit bt; C_ij weights s_i of atom a with s_j of atom b.
-_UNIT_BLOCKS = (((0, 0, 1.0), (1, 1, 1.0)), ((0, 1, -1j), (1, 0, 1j)))
-
-# Constant tensor with one row per scalar of GeneratorMatrices, in the order
-# (omega0, a2, at1, bt1, at2, bt2): the operator that scalar multiplies on the
-# row-major vec(rho).  omega0 and a2 give the commutators with the free
-# splitting (1/2)(s3 x 1 + 1 x s3) and with -(s1 x s1 + s2 x s2); at1, bt1 sum
-# the dissipator over the same-atom pairs (a, b), at2, bt2 over the cross ones.
-_GENERATOR = np.array(
-    [_commutator(0.5 * (_SIG[0][2] + _SIG[1][2])), _commutator(-_FLIP_FLOP)]
-    + [sum(c * _dissipator_term(_SIG[a][i], _SIG[b][j]) for a, b in pairs for i, j, c in block)
-       for pairs in (((0, 0), (1, 1)), ((0, 1), (1, 0))) for block in _UNIT_BLOCKS]
-).reshape(6, 256)
+# The collective basis (G, E, S, A) as rows of real kets in the product basis.
+_DICKE_ORDER = (DickeState.G, DickeState.E, DickeState.S, DickeState.A)
+_DICKE_KETS = np.array([ket(s).real for s in _DICKE_ORDER])
 
 
 class EvolutionError(RuntimeError):
     """The master-equation propagation produced a non-finite state."""
-
-
-@dataclass(frozen=True)
-class TwoQubitState:
-    """4x4 density matrix over the product basis (gg, ge, eg, ee)."""
-
-    rho: np.ndarray
-
-    def __post_init__(self) -> None:
-        rho = np.asarray(self.rho, dtype=complex)
-        if rho.shape != (4, 4):
-            raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
-        object.__setattr__(self, "rho", rho)
-        if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-            raise ValueError("density matrix is not Hermitian within 1e-12")
-        if abs(np.trace(rho).real - 1.0) > 1e-12 or abs(np.trace(rho).imag) > 1e-12:
-            raise ValueError("density matrix trace must equal 1 within 1e-12")
-        if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < -1e-10:
-            raise ValueError("density matrix has an eigenvalue below -1e-10")
-
-    @classmethod
-    def from_dicke(cls, state: DickeState) -> "TwoQubitState":
-        return cls(projector(state))
-
-    def dicke_populations(self) -> np.ndarray:
-        """Populations (pG, pE, pS, pA)."""
-        return np.einsum("ki,ij,kj->k", _DICKE_KETS.conj(), self.rho, _DICKE_KETS).real
 
 
 @dataclass(frozen=True)
@@ -206,37 +144,43 @@ def assemble_generator(coeffs: GeneratorMatrices, omega0: float) -> GeneratorMat
     return replace(coeffs, omega0=omega0)
 
 
-def h_ls_matrix(gen: GeneratorMatrices) -> np.ndarray:
-    """Field-induced Hamiltonian correction as a 4x4 matrix, -a2 (s1 x s1 + s2 x s2)."""
-    return -gen.a2 * _FLIP_FLOP
+def rate_matrix(gen: GeneratorMatrices) -> np.ndarray:
+    """Real 4x4 R with d p / d tau = R p for the Dicke populations p = (pG, pE, pS, pA).
 
-
-def superoperator(gen: GeneratorMatrices) -> np.ndarray:
-    """16x16 matrix generating d vec(rho)/d tau in row-major vectorization, as one contraction with _GENERATOR."""
-    weights = np.array((gen.omega0, gen.a2, gen.at1, gen.bt1, gen.at2, gen.bt2))
-    # A vector-matrix einsum, not @: a BLAS product of this size wakes the BLAS worker threads.
-    return np.einsum("k,kn->n", weights, _GENERATOR).reshape(16, 16)
+    Decay E -> S -> G and E -> A -> G runs at the downward rates
+    2 [(at1 + bt1) +/- (at2 + bt2)] through S (+) and A (-), excitation at the
+    upward rates 2 [(at1 - bt1) +/- (at2 - bt2)].  Each column sums to zero.
+    """
+    down_s, down_a = 2.0 * (gen.at1 + gen.bt1 + gen.at2 + gen.bt2), 2.0 * (gen.at1 + gen.bt1 - gen.at2 - gen.bt2)
+    up_s, up_a = 2.0 * (gen.at1 - gen.bt1 + gen.at2 - gen.bt2), 2.0 * (gen.at1 - gen.bt1 - gen.at2 + gen.bt2)
+    return np.array([
+        [-up_s - up_a, 0.0, down_s, down_a],
+        [0.0, -down_s - down_a, up_s, up_a],
+        [up_s, down_s, -down_s - up_s, 0.0],
+        [up_a, down_a, 0.0, -down_a - up_a],
+    ])
 
 
 def dicke_population_rate(gen: GeneratorMatrices, state: DickeState) -> float:
-    """Instantaneous d p_state / d tau with the system prepared in that Dicke state."""
-    m = superoperator(gen)
-    drho = (m @ projector(state).reshape(16)).reshape(4, 4)
-    v = ket(state)
-    return float(np.real(v.conj() @ drho @ v))
+    """Instantaneous d p_state / d tau with the system prepared in that Dicke state: a diagonal entry of R."""
+    k = _DICKE_ORDER.index(state)
+    return float(rate_matrix(gen)[k, k])
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Solution of the master equation on a fixed output grid, with diagnostics.
 
-    The trace and hermiticity defects and the minimum eigenvalue are recorded
-    per point rather than silently repaired; drift in them is the cheapest
-    global error meter for the propagation.
+    ``rho`` is the Dicke-diagonal state sum_k p_k |k><k| in the product basis,
+    so its eigenvalues are the populations: the minimum eigenvalue is the
+    smallest population and the hermiticity defect is zero.  The trace, the
+    sum of the populations, is recorded per point rather than silently
+    repaired; drift in it is the cheapest global error meter for the
+    propagation.
     """
 
     tau: np.ndarray
-    rho: np.ndarray  # (n, 4, 4) complex
+    rho: np.ndarray  # (n, 4, 4) real
     populations: np.ndarray  # (n, 4) order G, E, S, A
     trace: np.ndarray
     hermiticity_defect: np.ndarray
@@ -255,9 +199,7 @@ def _fill_run(y: np.ndarray, p: np.ndarray) -> None:
     """y[k] = P^k y[0] along the run, by doubling: y[k:2k] = P^k y[0:k], then P^k <- P^k P^k."""
     k = 1
     while True:
-        # One 16x16 matrix-vector product per row: a single (k, 16) x (16, 16) BLAS product
-        # wakes the BLAS worker threads, and an einsum's complex loop is three times slower.
-        y[k : 2 * k] = (p @ y[: min(k, len(y) - k), :, None])[:, :, 0]
+        y[k : 2 * k] = y[: min(k, len(y) - k)] @ p.T
         k *= 2
         if k >= len(y):
             return
@@ -265,46 +207,53 @@ def _fill_run(y: np.ndarray, p: np.ndarray) -> None:
 
 
 def evolve(rho0, gen: GeneratorMatrices, tau_grid) -> Trajectory:
-    """Propagate the master equation exactly over the given output grid.
+    """Propagate the master equation exactly from a Dicke-diagonal start over the given output grid.
 
-    The generator M is constant, so rho(tau + h) = exp(M h) rho(tau) on the
-    vectorized density matrix.  The grid splits into runs of steps that are
-    equal up to the rounding of tau.  There is one ``expm`` per run, at its
-    mean step h (scipy's scaling and squaring, Al-Mohy & Higham 2009), and
-    the run is filled by doubling, about 2 log2(n) small products for n
-    steps.  No renormalization is applied; trace drift is
-    reported, not hidden.  A positivity violation beyond -1e-8 in the minimum
-    eigenvalue triggers a warning, and a non-finite propagated state (an
-    overflowing M h) raises EvolutionError.
+    ``rho0`` is a 4x4 density matrix in the product basis whose entries off
+    the real diagonal in the (G, E, S, A) basis are at most 1e-12; any other
+    start raises ValueError.  Its populations then follow p(tau + h) =
+    exp(R h) p(tau) with the constant ``rate_matrix`` R.  The grid splits
+    into runs of steps that are equal up to the rounding of tau.  There is
+    one ``expm`` per run, at its mean step h (scipy's scaling and squaring,
+    Al-Mohy & Higham 2009), and the run is filled by doubling, about
+    2 log2(n) small products for n steps.  No renormalization is applied;
+    trace drift is reported, not hidden.  A population below -1e-8 triggers
+    a warning, and a non-finite propagated state (an overflowing R h) raises
+    EvolutionError.
     """
-    rho_init = rho0.rho if isinstance(rho0, TwoQubitState) else np.asarray(rho0, dtype=complex)
+    from scipy.linalg import expm  # deferred: slow to import, and only `evolve` uses it
+
+    rho_init = np.asarray(rho0, dtype=complex)
     if rho_init.shape != (4, 4):
         raise ValueError(f"initial state must be 4x4, got shape {rho_init.shape}")
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or tau.size < 2 or not np.all(np.isfinite(tau)) or np.any(np.diff(tau) <= 0):
         raise ValueError("tau_grid must be a finite, strictly increasing 1D grid with at least two points")
+    dicke = _DICKE_KETS @ rho_init @ _DICKE_KETS.T
+    p0 = dicke.diagonal().real
+    coherence = np.max(np.abs(dicke - np.diag(p0)))
+    if not coherence <= 1e-12:
+        raise ValueError(
+            "initial state must be Dicke-diagonal: its largest entry off the real diagonal "
+            f"in the (G, E, S, A) basis is {coherence:.3e}, above 1e-12"
+        )
 
-    m = superoperator(gen)
+    r = rate_matrix(gen)
     # Runs of steps equal up to the rounding of tau (a stride such as 0.3 is no binary
     # fraction), each taken at its mean step.
     steps = np.diff(tau)
     starts = np.flatnonzero(np.abs(np.diff(steps, prepend=np.inf)) > 4.0 * np.finfo(float).eps * np.max(np.abs(tau)))
     ends = np.append(starts[1:], steps.size)
-    y = np.empty((tau.size, 16), dtype=complex)
-    y[0] = rho_init.reshape(16)
+    pops = np.empty((tau.size, 4))
+    pops[0] = p0
     for s, e in zip(starts.tolist(), ends.tolist()):
-        _fill_run(y[s : e + 1], expm(m * ((tau[e] - tau[s]) / (e - s))))
-    if not np.all(np.isfinite(y)):
+        _fill_run(pops[s : e + 1], expm(r * ((tau[e] - tau[s]) / (e - s))))
+    if not np.all(np.isfinite(pops)):
         raise EvolutionError(
-            f"master-equation propagation gave a non-finite state (largest |M| entry {np.max(np.abs(m)):.3e})"
+            f"master-equation propagation gave a non-finite state (largest |R| entry {np.max(np.abs(r)):.3e})"
         )
 
-    rhos = y.reshape(-1, 4, 4)
-    adj = rhos.conj().transpose(0, 2, 1)
-    pops = np.einsum("ki,nij,kj->nk", _DICKE_KETS.conj(), rhos, _DICKE_KETS).real
-    trace = np.trace(rhos, axis1=1, axis2=2).real
-    herm = np.max(np.abs(rhos - adj), axis=(1, 2))
-    min_eig = np.linalg.eigvalsh(0.5 * (rhos + adj))[:, 0]
+    min_eig = pops.min(axis=1)
     if np.min(min_eig) < -1e-8:
         warnings.warn(
             f"trajectory leaves the positive cone: min eigenvalue {np.min(min_eig):.3e}",
@@ -312,6 +261,6 @@ def evolve(rho0, gen: GeneratorMatrices, tau_grid) -> Trajectory:
             stacklevel=2,
         )
     return Trajectory(
-        tau=tau, rho=rhos, populations=pops, trace=trace,
-        hermiticity_defect=herm, min_eigenvalue=min_eig,
+        tau=tau, rho=np.einsum("nk,ki,kj->nij", pops, _DICKE_KETS, _DICKE_KETS), populations=pops,
+        trace=pops.sum(axis=1), hermiticity_defect=np.zeros(tau.size), min_eigenvalue=min_eig,
     )

@@ -16,20 +16,18 @@ import math
 
 import numpy as np
 
-from .dicke import DickeState, ket
+from .dicke import DickeState
 from .geometry import SpacetimeConfig, ThermalBath, _desitter_shape, _require_positive, response_shape
-from .liouvillian import GeneratorMatrices, _a2_closed_form, h_ls_matrix
+from .liouvillian import _a2_closed_form
 from .quadrature import rcpi_integral
 
 __all__ = [
     "Regime",
-    "levelshift_general",
     "rcpi_closed_desitter",
     "rcpi_closed_minkowski",
     "rcpi_closed",
     "rcpi_asymptotic",
     "rcpi_quadrature",
-    "force_closed",
 ]
 
 
@@ -45,16 +43,6 @@ def _entangled_sign(state: DickeState) -> float:
     if state is DickeState.A:
         return 1.0
     raise ValueError(f"interaction shift exists only for the S and A states, got {state}")
-
-
-def levelshift_general(gen: GeneratorMatrices, state: DickeState) -> float:
-    """Expectation <psi|h_ls|psi> of the field-induced Hamiltonian correction in a Dicke state.
-
-    h_ls holds only the separation-dependent cross-atom term, so the S/A
-    values are the closed-form interaction energies and G/E get zero.
-    """
-    v = ket(state)
-    return float((v.conj() @ h_ls_matrix(gen) @ v).real)
 
 
 def _interaction(sigma, c, omega0: float, mu: float, state: DickeState) -> float | np.ndarray:
@@ -129,21 +117,3 @@ def rcpi_quadrature(
     res = rcpi_integral(spacetime, omega0, L, abs_tol=abs_tol, rel_tol=rel_tol)
     scale = mu * mu / (4.0 * math.pi**2)
     return _entangled_sign(state) * scale * res.value, scale * res.error
-
-
-def force_closed(spacetime: SpacetimeConfig, L: float, omega0: float, mu: float, state: DickeState = DickeState.S) -> float:
-    """Interaction force -d(delta E)/dL from analytic differentiation of the closed form."""
-    _require_positive(L=L, omega0=omega0, mu=mu)
-    sigma, c = response_shape(spacetime, L)
-    # delta E = sign (mu^2/4 pi) cos(omega0 sigma)/c.  In both spacetimes
-    # sigma' = d sigma/dL = L/c and c' = dc/dL = (2 c^2 - L^2)/(L c): in de Sitter
-    # c^2 = L^2 + L^4/4 kappa^2 and sigma' = 1/sqrt(1 + L^2/4 kappa^2); in a bath
-    # sigma = c = L and both are 1.  c' is taken as 2c/L - sigma', which does not
-    # overflow with c^2.  So
-    # F = sign (mu^2/4 pi) [sin(omega0 sigma) omega0 sigma'/c + cos(omega0 sigma) c'/c^2].
-    sigma_prime = L / c
-    c_prime = 2.0 * c / L - sigma_prime
-    phase = omega0 * sigma
-    return _entangled_sign(state) * (mu * mu / (4.0 * math.pi)) * (
-        math.sin(phase) * omega0 * sigma_prime / c + math.cos(phase) * c_prime / (c * c)
-    )

@@ -1,10 +1,16 @@
-"""Time-domain oracles: positive-frequency Wightman functions along static two-atom trajectories.
+"""Oracles that no ``rcpi`` route runs: the Wightman functions and the full 16x16 generator.
 
-These correlators are the ground truth that the closed-form spectral
-functions of ``rcpi.spectral`` are checked against; no ``rcpi`` route runs
-them.  The i-epsilon regulator is an explicit argument everywhere so that
-epsilon -> 0 extrapolations stay testable.  ``embed`` places a static event
-on the 5D hyperboloid, from which the cross-atom denominator is rebuilt.
+The positive-frequency Wightman functions along static two-atom trajectories
+are the ground truth that the closed-form spectral functions of
+``rcpi.spectral`` are checked against.  The i-epsilon regulator is an
+explicit argument everywhere so that epsilon -> 0 extrapolations stay
+testable.  ``embed`` places a static event on the 5D hyperboloid, from which
+the cross-atom denominator is rebuilt.
+
+``superoperator`` is the generator of the master equation on the whole
+vectorized density matrix, built from Pauli Kronecker products.  It is the
+reference for ``rcpi.liouvillian.rate_matrix``, which keeps only the
+population block in the Dicke basis, and for ``evolve``.
 """
 
 from __future__ import annotations
@@ -17,6 +23,61 @@ import numpy as np
 from rcpi import geometry
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
+
+# Pauli matrices in single-atom basis order (|g>, |e>), so that the product
+# basis comes out as (gg, ge, eg, ee) and sigma_3 |e> = +|e>.
+_S1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_S2 = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
+_S3 = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
+_I2 = np.eye(2, dtype=complex)
+_PAULI = (_S1, _S2, _S3)
+
+# _SIG[atom][i] = sigma_{i+1} acting on the given atom of the pair.
+_SIG = (
+    tuple(np.kron(p, _I2) for p in _PAULI),
+    tuple(np.kron(_I2, p) for p in _PAULI),
+)
+_I4 = np.eye(4, dtype=complex)
+
+# s1 x s1 + s2 x s2 over the pair, the operator that -a2 multiplies in h_ls.
+_FLIP_FLOP = _SIG[0][0] @ _SIG[1][0] + _SIG[0][1] @ _SIG[1][1]
+
+
+def _commutator(h: np.ndarray) -> np.ndarray:
+    """-i [h, .] on the row-major vec(rho): -i (h (x) 1 - 1 (x) h^T)."""
+    return -1j * (np.kron(h, _I4) - np.kron(_I4, h.T))
+
+
+def _dissipator_term(si: np.ndarray, sj: np.ndarray) -> np.ndarray:
+    """s_j rho s_i - (1/2){s_i s_j, rho} on the row-major vec(rho)."""
+    return 0.5 * (2.0 * np.kron(sj, si.T) - np.kron(si @ sj, _I4) - np.kron(_I4, (si @ sj).T))
+
+
+# Nonzero entries (i, j, C_ij) of the 3x3 block C_ij = at delta_ij - i bt eps_ij3
+# (i, j < 3) per unit at and per unit bt; C_ij weights s_i of atom a with s_j of atom b.
+_UNIT_BLOCKS = (((0, 0, 1.0), (1, 1, 1.0)), ((0, 1, -1j), (1, 0, 1j)))
+
+# Constant tensor with one row per scalar of GeneratorMatrices, in the order
+# (omega0, a2, at1, bt1, at2, bt2): the operator that scalar multiplies on the
+# row-major vec(rho).  omega0 and a2 give the commutators with the free
+# splitting (1/2)(s3 x 1 + 1 x s3) and with -(s1 x s1 + s2 x s2); at1, bt1 sum
+# the dissipator over the same-atom pairs (a, b), at2, bt2 over the cross ones.
+_GENERATOR = np.array(
+    [_commutator(0.5 * (_SIG[0][2] + _SIG[1][2])), _commutator(-_FLIP_FLOP)]
+    + [sum(c * _dissipator_term(_SIG[a][i], _SIG[b][j]) for a, b in pairs for i, j, c in block)
+       for pairs in (((0, 0), (1, 1)), ((0, 1), (1, 0))) for block in _UNIT_BLOCKS]
+).reshape(6, 256)
+
+
+def h_ls_matrix(gen) -> np.ndarray:
+    """Field-induced Hamiltonian correction of a ``GeneratorMatrices`` as a 4x4 matrix, -a2 (s1 x s1 + s2 x s2)."""
+    return -gen.a2 * _FLIP_FLOP
+
+
+def superoperator(gen) -> np.ndarray:
+    """16x16 matrix generating d vec(rho)/d tau in row-major vectorization, as one contraction with _GENERATOR."""
+    weights = np.array((gen.omega0, gen.a2, gen.at1, gen.bt1, gen.at2, gen.bt2))
+    return np.einsum("k,kn->n", weights, _GENERATOR).reshape(16, 16)
 
 
 @dataclass(frozen=True)

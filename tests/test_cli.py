@@ -13,7 +13,7 @@ from scipy.linalg import expm
 
 from rcpi import cli, liouvillian
 from rcpi.cli import main
-from rcpi.config import ConfigError, config_from_dict, load_config
+from rcpi.config import MAX_GRID_POINTS, ConfigError, config_from_dict, load_config
 from rcpi.dicke import DickeState, ket, projector
 from rcpi.geometry import DeSitterPatch, ThermalBath
 from rcpi.liouvillian import build_coefficients, dissipator_coefficients, evolve
@@ -80,10 +80,14 @@ class TestConfig:
             ("shift", "atoms", "L", math.inf),
             ("sweep", "sweep", "L_min", math.nan),
             ("sweep", "sweep", "L_max", math.inf),
+            ("sweep", "sweep", "n_points", 10**15),
+            ("evolve", "evolve", "tau_max", 1e15),
+            ("evolve", "evolve", "stride", 1e-300),
         ],
         ids=[
             "evolve.tau_max-inf", "sweep.n_points-fractional", "tolerances.quad_abs_tol-nan", "tolerances.quad_abs_tol-inf",
             "atoms.mu-nan", "atoms.omega0-inf", "atoms.L-inf", "sweep.L_min-nan", "sweep.L_max-inf",
+            "sweep.n_points-1e15", "evolve.tau_max-1e15", "evolve.stride-1e-300",
         ],
     )
     def test_bad_value_exits_with_usage_error(self, tmp_path, capsys, command, section, field, value):
@@ -109,6 +113,32 @@ class TestConfig:
         cfg = write_config(tmp_path, {**DS_DOC, "atoms": atoms, "sweep": sweep})
         assert main([command, "--config", cfg]) == 1
         assert f"atoms.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, values, field",
+        [
+            ("sweep", {"n_points": MAX_GRID_POINTS}, None),
+            ("sweep", {"n_points": MAX_GRID_POINTS + 1}, "n_points"),
+            ("sweep", {"n_points": 10**15}, "n_points"),
+            # floor(tau_max / stride) + 1 grid points.
+            ("evolve", {"tau_max": MAX_GRID_POINTS - 1.0, "stride": 1.0}, None),
+            ("evolve", {"tau_max": float(MAX_GRID_POINTS), "stride": 1.0}, "stride"),
+            ("evolve", {"tau_max": 1e15, "stride": 1.0}, "stride"),
+            ("evolve", {"tau_max": 1.0, "stride": 1e-300}, "stride"),
+            ("evolve", {"tau_max": 1e300, "stride": 5e-324}, "stride"),
+        ],
+        ids=["sweep-at-cap", "sweep-over-cap", "sweep-1e15", "evolve-at-cap", "evolve-over-cap",
+             "evolve-1e15", "evolve-stride-1e-300", "evolve-infinite-ratio"],
+    )
+    def test_grid_size_is_capped_at_load(self, section, values, field):
+        # Only loaded, never run: a grid at the cap takes gigabytes.
+        base = {"sweep": {"L_min": 0.1, "L_max": 10.0, "n_points": 10}, "evolve": {"rho0": "E", "tau_max": 1.0, "stride": 0.5}}
+        doc = {**DS_DOC, section: {**base[section], **values}}
+        if field is None:
+            config_from_dict(doc)
+        else:
+            with pytest.raises(ConfigError, match=rf"{section}\.{field}.*{MAX_GRID_POINTS}"):
+                config_from_dict(doc)
 
     def test_json_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -435,7 +465,8 @@ class TestImportSurface:
             "import importlib.util, sys, rcpi.cli; "
             "assert 'rcpi.spectral' not in sys.modules, 'import rcpi.cli loads rcpi.spectral'; "
             "assert importlib.util.find_spec('rcpi.correlators') is None, 'rcpi.correlators still imports'; "
-            "assert 'scipy.integrate' not in sys.modules, 'import rcpi.cli loads scipy.integrate'"
+            "assert 'scipy.integrate' not in sys.modules, 'import rcpi.cli loads scipy.integrate'; "
+            "assert 'scipy.linalg' not in sys.modules, 'import rcpi.cli loads scipy.linalg'"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)

@@ -12,7 +12,6 @@ from rcpi.geometry import (
     kappa,
     local_temperature,
     response_shape,
-    ricci_scalar,
 )
 from rcpi.spectral import geometric_factor_f, sinc
 
@@ -101,15 +100,6 @@ class TestResponseShape:
         patch = DeSitterPatch(1.0, 0.6)
         assert field_temperature(patch) == local_temperature(patch).T
         assert field_temperature(ThermalBath(0.7)) == 0.7
-
-
-class TestRicci:
-    def test_values(self):
-        assert ricci_scalar(DeSitterPatch(1.0)) == 12.0
-        assert ricci_scalar(DeSitterPatch(2.0)) == 3.0
-
-    def test_flat_limit(self):
-        assert ricci_scalar(DeSitterPatch(1e8)) < 1.3e-15
 
 
 class TestSeparation:

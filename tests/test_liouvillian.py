@@ -3,24 +3,23 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from rcpi import liouvillian
+from oracles import h_ls_matrix, superoperator
 from rcpi.dicke import DickeState, ket, projector
 from rcpi.geometry import DeSitterPatch, ThermalBath, kappa
 from rcpi.liouvillian import (
     EvolutionError,
     GeneratorMatrices,
-    TwoQubitState,
     assemble_generator,
     build_coefficients,
     dicke_population_rate,
     dissipator_coefficients,
     evolve,
-    h_ls_matrix,
     hamiltonian_cross_coefficients,
-    superoperator,
+    rate_matrix,
 )
 from rcpi.quadrature import rcpi_integral
 from rcpi.spectral import fourier_desitter_cross, fourier_desitter_same, fourier_thermal_minkowski
@@ -38,6 +37,26 @@ _PAIR_SIG = ([np.kron(s, np.eye(2)) for s in _S], [np.kron(np.eye(2), s) for s i
 
 def _commutator(h):
     return -1j * (np.kron(h, np.eye(4)) - np.kron(np.eye(4), h.T))
+
+
+# Rows are the Dicke kets (G, E, S, A) in the product basis.
+_KETS = np.array([ket(s) for s in (DickeState.G, DickeState.E, DickeState.S, DickeState.A)])
+
+
+def _dicke_matrix(rho):
+    """<k|rho|l> over the Dicke basis, for one 4x4 rho or a stack of them."""
+    return np.einsum("ki,...ij,lj->...kl", _KETS.conj(), rho, _KETS)
+
+
+def _dicke_mixture(p):
+    """sum_k p_k |k><k| in the product basis."""
+    return np.einsum("k,ki,kj->ij", np.asarray(p, dtype=float), _KETS, _KETS.conj())
+
+
+def _oracle_states(gen, rho0, tau):
+    """rho(tau) = exp(M (tau - tau[0])) rho0 with the 16x16 oracle generator, one exponential per point."""
+    m = superoperator(gen)
+    return np.array([(expm(m * (t - tau[0])) @ rho0.reshape(16)).reshape(4, 4) for t in tau])
 
 
 @pytest.fixture(scope="module")
@@ -206,29 +225,34 @@ class TestGeneratorStructure:
             assert abs(np.trace(drho)) <= 1e-14 * np.linalg.norm(rho)
 
     def test_gibbs_state_is_stationary(self, gen_unit):
+        # Product-basis populations (1, x, x, x^2) are (1, x^2, x, x) in the Dicke order (G, E, S, A).
         x = math.exp(-2.0 * math.pi)
         gibbs = np.diag([1.0, x, x, x * x]).astype(complex)
         gibbs /= np.trace(gibbs).real
         m = superoperator(gen_unit)
         assert np.max(np.abs((m @ gibbs.reshape(16)).reshape(4, 4))) < 1e-15
+        assert np.max(np.abs(rate_matrix(gen_unit) @ np.array([1.0, x * x, x, x]))) < 1e-15
 
-
-class TestTwoQubitState:
-    def test_accepts_dicke_projectors(self):
-        for s in DickeState:
-            st = TwoQubitState.from_dicke(s)
-            pops = st.dicke_populations()
-            assert pops[list(DickeState).index(s)] == pytest.approx(1.0, abs=1e-14)
-
-    def test_rejects_bad_matrices(self):
-        with pytest.raises(ValueError):
-            TwoQubitState(np.eye(4))  # trace 4
-        bad = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        bad[0, 1] = 1e-6  # not hermitian
-        with pytest.raises(ValueError):
-            TwoQubitState(bad)
-        with pytest.raises(ValueError):
-            TwoQubitState(np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rate_matrix_is_the_population_block(self, seed):
+        # In the Dicke basis the oracle generator maps populations to populations and
+        # coherences to coherences, and its population block is the rate matrix.
+        rng = np.random.default_rng(seed)
+        at1, bt1 = rng.uniform(0.1, 2.0), rng.uniform(-2.0, 2.0)
+        at2, bt2 = at1 * rng.uniform(-1.0, 1.0), bt1 * rng.uniform(-1.0, 1.0)
+        gen = GeneratorMatrices(rng.uniform(0.1, 3.0), rng.uniform(-1.0, 1.0), at1=at1, bt1=bt1, at2=at2, bt2=bt2)
+        m = superoperator(gen)
+        # images[k, l] = the Dicke matrix of M applied to |k><l|.
+        images = np.array([[_dicke_matrix((m @ np.outer(u, v.conj()).reshape(16)).reshape(4, 4))
+                            for v in _KETS] for u in _KETS])
+        diagonal = np.eye(4, dtype=bool)
+        scale = np.max(np.abs(m))
+        assert np.max(np.abs(images[diagonal][:, ~diagonal])) <= 1e-15 * scale
+        assert np.max(np.abs(images[~diagonal][:, diagonal])) <= 1e-15 * scale
+        block = np.array([[images[l, l, k, k] for l in range(4)] for k in range(4)])
+        r = rate_matrix(gen)
+        assert np.max(np.abs(block - r)) <= 1e-15 * scale
+        assert np.max(np.abs(r.sum(axis=0))) <= 1e-15 * scale
 
 
 class TestRates:
@@ -248,6 +272,46 @@ class TestRates:
 
 
 class TestEvolve:
+    @pytest.mark.parametrize("n", (51, 1001))
+    @pytest.mark.parametrize("L", (0.1, 1.0, 30.0))
+    @pytest.mark.parametrize(
+        "spacetime", (DeSitterPatch(1.0, 0.4), ThermalBath(0.7), ThermalBath(0.0)),
+        ids=["desitter-r0.4", "thermal-T0.7", "thermal-T0"],
+    )
+    def test_matches_oracle_on_regime_grid(self, spacetime, L, n):
+        # From each Dicke start, the populations and the minimum eigenvalue agree with the
+        # exact exponential of the 16x16 oracle generator taken at every point.
+        gen = build_coefficients(spacetime, 1.0, 0.5, L)
+        tau = np.linspace(0.0, 200.0, n)
+        for s in DickeState:
+            traj = evolve(projector(s), gen, tau)
+            exact = _oracle_states(gen, projector(s), tau)
+            pops = np.einsum("nkk->nk", _dicke_matrix(exact)).real
+            min_eig = np.linalg.eigvalsh(0.5 * (exact + exact.conj().transpose(0, 2, 1)))[:, 0]
+            assert np.max(np.abs(traj.populations - pops)) <= 1e-12
+            assert np.max(np.abs(traj.min_eigenvalue - min_eig)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "rho0",
+        [
+            # A superposition of G and S, a product state |ge><ge| (an S-A coherence of 1/2),
+            # and E with a coherence to A just above the limit.
+            _dicke_mixture([0.5, 0.0, 0.5, 0.0]) + 0.5 * (np.outer(_KETS[0], _KETS[2]) + np.outer(_KETS[2], _KETS[0])),
+            np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex),
+            projector(DickeState.E) + 2e-12 * np.outer(_KETS[1], _KETS[3]),
+            np.full((4, 4), math.nan),
+        ],
+        ids=["G+S", "ge", "E-coherence-2e-12", "nan"],
+    )
+    def test_rejects_a_start_with_dicke_coherence(self, gen_unit, rho0):
+        with pytest.raises(ValueError, match="Dicke-diagonal"):
+            evolve(rho0, gen_unit, [0.0, 1.0])
+
+    def test_accepts_a_dicke_coherence_within_the_limit(self, gen_unit):
+        rho0 = projector(DickeState.E) + 5e-13 * np.outer(_KETS[1], _KETS[3])
+        traj = evolve(rho0, gen_unit, [0.0, 1.0])
+        assert traj.populations[0] == pytest.approx([0.0, 1.0, 0.0, 0.0], abs=1e-15)
+
     def test_contracts_along_trajectories(self, gen_unit):
         for s in DickeState:
             traj = evolve(projector(s), gen_unit, np.linspace(0.0, 50.0, 26))
@@ -255,18 +319,8 @@ class TestEvolve:
             assert np.max(traj.hermiticity_defect) <= 1e-10
             assert np.min(traj.min_eigenvalue) >= -1e-8
 
-    def test_unexcited_modes_stay_bounded(self):
-        # With these cross coefficients DOP853 once let its step grow past the
-        # stability limit on modes the initial states do not excite, and the
-        # hermiticity defect reached 6.7e-9.
-        gen = dataclasses.replace(build_coefficients(PATCH, 1.0, 0.5, 1.0), a2=0.005084946113404615)
-        for s in DickeState:
-            traj = evolve(projector(s), gen, np.linspace(0.0, 50.0, 26))
-            assert np.max(traj.hermiticity_defect) <= 1e-10
-
     def test_batched_diagnostics_match_per_point_loop(self, gen_unit):
-        psi = (ket(DickeState.G) + ket(DickeState.S) + 1j * ket(DickeState.E)) / math.sqrt(3.0)
-        traj = evolve(np.outer(psi, psi.conj()), gen_unit, np.linspace(0.0, 20.0, 11))
+        traj = evolve(_dicke_mixture([0.1, 0.2, 0.3, 0.4]), gen_unit, np.linspace(0.0, 20.0, 11))
         for i, r in enumerate(traj.rho):
             assert traj.trace[i] == pytest.approx(np.trace(r).real, abs=1e-15)
             assert traj.hermiticity_defect[i] == np.max(np.abs(r - r.conj().T))
@@ -275,23 +329,24 @@ class TestEvolve:
             assert traj.populations[i] == pytest.approx(pops, abs=1e-15)
 
     def test_closed_system_limit(self):
-        # Zero dissipator: populations frozen, coherences rotate; compare with
-        # the exact unitary propagator.
+        # Zero dissipator: populations frozen, coherences rotate.  evolve keeps a Dicke
+        # mixture; the oracle generator matches the exact unitary propagator.
         gen = GeneratorMatrices(1.0, 0.0, at1=1e-300, bt1=0.0, at2=0.0, bt2=0.0)
+        tau = np.linspace(0.0, 10.0, 21)
+        traj = evolve(_dicke_mixture([0.4, 0.3, 0.2, 0.1]), gen, tau)
+        assert np.max(np.abs(traj.populations - traj.populations[0])) < 1e-9
         psi = (ket(DickeState.G) + ket(DickeState.S) + ket(DickeState.E)) / math.sqrt(3.0)
         rho0 = np.outer(psi, psi.conj())
-        tau = np.linspace(0.0, 10.0, 21)
-        traj = evolve(rho0, gen, tau)
-        assert np.max(np.abs(traj.populations - traj.populations[0])) < 1e-9
+        rhos = _oracle_states(gen, rho0, tau)
         h = 0.5 * gen.omega0 * (_PAIR_SIG[0][2] + _PAIR_SIG[1][2]) + h_ls_matrix(gen)
         worst = 0.0
         for i, t in enumerate(tau):
             u = expm(-1j * h * t)
-            worst = max(worst, np.max(np.abs(traj.rho[i] - u @ rho0 @ u.conj().T)))
+            worst = max(worst, np.max(np.abs(rhos[i] - u @ rho0 @ u.conj().T)))
         assert worst < 1e-8
         # The two-atom splitting shows up as coherences at omega0 and 2 omega0.
-        coh_ge = traj.rho[:, 0, 1]  # |gg><ge|-type element rotates at omega0
-        coh_gg_ee = traj.rho[:, 0, 3]  # |gg><ee| element rotates at 2 omega0
+        coh_ge = rhos[:, 0, 1]  # |gg><ge|-type element rotates at omega0
+        coh_gg_ee = rhos[:, 0, 3]  # |gg><ee| element rotates at 2 omega0
         phase1 = np.angle(coh_ge[1] / coh_ge[0])
         phase2 = np.angle(coh_gg_ee[1] / coh_gg_ee[0])
         dt = tau[1] - tau[0]
@@ -300,9 +355,8 @@ class TestEvolve:
 
     def test_matches_matrix_exponential(self, gen_unit):
         # evolve is the matrix exponential; the independent route is tightly
-        # toleranced adaptive DOP853 integration.
-        psi = (ket(DickeState.G) + ket(DickeState.S) + ket(DickeState.E)) / math.sqrt(3.0)
-        rho0 = np.outer(psi, psi.conj())
+        # toleranced adaptive DOP853 integration of the 16x16 oracle generator.
+        rho0 = _dicke_mixture([0.4, 0.3, 0.2, 0.1])
         tau = np.linspace(0.0, 30.0, 7)
         traj = evolve(rho0, gen_unit, tau)
         m = superoperator(gen_unit)
@@ -327,7 +381,7 @@ class TestEvolve:
     )
     def test_non_uniform_grid_matches_matrix_exponential(self, gen_unit, monkeypatch, tau, exponentials):
         calls = []
-        monkeypatch.setattr(liouvillian, "expm", lambda a: calls.append(a) or expm(a))
+        monkeypatch.setattr(scipy.linalg, "expm", lambda a: calls.append(a) or expm(a))
         rho0 = projector(DickeState.E)
         traj = evolve(rho0, gen_unit, tau)
         assert len(calls) == exponentials
@@ -337,7 +391,7 @@ class TestEvolve:
             assert np.max(np.abs(traj.rho[i] - exact)) <= 1e-12
 
     def test_overflowing_generator_raises(self):
-        gen = GeneratorMatrices(1e200, 0.0, at1=1.0, bt1=0.5, at2=0.0, bt2=0.0)
+        gen = GeneratorMatrices(1.0, 0.0, at1=1e300, bt1=5e299, at2=0.0, bt2=0.0)
         with pytest.raises(EvolutionError, match="non-finite"):
             evolve(projector(DickeState.E), gen, [0.0, 1.0])
 
