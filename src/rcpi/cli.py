@@ -13,14 +13,11 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
 from .dicke import DickeState, projector
 from .discriminator import (
     Classification,
-    InsufficientOscillationsError,
     classify,
     envelope_points,
     fit_power_law,
@@ -124,19 +121,12 @@ def cmd_shift(cfg: RunConfig, out: str | None) -> int:
     return EXIT_OK
 
 
-def _sweep_grid(cfg: RunConfig) -> np.ndarray:
-    sw = cfg.sweep
-    if sw.spacing == "log":
-        return np.geomspace(sw.L_min, sw.L_max, sw.n_points)
-    return np.linspace(sw.L_min, sw.L_max, sw.n_points)
-
-
 def cmd_sweep(cfg: RunConfig, out: str | None) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep: section is required for the sweep command")
-    grid = _sweep_grid(cfg)
+    grid = cfg.sweep.grid()
     dE_S = rcpi_closed(cfg.spacetime, grid, cfg.atoms.omega0, cfg.atoms.mu, DickeState.S)
-    write_sweep_csv(out or cfg.output.path or sys.stdout, grid, dE_S)
+    write_sweep_csv(out or sys.stdout, grid, dE_S)
     return EXIT_OK
 
 
@@ -145,12 +135,8 @@ def cmd_evolve(cfg: RunConfig, out: str | None) -> int:
         raise ConfigError("evolve: section is required for the evolve command")
     L = cfg.atoms.separation()
     gen = build_coefficients(cfg.spacetime, cfg.atoms.omega0, cfg.atoms.mu, L)
-    n = int(np.floor(cfg.evolve.tau_max / cfg.evolve.stride + 1e-9)) + 1
-    tau = np.arange(n) * cfg.evolve.stride
-    if tau[-1] < cfg.evolve.tau_max - 1e-12 * cfg.evolve.tau_max:
-        tau = np.append(tau, cfg.evolve.tau_max)
-    traj = evolve(projector(DickeState(cfg.evolve.rho0)), gen, tau)
-    traj.to_csv(out or cfg.output.path or sys.stdout)
+    traj = evolve(projector(DickeState(cfg.evolve.rho0)), gen, cfg.evolve.grid())
+    traj.to_csv(out or sys.stdout)
     return EXIT_OK
 
 
@@ -192,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             return cmd_validate(args.level, args.out)
         raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
-    except (ConfigError, FileNotFoundError, InsufficientOscillationsError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ConfigError and InsufficientOscillationsError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (QuadratureError, EvolutionError) as exc:

@@ -1,7 +1,8 @@
 """Run configuration: a flat JSON document mapped onto dataclasses.
 
 Each dataclass checks its fields as it is built and raises a ``ConfigError``
-that names the offending field; the CLI maps it to exit code 1.
+naming the field; ``_section`` turns any other error of a section's fields into
+one naming the section.  The CLI maps a ``ConfigError`` to exit code 1.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, euclidean_separation
 
@@ -18,8 +21,8 @@ class ConfigError(ValueError):
 
 
 # Most grid points a config may ask for, in a sweep or a trajectory.  A point
-# costs about 400 (sweep) to 800 (evolve) bytes of peak memory, mostly while the
-# CSV is formatted (see the README), so a run at the cap needs 4 to 8 GB.
+# costs about 35 (sweep) to 190 (evolve) bytes of peak memory (see the README),
+# so a run at the cap needs about 0.4 GB for a sweep and 2 GB for a trajectory.
 MAX_GRID_POINTS = 10**7
 
 
@@ -85,6 +88,12 @@ class SweepSettings:
         if self.spacing not in ("log", "linear"):
             raise ConfigError(f"sweep.spacing must be 'log' or 'linear', got {self.spacing!r}")
 
+    def grid(self) -> np.ndarray:
+        """The ``n_points`` separations from L_min to L_max, log- or linearly spaced."""
+        if self.spacing == "log":
+            return np.geomspace(self.L_min, self.L_max, self.n_points)
+        return np.linspace(self.L_min, self.L_max, self.n_points)
+
 
 @dataclass(frozen=True)
 class EvolveSettings:
@@ -105,6 +114,14 @@ class EvolveSettings:
                 f"{MAX_GRID_POINTS} grid points"
             )
 
+    def grid(self) -> np.ndarray:
+        """0, stride, 2 stride, ... up to tau_max, with tau_max appended when the stride misses it."""
+        n = int(np.floor(self.tau_max / self.stride + 1e-9)) + 1
+        tau = np.arange(n) * self.stride
+        if tau[-1] < self.tau_max - 1e-12 * self.tau_max:
+            tau = np.append(tau, self.tau_max)
+        return tau
+
 
 @dataclass(frozen=True)
 class ToleranceSettings:
@@ -119,69 +136,54 @@ class ToleranceSettings:
 
 
 @dataclass(frozen=True)
-class OutputSettings:
-    path: str | None = None
-
-
-@dataclass(frozen=True)
 class RunConfig:
     spacetime: SpacetimeConfig
     atoms: AtomPair
     sweep: SweepSettings | None = None
     evolve: EvolveSettings | None = None
     tolerances: ToleranceSettings = field(default_factory=ToleranceSettings)
-    output: OutputSettings = field(default_factory=OutputSettings)
 
 
-def _spacetime_from_dict(d: dict) -> SpacetimeConfig:
-    kind = d.get("type")
-    try:
-        if kind == "desitter":
-            return DeSitterPatch(alpha=float(d["alpha"]), r=float(d.get("r", 0.0)))
-        if kind == "thermal":
-            return ThermalBath(temperature=float(d["temperature"]))
-    except KeyError as exc:
-        raise ConfigError(f"spacetime: missing field {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(f"spacetime: {exc}") from None
-    raise ConfigError(f"spacetime.type must be 'desitter' or 'thermal', got {kind!r}")
+_SPACETIMES = {"desitter": DeSitterPatch, "thermal": ThermalBath}
 
 
-def _section(cls, d: dict | None, name: str):
+def _spacetime(**fields) -> SpacetimeConfig:
+    """The spacetime that the ``type`` field names, built from the other fields of the section."""
+    kind = fields.pop("type", None)
+    if not (isinstance(kind, str) and kind in _SPACETIMES):
+        raise ConfigError(f"spacetime.type must be 'desitter' or 'thermal', got {kind!r}")
+    return _SPACETIMES[kind](**fields)
+
+
+def _section(build, d: dict | None, name: str):
+    """``build(**d)``, with any error the fields cause reported as a ConfigError naming the section."""
     if d is None:
         return None
     if not isinstance(d, dict):
         raise ConfigError(f"{name}: expected an object, got {type(d).__name__}")
     try:
-        return cls(**d)
-    except TypeError as exc:
+        return build(**d)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
 
 def config_from_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("configuration document must be a JSON object")
-    unknown = set(doc) - {"spacetime", "atoms", "sweep", "evolve", "tolerances", "output"}
+    unknown = set(doc) - {"spacetime", "atoms", "sweep", "evolve", "tolerances"}
     if unknown:
         raise ConfigError(f"unknown configuration fields: {sorted(unknown)}")
-    if "spacetime" not in doc:
-        raise ConfigError("spacetime: section is required")
-    if "atoms" not in doc:
-        raise ConfigError("atoms: section is required")
-    try:
-        spacetime = _spacetime_from_dict(doc["spacetime"])
-        atoms = _section(AtomPair, doc["atoms"], "atoms")
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    for name in ("spacetime", "atoms"):
+        if doc.get(name) is None:
+            raise ConfigError(f"{name}: section is required")
     return RunConfig(
-        spacetime=spacetime,
-        atoms=atoms,
+        spacetime=_section(_spacetime, doc["spacetime"], "spacetime"),
+        atoms=_section(AtomPair, doc["atoms"], "atoms"),
         sweep=_section(SweepSettings, doc.get("sweep"), "sweep"),
         evolve=_section(EvolveSettings, doc.get("evolve"), "evolve"),
         tolerances=_section(ToleranceSettings, doc.get("tolerances"), "tolerances") or ToleranceSettings(),
-        output=_section(OutputSettings, doc.get("output"), "output") or OutputSettings(),
     )
 
 

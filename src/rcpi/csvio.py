@@ -21,13 +21,19 @@ def _open(path_or_buf, mode: str):
     return contextlib.nullcontext(path_or_buf)
 
 
+# Rows converted and formatted at a time, so a file's text is never held whole.
+_BLOCK_ROWS = 1 << 14
+
+
 def write_columns(path_or_buf, header: tuple[str, ...], columns) -> None:
     """Write equal-length columns under the header, one row per index."""
     row = ",".join(["%.17g"] * len(header)) + "\r\n"
-    values = [np.asarray(c, dtype=float).tolist() for c in columns]
+    arrays = [np.asarray(c, dtype=float) for c in columns]
     with _open(path_or_buf, "w") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.write("".join(row % r for r in zip(*values)))
+        for start in range(0, len(arrays[0]), _BLOCK_ROWS):
+            block = [a[start : start + _BLOCK_ROWS].tolist() for a in arrays]
+            fh.write("".join(row % r for r in zip(*block)))
 
 
 def read_columns(path_or_buf, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:

@@ -127,6 +127,8 @@ def envelope_points(L, dE_S) -> tuple[np.ndarray, np.ndarray]:
     """
     L = np.asarray(L, dtype=float)
     v = np.asarray(dE_S, dtype=float)
+    if L.shape != v.shape:
+        raise ValueError(f"L and dE_S must have the same shape, got {L.shape} and {v.shape}")
     if L.size < 5:
         raise InsufficientOscillationsError("need at least 5 samples to look for an envelope")
     if not (np.all(np.isfinite(L) & (L > 0)) and np.all(np.isfinite(v))):
@@ -200,20 +202,21 @@ def fit_power_law(
     )
 
 
-def classify(
-    fit: PowerLawFit,
-    desitter_band: tuple[float, float] = (1.8, 2.2),
-    flat_band: tuple[float, float] = (0.8, 1.2),
-) -> Classification:
+# Exponent bands of the verdicts: 2 is the curved far-zone law, 1 the flat/thermal law.
+DESITTER_BAND = (1.8, 2.2)
+FLAT_BAND = (0.8, 1.2)
+
+
+def classify(fit: PowerLawFit) -> Classification:
     """Threshold rule on the fitted exponent, with the crossover left honest."""
     p = fit.exponent
     notes = (
         f"exponent {p:.4f} over window [{fit.window[0]:.6g}, {fit.window[1]:.6g}] "
         f"({fit.n_points} envelope points, residual rms {fit.residual_rms:.2e})"
     )
-    if desitter_band[0] <= p <= desitter_band[1]:
+    if DESITTER_BAND[0] <= p <= DESITTER_BAND[1]:
         return Classification(Verdict.DESITTER_FAR, fit, notes + "; consistent with a curved far-zone 1/L^2 law")
-    if flat_band[0] <= p <= flat_band[1]:
+    if FLAT_BAND[0] <= p <= FLAT_BAND[1]:
         return Classification(Verdict.FLAT_OR_THERMAL, fit, notes + "; consistent with the flat/thermal 1/L law")
     return Classification(
         Verdict.INDETERMINATE, fit, notes + "; between the two laws (crossover region or mixed window)"

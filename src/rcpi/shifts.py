@@ -114,6 +114,7 @@ def rcpi_quadrature(
     rel_tol: float = 1e-7,
 ) -> tuple[float, float]:
     """Interaction energy by direct numerical quadrature; returns (value, error estimate)."""
+    _require_positive(mu=mu)
     res = rcpi_integral(spacetime, omega0, L, abs_tol=abs_tol, rel_tol=rel_tol)
     scale = mu * mu / (4.0 * math.pi**2)
     return _entangled_sign(state) * scale * res.value, scale * res.error

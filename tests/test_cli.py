@@ -11,9 +11,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rcpi import cli, liouvillian
+from rcpi import cli, csvio, liouvillian
 from rcpi.cli import main
-from rcpi.config import MAX_GRID_POINTS, ConfigError, config_from_dict, load_config
+from rcpi.config import (
+    MAX_GRID_POINTS,
+    ConfigError,
+    EvolveSettings,
+    SweepSettings,
+    config_from_dict,
+    load_config,
+)
 from rcpi.dicke import DickeState, ket, projector
 from rcpi.geometry import DeSitterPatch, ThermalBath
 from rcpi.liouvillian import build_coefficients, dissipator_coefficients, evolve
@@ -48,6 +55,18 @@ class TestConfig:
             ({"sweep": {"L_min": 5.0, "L_max": 1.0, "n_points": 10}}, "L_min < L_max"),
             ({"evolve": {"rho0": "X", "tau_max": 1.0, "stride": 0.1}}, "rho0"),
             ({"bogus": {}}, "unknown"),
+            pytest.param({"spacetime": "desitter"}, "spacetime: expected an object", id="spacetime-string"),
+            pytest.param({"spacetime": {"type": "desitter", "alpha": None}}, "spacetime: ", id="alpha-null"),
+            pytest.param({"spacetime": {"type": "thermal", "temperature": [1]}}, "spacetime: ", id="temperature-list"),
+            pytest.param({"spacetime": {"type": "desitter", "alpha": "1.0"}}, "spacetime: ", id="alpha-string"),
+            pytest.param({"spacetime": {"type": "desitter", "alpha": 10**400}}, "spacetime: ", id="alpha-400-digits"),
+            pytest.param(
+                {"spacetime": {"type": "desitter", "alpha": 1.0, "temperature": 3}}, "spacetime: .*temperature",
+                id="desitter-with-temperature",
+            ),
+            pytest.param({"spacetime": None}, "spacetime: section is required", id="spacetime-null"),
+            pytest.param({"atoms": {"omega0": 10**400, "mu": 0.1, "L": 1.0}}, "atoms: ", id="omega0-400-digits"),
+            pytest.param({"output": {"path": 5}}, r"unknown configuration fields: \['output'\]", id="output-path"),
         ],
     )
     def test_validation_messages(self, mutation, fragment):
@@ -56,17 +75,18 @@ class TestConfig:
             config_from_dict(doc)
 
     @pytest.mark.parametrize(
-        "section, field, value",
-        [("tolerances", "ode_rtol", 1e-10), ("output", "format", "csv")],
+        "section, field, value, name",
+        [("tolerances", "ode_rtol", 1e-10, "ode_rtol"), ("output", "format", "csv", "'output'")],
         ids=["tolerances.ode_rtol", "output.format"],
     )
-    def test_removed_field_is_rejected(self, tmp_path, capsys, section, field, value):
+    def test_removed_field_is_rejected(self, tmp_path, capsys, section, field, value, name):
+        # A removed field, or a removed section, is rejected by name.
         doc = {**DS_DOC, section: {field: value}}
-        with pytest.raises(ConfigError, match=field):
+        with pytest.raises(ConfigError, match=name):
             config_from_dict(doc)
         cfg = write_config(tmp_path, {**doc, "evolve": {"rho0": "E", "tau_max": 1.0, "stride": 0.5}})
         assert main(["evolve", "--config", cfg]) == 1
-        assert field in capsys.readouterr().err
+        assert name in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, section, field, value",
@@ -139,6 +159,23 @@ class TestConfig:
         else:
             with pytest.raises(ConfigError, match=rf"{section}\.{field}.*{MAX_GRID_POINTS}"):
                 config_from_dict(doc)
+
+    def test_evolve_grid_appends_tau_max(self):
+        # The stride misses tau_max = 10, so the grid ends 9.9, 10.
+        tau = EvolveSettings(rho0="E", tau_max=10.0, stride=0.3).grid()
+        np.testing.assert_array_equal(tau, np.append(np.arange(34) * 0.3, 10.0))
+        np.testing.assert_array_equal(EvolveSettings(rho0="E", tau_max=1.5, stride=0.5).grid(), [0.0, 0.5, 1.0, 1.5])
+
+    def test_linear_sweep_grid(self):
+        np.testing.assert_array_equal(SweepSettings(1.0, 3.0, 3, "linear").grid(), [1.0, 2.0, 3.0])
+
+    def test_integer_field_gives_the_float_result(self, tmp_path, capsys):
+        outs = []
+        for alpha in (1, 1.0):
+            cfg = write_config(tmp_path, {**DS_DOC, "spacetime": {"type": "desitter", "alpha": alpha}})
+            assert main(["shift", "--config", cfg]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
 
     def test_json_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -342,6 +379,16 @@ class TestCsvBytes:
         assert out.read_bytes() == per_row_csv(["tau", "pG", "pE", "pS", "pA", "trace", "min_eig"], rows)
 
 
+def test_csv_written_in_blocks_matches_per_row_writer(monkeypatch):
+    # Blocks of 7 rows: 23 rows are three full blocks and a partial one.
+    monkeypatch.setattr(csvio, "_BLOCK_ROWS", 7)
+    cols = np.random.default_rng(1).standard_normal((3, 23))
+    for n in (23, 21, 0):
+        buf = io.StringIO()
+        csvio.write_columns(buf, ("a", "b", "c"), cols[:, :n])
+        assert buf.getvalue().encode() == per_row_csv(["a", "b", "c"], cols[:, :n].T.tolist())
+
+
 class TestDiscriminateCommand:
     def run_pipeline(self, tmp_path, capsys, spacetime, omega0, L_min, L_max, extra=()):
         doc = {
@@ -443,6 +490,15 @@ class TestExitCodes:
     def test_missing_config_file(self, capsys):
         assert main(["shift", "--config", "/nonexistent/cfg.json"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["discriminate", "{dir}"], ["shift", "--config", "{dir}"], ["validate", "--out", "{dir}"]],
+        ids=["discriminate-input", "config", "validate-out"],
+    )
+    def test_directory_path_is_a_usage_error(self, tmp_path, capsys, argv):
+        assert main([a.format(dir=tmp_path) for a in argv]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_bad_config_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"spacetime": {"type": "desitter", "alpha": -1.0}, "atoms": {"omega0": 1, "mu": 1, "L": 1}})

@@ -97,6 +97,12 @@ class TestExtractEnvelope:
         with pytest.raises(ValueError, match="finite"):
             envelope_points(L, np.cos(L) / np.abs(L))
 
+    def test_mismatched_lengths_rejected(self):
+        L = np.geomspace(10.0, 100.0, 10)
+        x = np.geomspace(10.0, 100.0, 11)
+        with pytest.raises(ValueError, match="same shape"):
+            envelope_points(L, np.cos(x) / x)
+
     def test_desitter_far_envelope_matches_curved_law(self):
         # Fast oscillation (omega0 kappa = 10) so the product maxima sit on
         # the envelope: (mu^2 / 2 pi) kappa / L^2 within 1%.

@@ -81,8 +81,12 @@ class TestClosedForms:
             (lambda: rcpi_closed(PATCH, 1.0, math.nan, 0.1), "omega0"),
             (lambda: rcpi_asymptotic(math.nan, 1.0, 1.0, 0.1, Regime.FAR), "L"),
             (lambda: rcpi_closed_minkowski(math.inf, 1.0, 0.1), "L"),
+            (lambda: rcpi_quadrature(PATCH, 1.0, 1.0, math.nan), "mu"),
+            (lambda: rcpi_quadrature(PATCH, 1.0, 1.0, 0.0), "mu"),
+            (lambda: rcpi_quadrature(ThermalBath(0.5), 1.0, 1.0, -1.0), "mu"),
         ],
-        ids=["desitter-nan-L", "desitter-nan-omega0", "asymptotic-nan-L", "minkowski-inf-L"],
+        ids=["desitter-nan-L", "desitter-nan-omega0", "asymptotic-nan-L", "minkowski-inf-L",
+             "quadrature-nan-mu", "quadrature-zero-mu", "quadrature-negative-mu"],
     )
     def test_rejects_non_finite_or_non_positive_input(self, call, name):
         with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
