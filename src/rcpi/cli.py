@@ -96,7 +96,7 @@ def _regime_hint(ratio: float) -> str:
 
 
 def cmd_shift(cfg: RunConfig, out: str | None) -> int:
-    L = cfg.atoms.separation()
+    L = cfg.atoms.L
     report: dict = {"L": L}
     if isinstance(cfg.spacetime, DeSitterPatch):
         k = kappa(cfg.spacetime)
@@ -133,8 +133,7 @@ def cmd_sweep(cfg: RunConfig, out: str | None) -> int:
 def cmd_evolve(cfg: RunConfig, out: str | None) -> int:
     if cfg.evolve is None:
         raise ConfigError("evolve: section is required for the evolve command")
-    L = cfg.atoms.separation()
-    gen = build_coefficients(cfg.spacetime, cfg.atoms.omega0, cfg.atoms.mu, L)
+    gen = build_coefficients(cfg.spacetime, cfg.atoms.omega0, cfg.atoms.mu, cfg.atoms.L)
     traj = evolve(projector(DickeState(cfg.evolve.rho0)), gen, cfg.evolve.grid())
     traj.to_csv(out or sys.stdout)
     return EXIT_OK

@@ -1,8 +1,10 @@
 """Run configuration: a flat JSON document mapped onto dataclasses.
 
-Each dataclass checks its fields as it is built and raises a ``ConfigError``
-naming the field; ``_section`` turns any other error of a section's fields into
-one naming the section.  The CLI maps a ``ConfigError`` to exit code 1.
+Every value is a JSON number or string; ``_section`` rejects any other by
+naming the field.  Each dataclass checks its fields as it is built and raises
+a ``ConfigError`` naming the field; ``_section`` turns any other error of a
+section's fields into one naming the section.  The CLI maps a ``ConfigError``
+to exit code 1.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, euclidean_separation
+from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath
 
 
 class ConfigError(ValueError):
@@ -21,8 +23,8 @@ class ConfigError(ValueError):
 
 
 # Most grid points a config may ask for, in a sweep or a trajectory.  A point
-# costs about 35 (sweep) to 190 (evolve) bytes of peak memory (see the README),
-# so a run at the cap needs about 0.4 GB for a sweep and 2 GB for a trajectory.
+# costs about 35 (sweep) to 60 (evolve) bytes of peak memory (see the README),
+# so a run at the cap needs about 0.4 GB for a sweep and 0.6 GB for a trajectory.
 MAX_GRID_POINTS = 10**7
 
 
@@ -33,40 +35,19 @@ def _require_positive_finite(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class AtomPair:
-    """Transition frequency, coupling, and separation of the two probes.
+    """Transition frequency, coupling, and separation L of the two probes.
 
-    The separation is either the chord distance L directly, or the pair
-    (r, delta_theta) on the sphere of static radius r, which gives the chord
-    L = 2 r sin(delta_theta / 2).  L and spacetime.r are independent inputs:
-    spacetime.r enters only through kappa = sqrt(alpha^2 - r^2), and no route
-    requires L <= 2 spacetime.r.
+    L enters the cross response through ``geometry.response_shape``; the
+    static radius the pair shares is ``spacetime.r``, which sets kappa.
     """
 
     omega0: float
     mu: float
-    L: float | None = None
-    r: float | None = None
-    delta_theta: float | None = None
+    L: float
 
     def __post_init__(self) -> None:
-        for name in ("omega0", "mu"):
+        for name in ("omega0", "mu", "L"):
             _require_positive_finite(f"atoms.{name}", getattr(self, name))
-        by_angle = self.r is not None or self.delta_theta is not None
-        if self.L is None and not (self.r is not None and self.delta_theta is not None):
-            raise ConfigError("atoms: give either L or both r and delta_theta")
-        if self.L is not None and by_angle:
-            raise ConfigError("atoms: give L or (r, delta_theta), not both")
-        if self.L is not None:
-            _require_positive_finite("atoms.L", self.L)
-        else:
-            _require_positive_finite("atoms.r", self.r)
-            if not 0.0 < self.delta_theta <= math.pi:
-                raise ConfigError(f"atoms.delta_theta must lie in (0, pi], got {self.delta_theta}")
-
-    def separation(self) -> float:
-        if self.L is not None:
-            return self.L
-        return euclidean_separation(self.r, self.delta_theta)
 
 
 @dataclass(frozen=True)
@@ -85,14 +66,12 @@ class SweepSettings:
             raise ConfigError(
                 f"sweep.n_points must be an integer from 2 to {MAX_GRID_POINTS}, got {self.n_points!r}"
             )
-        if self.spacing not in ("log", "linear"):
-            raise ConfigError(f"sweep.spacing must be 'log' or 'linear', got {self.spacing!r}")
+        if self.spacing != "log":
+            raise ConfigError(f"sweep.spacing must be 'log', got {self.spacing!r}")
 
     def grid(self) -> np.ndarray:
-        """The ``n_points`` separations from L_min to L_max, log- or linearly spaced."""
-        if self.spacing == "log":
-            return np.geomspace(self.L_min, self.L_max, self.n_points)
-        return np.linspace(self.L_min, self.L_max, self.n_points)
+        """The ``n_points`` log-spaced separations from L_min to L_max."""
+        return np.geomspace(self.L_min, self.L_max, self.n_points)
 
 
 @dataclass(frozen=True)
@@ -156,11 +135,18 @@ def _spacetime(**fields) -> SpacetimeConfig:
 
 
 def _section(build, d: dict | None, name: str):
-    """``build(**d)``, with any error the fields cause reported as a ConfigError naming the section."""
+    """``build(**d)``, with any error the fields cause reported as a ConfigError naming the section.
+
+    A value must be a JSON number or string; a bool, null, list or object is rejected with a
+    message naming ``section.field``, so ``true`` never reads as 1.
+    """
     if d is None:
         return None
     if not isinstance(d, dict):
         raise ConfigError(f"{name}: expected an object, got {type(d).__name__}")
+    for key, value in d.items():
+        if value is None or isinstance(value, (bool, list, dict)):
+            raise ConfigError(f"{name}.{key} must be a number or a string, got {json.dumps(value)}")
     try:
         return build(**d)
     except ConfigError:

@@ -23,7 +23,6 @@ __all__ = [
     "local_temperature",
     "field_temperature",
     "response_shape",
-    "euclidean_separation",
 ]
 
 
@@ -144,13 +143,3 @@ def response_shape(spacetime: SpacetimeConfig, L):
     if isinstance(spacetime, ThermalBath):
         return L, L
     raise TypeError(f"unsupported spacetime configuration: {spacetime!r}")
-
-
-def euclidean_separation(r: float, delta_theta: float) -> float:
-    """Chord distance 2 r sin(delta_theta / 2) between two points on the radius-r sphere."""
-    if not (math.isfinite(r) and r > 0):
-        raise ValueError(f"radius must be positive, got r={r}")
-    if not (0.0 < delta_theta <= math.pi):
-        raise ValueError(f"angular separation must lie in (0, pi], got {delta_theta}")
-    return 2.0 * r * math.sin(0.5 * delta_theta)
-

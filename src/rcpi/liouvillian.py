@@ -171,20 +171,29 @@ def dicke_population_rate(gen: GeneratorMatrices, state: DickeState) -> float:
 class Trajectory:
     """Solution of the master equation on a fixed output grid, with diagnostics.
 
-    ``rho`` is the Dicke-diagonal state sum_k p_k |k><k| in the product basis,
-    so its eigenvalues are the populations: the minimum eigenvalue is the
-    smallest population and the hermiticity defect is zero.  The trace, the
-    sum of the populations, is recorded per point rather than silently
-    repaired; drift in it is the cheapest global error meter for the
-    propagation.
+    The state is Dicke-diagonal, so ``populations`` holds all of it; ``rho``,
+    the state sum_k p_k |k><k| in the product basis, is built from them on
+    each access.  Its eigenvalues are the populations: the minimum eigenvalue
+    is the smallest population and the hermiticity defect is zero.  The
+    trace, the sum of the populations, is recorded per point rather than
+    silently repaired; drift in it is the cheapest global error meter for
+    the propagation.
     """
 
     tau: np.ndarray
-    rho: np.ndarray  # (n, 4, 4) real
     populations: np.ndarray  # (n, 4) order G, E, S, A
     trace: np.ndarray
-    hermiticity_defect: np.ndarray
     min_eigenvalue: np.ndarray
+
+    @property
+    def rho(self) -> np.ndarray:
+        """(n, 4, 4) real density matrices in the product basis."""
+        return np.einsum("nk,ki,kj->nij", self.populations, _DICKE_KETS, _DICKE_KETS)
+
+    @property
+    def hermiticity_defect(self) -> np.ndarray:
+        """max |rho - rho^H| per point: zero, since each ``rho`` is real and symmetric by construction."""
+        return np.zeros(len(self.populations))
 
     def to_csv(self, path_or_buf) -> None:
         """Write tau, Dicke populations, trace and minimum eigenvalue as CSV."""
@@ -260,7 +269,4 @@ def evolve(rho0, gen: GeneratorMatrices, tau_grid) -> Trajectory:
             RuntimeWarning,
             stacklevel=2,
         )
-    return Trajectory(
-        tau=tau, rho=np.einsum("nk,ki,kj->nij", pops, _DICKE_KETS, _DICKE_KETS), populations=pops,
-        trace=pops.sum(axis=1), hermiticity_defect=np.zeros(tau.size), min_eigenvalue=min_eig,
-    )
+    return Trajectory(tau=tau, populations=pops, trace=pops.sum(axis=1), min_eigenvalue=min_eig)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,11 +18,11 @@ from rcpi.config import (
     MAX_GRID_POINTS,
     ConfigError,
     EvolveSettings,
-    SweepSettings,
     config_from_dict,
     load_config,
 )
 from rcpi.dicke import DickeState, ket, projector
+from rcpi.discriminator import envelope_points, fit_power_law, read_sweep_csv
 from rcpi.geometry import DeSitterPatch, ThermalBath
 from rcpi.liouvillian import build_coefficients, dissipator_coefficients, evolve
 from rcpi.shifts import rcpi_closed
@@ -40,24 +41,29 @@ def write_config(tmp_path, doc, name="cfg.json"):
 
 
 class TestConfig:
-    def test_separation_from_angle(self):
-        doc = dict(DS_DOC)
-        doc["atoms"] = {"omega0": 1.0, "mu": 0.1, "r": 1.0, "delta_theta": math.pi / 3.0}
-        cfg = config_from_dict(doc)
-        assert cfg.atoms.separation() == pytest.approx(1.0, rel=1e-15)
-
     @pytest.mark.parametrize(
         "mutation, fragment",
         [
             ({"spacetime": {"type": "waterworld"}}, "spacetime.type"),
-            ({"atoms": {"omega0": 1.0, "mu": 0.1}}, "either L"),
-            ({"atoms": {"omega0": 1.0, "mu": 0.1, "L": 1.0, "r": 1.0, "delta_theta": 1.0}}, "not both"),
+            ({"atoms": {"omega0": 1.0, "mu": 0.1}}, "atoms: .*missing .*'L'"),
+            ({"atoms": {"omega0": 1.0, "mu": 0.1, "L": 1.0, "r": 1.0, "delta_theta": 1.0}}, "atoms: .*'r'"),
             ({"sweep": {"L_min": 5.0, "L_max": 1.0, "n_points": 10}}, "L_min < L_max"),
             ({"evolve": {"rho0": "X", "tau_max": 1.0, "stride": 0.1}}, "rho0"),
             ({"bogus": {}}, "unknown"),
             pytest.param({"spacetime": "desitter"}, "spacetime: expected an object", id="spacetime-string"),
-            pytest.param({"spacetime": {"type": "desitter", "alpha": None}}, "spacetime: ", id="alpha-null"),
-            pytest.param({"spacetime": {"type": "thermal", "temperature": [1]}}, "spacetime: ", id="temperature-list"),
+            pytest.param({"spacetime": {"type": "desitter", "alpha": None}}, r"spacetime\.alpha .*null", id="alpha-null"),
+            pytest.param(
+                {"spacetime": {"type": "thermal", "temperature": [1]}}, r"spacetime\.temperature .*\[1\]",
+                id="temperature-list",
+            ),
+            pytest.param({"spacetime": {"type": "desitter", "alpha": True}}, r"spacetime\.alpha .*true", id="alpha-true"),
+            pytest.param({"atoms": {"omega0": False, "mu": 0.1, "L": 1.0}}, r"atoms\.omega0 .*false", id="omega0-false"),
+            pytest.param({"atoms": {"omega0": None, "mu": 0.1, "L": 1.0}}, r"atoms\.omega0 .*null", id="omega0-null"),
+            pytest.param({"atoms": {"omega0": 1.0, "mu": {}, "L": 1.0}}, r"atoms\.mu .*\{\}", id="mu-object"),
+            pytest.param(
+                {"evolve": {"rho0": "E", "tau_max": True, "stride": 0.5}}, r"evolve\.tau_max .*true", id="tau_max-true"
+            ),
+            pytest.param({"evolve": {"rho0": "E", "tau_max": 1.0, "stride": True}}, r"evolve\.stride .*true", id="stride-true"),
             pytest.param({"spacetime": {"type": "desitter", "alpha": "1.0"}}, "spacetime: ", id="alpha-string"),
             pytest.param({"spacetime": {"type": "desitter", "alpha": 10**400}}, "spacetime: ", id="alpha-400-digits"),
             pytest.param(
@@ -76,17 +82,25 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "section, field, value, name",
-        [("tolerances", "ode_rtol", 1e-10, "ode_rtol"), ("output", "format", "csv", "'output'")],
-        ids=["tolerances.ode_rtol", "output.format"],
+        [
+            ("tolerances", "ode_rtol", 1e-10, "ode_rtol"),
+            ("output", "format", "csv", "'output'"),
+            ("atoms", "r", 1.0, "atoms: .*'r'"),
+            ("atoms", "delta_theta", 1.0, "atoms: .*'delta_theta'"),
+            ("sweep", "spacing", "linear", "sweep.spacing must be 'log', got 'linear'"),
+        ],
+        ids=["tolerances.ode_rtol", "output.format", "atoms.r", "atoms.delta_theta", "sweep.spacing-linear"],
     )
     def test_removed_field_is_rejected(self, tmp_path, capsys, section, field, value, name):
-        # A removed field, or a removed section, is rejected by name.
-        doc = {**DS_DOC, section: {field: value}}
+        # A removed field, field value or section is rejected by name: the separation is L alone,
+        # and a sweep is log-spaced.
+        base = {**DS_DOC, "sweep": {"L_min": 0.1, "L_max": 10.0, "n_points": 10}}
+        doc = {**base, section: {**base.get(section, {}), field: value}}
         with pytest.raises(ConfigError, match=name):
             config_from_dict(doc)
         cfg = write_config(tmp_path, {**doc, "evolve": {"rho0": "E", "tau_max": 1.0, "stride": 0.5}})
         assert main(["evolve", "--config", cfg]) == 1
-        assert name in capsys.readouterr().err
+        assert re.search(name, capsys.readouterr().err)
 
     @pytest.mark.parametrize(
         "command, section, field, value",
@@ -103,11 +117,15 @@ class TestConfig:
             ("sweep", "sweep", "n_points", 10**15),
             ("evolve", "evolve", "tau_max", 1e15),
             ("evolve", "evolve", "stride", 1e-300),
+            ("shift", "atoms", "L", None),
+            ("evolve", "evolve", "stride", True),
+            ("shift", "tolerances", "quad_rel_tol", [1e-9]),
         ],
         ids=[
             "evolve.tau_max-inf", "sweep.n_points-fractional", "tolerances.quad_abs_tol-nan", "tolerances.quad_abs_tol-inf",
             "atoms.mu-nan", "atoms.omega0-inf", "atoms.L-inf", "sweep.L_min-nan", "sweep.L_max-inf",
-            "sweep.n_points-1e15", "evolve.tau_max-1e15", "evolve.stride-1e-300",
+            "sweep.n_points-1e15", "evolve.tau_max-1e15", "evolve.stride-1e-300", "atoms.L-null",
+            "evolve.stride-true", "tolerances.quad_rel_tol-list",
         ],
     )
     def test_bad_value_exits_with_usage_error(self, tmp_path, capsys, command, section, field, value):
@@ -120,19 +138,6 @@ class TestConfig:
         cfg = write_config(tmp_path, {**DS_DOC, section: {**base.get(section, {}), field: value}})
         assert main([command, "--config", cfg]) == 1
         assert f"{section}.{field}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["sweep", "shift"])
-    @pytest.mark.parametrize(
-        "field, value",
-        [("r", -1.0), ("r", math.nan), ("r", math.inf), ("delta_theta", 7.0), ("delta_theta", 0.0),
-         ("delta_theta", math.nan)],
-    )
-    def test_bad_angular_separation_exits_with_usage_error(self, tmp_path, capsys, command, field, value):
-        atoms = {"omega0": 1.0, "mu": 0.1, "r": 1.0, "delta_theta": 1.0, field: value}
-        sweep = {"L_min": 0.1, "L_max": 10.0, "n_points": 10}
-        cfg = write_config(tmp_path, {**DS_DOC, "atoms": atoms, "sweep": sweep})
-        assert main([command, "--config", cfg]) == 1
-        assert f"atoms.{field}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section, values, field",
@@ -165,9 +170,6 @@ class TestConfig:
         tau = EvolveSettings(rho0="E", tau_max=10.0, stride=0.3).grid()
         np.testing.assert_array_equal(tau, np.append(np.arange(34) * 0.3, 10.0))
         np.testing.assert_array_equal(EvolveSettings(rho0="E", tau_max=1.5, stride=0.5).grid(), [0.0, 0.5, 1.0, 1.5])
-
-    def test_linear_sweep_grid(self):
-        np.testing.assert_array_equal(SweepSettings(1.0, 3.0, 3, "linear").grid(), [1.0, 2.0, 3.0])
 
     def test_integer_field_gives_the_float_result(self, tmp_path, capsys):
         outs = []
@@ -430,6 +432,41 @@ class TestDiscriminateCommand:
         assert doc["verdict"] == "Indeterminate"
         assert code == 2
 
+    @pytest.fixture
+    def far_sweep(self, tmp_path):
+        """A de Sitter far-zone sweep CSV and the (L, |dE_S|) envelope that discriminate fits."""
+        doc = {**DS_DOC, "atoms": {"omega0": 10.0, "mu": 0.1, "L": 1.0},
+               "sweep": {"L_min": 30.0, "L_max": 1000.0, "n_points": 800, "spacing": "log"}}
+        csv_path = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(csv_path)]) == 0
+        return str(csv_path), envelope_points(*read_sweep_csv(csv_path))
+
+    @pytest.mark.parametrize("lmin, lmax", [(50.0, 500.0), (50.0, None), (None, 500.0)], ids=["both", "lmin-only", "lmax-only"])
+    def test_window_bounds(self, far_sweep, capsys, lmin, lmax):
+        # A bound left out is taken from that end of the envelope.
+        csv_path, (env_L, env_v) = far_sweep
+        argv = ["discriminate", csv_path]
+        if lmin is not None:
+            argv += ["--lmin", str(lmin)]
+        if lmax is not None:
+            argv += ["--lmax", str(lmax)]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        window = [env_L.min() if lmin is None else lmin, env_L.max() if lmax is None else lmax]
+        assert doc["window"] == window
+        inside = (env_L >= window[0]) & (env_L <= window[1])
+        assert 4 <= inside.sum() < env_L.size
+        assert doc["exponent"] == fit_power_law(env_L, env_v, tuple(window)).exponent
+        assert doc["verdict"] == "DeSitterFar"
+
+    def test_window_with_too_few_envelope_points(self, far_sweep, capsys):
+        csv_path, (env_L, _) = far_sweep
+        lo, hi = (env_L[4] + env_L[5]) / 2, (env_L[7] + env_L[8]) / 2  # three envelope points between
+        assert main(["discriminate", csv_path, "--lmin", str(lo), "--lmax", str(hi)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: need at least 4 envelope points inside the window")
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("L,dE_S,dE_A\n1.0,0.1,nope\n")
@@ -514,6 +551,17 @@ class TestExitCodes:
 
 
 class TestImportSurface:
+    def test_module_entry_point_reports_the_package_version(self, tmp_path):
+        # `python -m rcpi` runs rcpi/__main__.py; its version is the one pyproject.toml declares.
+        src = Path(cli.__file__).resolve().parents[1]
+        version = re.search(r'^version = "(.+)"$', (src.parent / "pyproject.toml").read_text(), re.M).group(1)
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rcpi", "--version"], cwd=tmp_path, env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"rcpi {version}\n"
+
     def test_routes_load_no_oracle(self, tmp_path):
         # Every route reads the response shape from geometry, so the frequency-domain
         # oracle stays unloaded; the time-domain one lives in tests/oracles.py.

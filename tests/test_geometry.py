@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from rcpi.geometry import (
     DeSitterPatch,
     ThermalBath,
-    euclidean_separation,
     field_temperature,
     kappa,
     local_temperature,
@@ -100,27 +99,6 @@ class TestResponseShape:
         patch = DeSitterPatch(1.0, 0.6)
         assert field_temperature(patch) == local_temperature(patch).T
         assert field_temperature(ThermalBath(0.7)) == 0.7
-
-
-class TestSeparation:
-    @pytest.mark.parametrize(
-        "r, dtheta, expected",
-        [(1.0, math.pi, 2.0), (1.0, math.pi / 3.0, 1.0), (0.5, math.pi, 1.0)],
-    )
-    def test_values(self, r, dtheta, expected):
-        assert euclidean_separation(r, dtheta) == pytest.approx(expected, rel=1e-15)
-
-    def test_rejects_bad_angles(self):
-        for bad in (0.0, -0.1, math.pi + 0.1):
-            with pytest.raises(ValueError):
-                euclidean_separation(1.0, bad)
-
-    @given(
-        st.floats(min_value=1e-3, max_value=1e3),
-        st.floats(min_value=1e-6, max_value=math.pi),
-    )
-    def test_chord_within_diameter(self, r, dtheta):
-        assert 0.0 < euclidean_separation(r, dtheta) <= 2.0 * r * (1.0 + 1e-15)
 
 
 def test_thermal_bath_validation():
