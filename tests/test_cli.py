@@ -18,6 +18,7 @@ from rcpi.config import (
     MAX_GRID_POINTS,
     ConfigError,
     EvolveSettings,
+    SweepSettings,
     config_from_dict,
     load_config,
 )
@@ -112,6 +113,9 @@ class TestConfig:
             ("shift", "atoms", "mu", math.nan),
             ("evolve", "atoms", "omega0", math.inf),
             ("shift", "atoms", "L", math.inf),
+            ("shift", "atoms", "L", -1.0),
+            ("sweep", "atoms", "L", 0.0),
+            ("sweep", "atoms", "L", math.nan),
             ("sweep", "sweep", "L_min", math.nan),
             ("sweep", "sweep", "L_max", math.inf),
             ("sweep", "sweep", "n_points", 10**15),
@@ -123,7 +127,8 @@ class TestConfig:
         ],
         ids=[
             "evolve.tau_max-inf", "sweep.n_points-fractional", "tolerances.quad_abs_tol-nan", "tolerances.quad_abs_tol-inf",
-            "atoms.mu-nan", "atoms.omega0-inf", "atoms.L-inf", "sweep.L_min-nan", "sweep.L_max-inf",
+            "atoms.mu-nan", "atoms.omega0-inf", "atoms.L-inf", "atoms.L-negative", "atoms.L-zero", "atoms.L-nan",
+            "sweep.L_min-nan", "sweep.L_max-inf",
             "sweep.n_points-1e15", "evolve.tau_max-1e15", "evolve.stride-1e-300", "atoms.L-null",
             "evolve.stride-true", "tolerances.quad_rel_tol-list",
         ],
@@ -170,6 +175,11 @@ class TestConfig:
         tau = EvolveSettings(rho0="E", tau_max=10.0, stride=0.3).grid()
         np.testing.assert_array_equal(tau, np.append(np.arange(34) * 0.3, 10.0))
         np.testing.assert_array_equal(EvolveSettings(rho0="E", tau_max=1.5, stride=0.5).grid(), [0.0, 0.5, 1.0, 1.5])
+
+    def test_sweep_grid_is_log_spaced(self):
+        L = SweepSettings(1.0, 100.0, 3).grid()
+        assert (L[0], L[-1]) == (1.0, 100.0)
+        np.testing.assert_allclose(L, [1.0, 10.0, 100.0], rtol=1e-15)
 
     def test_integer_field_gives_the_float_result(self, tmp_path, capsys):
         outs = []
