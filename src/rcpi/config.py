@@ -1,14 +1,14 @@
 """Run configuration: a flat JSON document mapped onto dataclasses.
 
-Every value is a JSON number or string; ``_section`` rejects any other by
-naming the field.  Each dataclass checks its fields as it is built and raises
-a ``ConfigError`` naming the field; ``_section`` turns any other error of a
-section's fields into one naming the section.  The CLI maps a ``ConfigError``
-to exit code 1.
+``_section`` checks each section against the names, defaults and annotated
+kinds of its dataclass's fields; each dataclass checks the ranges of its
+values as it is built.  Each error is a ``ConfigError`` naming the field, or
+the section where the dataclass names none; the CLI maps it to exit code 1.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath
+from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL
 
 
 class ConfigError(ValueError):
@@ -106,8 +107,8 @@ class EvolveSettings:
 class ToleranceSettings:
     """Targets of the resonance quadrature; only ``rcpi shift`` runs it, so they affect no other command."""
 
-    quad_abs_tol: float = 1e-9
-    quad_rel_tol: float = 1e-7
+    quad_abs_tol: float = DEFAULT_ABS_TOL
+    quad_rel_tol: float = DEFAULT_REL_TOL
 
     def __post_init__(self) -> None:
         for name in ("quad_abs_tol", "quad_rel_tol"):
@@ -124,34 +125,30 @@ class RunConfig:
 
 
 _SPACETIMES = {"desitter": DeSitterPatch, "thermal": ThermalBath}
+_KINDS = {"float": ("a number", (int, float)), "int": ("an integer", int), "str": ("a string", str)}
 
 
-def _spacetime(**fields) -> SpacetimeConfig:
-    """The spacetime that the ``type`` field names, built from the other fields of the section."""
-    kind = fields.pop("type", None)
-    if not (isinstance(kind, str) and kind in _SPACETIMES):
-        raise ConfigError(f"spacetime.type must be 'desitter' or 'thermal', got {kind!r}")
-    return _SPACETIMES[kind](**fields)
-
-
-def _section(build, d: dict | None, name: str):
-    """``build(**d)``, with any error the fields cause reported as a ConfigError naming the section.
-
-    A value must be a JSON number or string; a bool, null, list or object is rejected with a
-    message naming ``section.field``, so ``true`` never reads as 1.
-    """
+def _section(cls, d: dict | None, name: str):
+    """``cls(**d)`` for the dataclass ``cls``.  An unknown key, a missing field without a default and a value
+    not of the field's annotated kind (a bool is never a number) raise a ConfigError naming ``section.field``;
+    a ValueError or OverflowError of ``cls``, such as an integer too large for a float, one naming the section."""
     if d is None:
         return None
-    if not isinstance(d, dict):
-        raise ConfigError(f"{name}: expected an object, got {type(d).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     for key, value in d.items():
-        if value is None or isinstance(value, (bool, list, dict)):
-            raise ConfigError(f"{name}.{key} must be a number or a string, got {json.dumps(value)}")
+        if key not in fields:
+            raise ConfigError(f"{name}.{key} is not a field of {cls.__name__}")
+        kind, types = _KINDS[fields[key].type]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"{name}.{key} must be {kind}, got {json.dumps(value)}")
+    for f in fields.values():
+        if f.name not in d and f.default is dataclasses.MISSING:
+            raise ConfigError(f"{name}.{f.name} is required")
     try:
-        return build(**d)
+        return cls(**d)
     except ConfigError:
         raise
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: {exc}") from None
 
 
@@ -164,8 +161,15 @@ def config_from_dict(doc: dict) -> RunConfig:
     for name in ("spacetime", "atoms"):
         if doc.get(name) is None:
             raise ConfigError(f"{name}: section is required")
+    for name, d in doc.items():
+        if not isinstance(d, dict | None):
+            raise ConfigError(f"{name}: expected an object, got {type(d).__name__}")
+    spacetime = dict(doc["spacetime"])
+    kind = spacetime.pop("type", None)
+    if not (isinstance(kind, str) and kind in _SPACETIMES):
+        raise ConfigError(f"spacetime.type must be 'desitter' or 'thermal', got {kind!r}")
     return RunConfig(
-        spacetime=_section(_spacetime, doc["spacetime"], "spacetime"),
+        spacetime=_section(_SPACETIMES[kind], spacetime, "spacetime"),
         atoms=_section(AtomPair, doc["atoms"], "atoms"),
         sweep=_section(SweepSettings, doc.get("sweep"), "sweep"),
         evolve=_section(EvolveSettings, doc.get("evolve"), "evolve"),

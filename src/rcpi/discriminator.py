@@ -109,21 +109,22 @@ class Classification:
 
 
 def _interior_maxima(mag: np.ndarray) -> np.ndarray:
-    """Mask of the interior samples of mag that are nonzero and no smaller than either neighbour."""
+    """Mask of the maxima of mag >= 0: interior samples above the one before (so nonzero) and no smaller
+    than the one after, so that a plateau of equal samples registers once, at its first sample."""
     flags = np.zeros(mag.size, dtype=bool)
-    flags[1:-1] = (mag[1:-1] >= mag[:-2]) & (mag[1:-1] >= mag[2:]) & (mag[1:-1] > 0)
+    flags[1:-1] = (mag[1:-1] > mag[:-2]) & (mag[1:-1] >= mag[2:])
     return flags
 
 
 def envelope_points(L, dE_S) -> tuple[np.ndarray, np.ndarray]:
     """Locate the local maxima of |delta E_S(L)| and refine them by interpolation.
 
-    Takes the sweep as arrays of separations and symmetric-state shifts.
-    Returns (L, |delta E|) arrays of envelope points, each refined with the
-    vertex of the parabola through the three neighbouring samples in log-log
-    coordinates.  Requires at least 3 sign changes of delta E_S or at least 5
-    local maxima; otherwise the sweep window is too narrow to see the
-    oscillation and an InsufficientOscillationsError is raised.
+    Takes the sweep as arrays of separations and symmetric-state shifts and
+    returns (L, |delta E|) arrays, one point per maximum of ``_interior_maxima``:
+    the vertex of the parabola through it and its neighbours in log-log
+    coordinates, clamped to the neighbours, or the raw sample where a neighbour
+    is zero or the parabola is not concave.  Fewer than 3 sign changes of
+    delta E_S and fewer than 5 maxima raise InsufficientOscillationsError.
     """
     L = np.asarray(L, dtype=float)
     v = np.asarray(dE_S, dtype=float)
@@ -136,38 +137,27 @@ def envelope_points(L, dE_S) -> tuple[np.ndarray, np.ndarray]:
     if np.any(np.diff(L) <= 0):
         raise ValueError("sweep samples must be ordered by strictly increasing L")
 
-    signs = np.sign(v)
-    nonzero = signs != 0
-    sign_changes = int(np.sum(np.abs(np.diff(signs[nonzero])) > 1))
+    signs = np.sign(v[v != 0])
+    sign_changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
 
     mag = np.abs(v)
-    idx = np.flatnonzero(_interior_maxima(mag))
-    # Drop plateau duplicates (equal neighbours register twice).
-    if idx.size > 1:
-        idx = idx[np.concatenate(([True], np.diff(idx) > 1))]
-
-    if sign_changes < 3 and idx.size < 5:
+    i = np.flatnonzero(_interior_maxima(mag))
+    if sign_changes < 3 and i.size < 5:
         raise InsufficientOscillationsError(
             f"insufficient oscillations in the sweep window: {sign_changes} sign changes, "
-            f"{idx.size} interior maxima; widen the L range or sample more densely"
+            f"{i.size} interior maxima; widen the L range or sample more densely"
         )
 
-    env_L = []
-    env_v = []
-    for i in idx:
-        x = np.log(L[i - 1 : i + 2])
-        y = np.log(mag[i - 1 : i + 2])
-        c2, c1, c0 = np.polyfit(x, y, 2)
-        if c2 >= 0:  # not concave in log-log; keep the raw sample
-            env_L.append(L[i])
-            env_v.append(mag[i])
-            continue
-        # Parabola vertex, clamped to the bracketing samples.
-        x0 = float(np.clip(-c1 / (2.0 * c2), x[0], x[2]))
-        y0 = (c2 * x0 + c1) * x0 + c0
-        env_L.append(math.exp(x0))
-        env_v.append(math.exp(y0))
-    return np.array(env_L), np.array(env_v)
+    # Newton form through (x1, y1), (x0, y0), (x2, y2): y1 + d1 (x - x1) + c2 (x - x1)(x - x0).
+    x0, x1, x2 = np.log(L[i - 1]), np.log(L[i]), np.log(L[i + 1])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero neighbour; masked out below
+        y0, y1, y2 = np.log(mag[i - 1]), np.log(mag[i]), np.log(mag[i + 1])
+        d1 = (y1 - y0) / (x1 - x0)
+        c2 = ((y2 - y1) / (x2 - x1) - d1) / (x2 - x0)
+        xv = np.clip(0.5 * (x0 + x1) - d1 / (2.0 * c2), x0, x2)
+        yv = y1 + (xv - x1) * (d1 + c2 * (xv - x0))
+    refine = (mag[i - 1] > 0) & (mag[i + 1] > 0) & (c2 < 0)
+    return np.where(refine, np.exp(xv), L[i]), np.where(refine, np.exp(yv), mag[i])
 
 
 def extract_envelope(samples: list[SweepRecord]) -> tuple[np.ndarray, np.ndarray]:
@@ -181,14 +171,16 @@ def fit_power_law(
     """Least-squares line in (log L, log |delta E|); exponent is minus the slope."""
     env_L = np.asarray(env_L, dtype=float)
     env_value = np.asarray(env_value, dtype=float)
+    for name, a in (("env_L", env_L), ("env_value", env_value)):
+        bad = ~(np.isfinite(a) & (a > 0))
+        if bad.any():
+            raise ValueError(f"{name} must be positive and finite to fit in log space, got {a[bad][0]}")
     if window is None:
         window = (float(env_L.min()), float(env_L.max()))
     lo, hi = window
     mask = (env_L >= lo) & (env_L <= hi)
     if int(mask.sum()) < 4:
         raise ValueError(f"need at least 4 envelope points inside the window {window}, got {int(mask.sum())}")
-    if np.any(env_value[mask] <= 0):
-        raise ValueError("envelope values must be positive to fit in log space")
     x = np.log(env_L[mask])
     y = np.log(env_value[mask])
     slope, intercept = np.polyfit(x, y, 1)

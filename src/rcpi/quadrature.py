@@ -37,6 +37,8 @@ from .geometry import SpacetimeConfig, _require_positive, response_shape
 __all__ = ["IntegralResult", "QuadratureError", "rcpi_integral"]
 
 _QUAD_LIMIT = 200
+DEFAULT_ABS_TOL = 1e-9
+DEFAULT_REL_TOL = 1e-7
 _ROUNDOFF = 1e-12
 
 
@@ -157,8 +159,8 @@ def rcpi_integral(
     spacetime: SpacetimeConfig,
     omega0: float,
     L: float,
-    abs_tol: float = 1e-9,
-    rel_tol: float = 1e-7,
+    abs_tol: float = DEFAULT_ABS_TOL,
+    rel_tol: float = DEFAULT_REL_TOL,
 ) -> IntegralResult:
     """Numerical resonance-interaction integral P int_0^inf (w/(w-w0) + w/(w+w0)) s(w) dw.
 

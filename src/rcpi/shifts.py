@@ -19,7 +19,7 @@ import numpy as np
 from .dicke import DickeState
 from .geometry import SpacetimeConfig, ThermalBath, _desitter_shape, _require_positive, response_shape
 from .liouvillian import _a2_closed_form
-from .quadrature import rcpi_integral
+from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, rcpi_integral
 
 __all__ = [
     "Regime",
@@ -110,8 +110,8 @@ def rcpi_quadrature(
     omega0: float,
     mu: float,
     state: DickeState = DickeState.S,
-    abs_tol: float = 1e-9,
-    rel_tol: float = 1e-7,
+    abs_tol: float = DEFAULT_ABS_TOL,
+    rel_tol: float = DEFAULT_REL_TOL,
 ) -> tuple[float, float]:
     """Interaction energy by direct numerical quadrature; returns (value, error estimate)."""
     _require_positive(mu=mu)

@@ -46,11 +46,24 @@ class TestConfig:
         "mutation, fragment",
         [
             ({"spacetime": {"type": "waterworld"}}, "spacetime.type"),
-            ({"atoms": {"omega0": 1.0, "mu": 0.1}}, "atoms: .*missing .*'L'"),
-            ({"atoms": {"omega0": 1.0, "mu": 0.1, "L": 1.0, "r": 1.0, "delta_theta": 1.0}}, "atoms: .*'r'"),
+            pytest.param({"atoms": {"omega0": 1.0, "mu": 0.1}}, r"atoms\.L is required", id="L-missing"),
+            pytest.param(
+                {"atoms": {"omega0": 1.0, "mu": 0.1, "L": 1.0, "r": 1.0, "delta_theta": 1.0}},
+                r"atoms\.r is not a field of AtomPair", id="atoms-r",
+            ),
             ({"sweep": {"L_min": 5.0, "L_max": 1.0, "n_points": 10}}, "L_min < L_max"),
             ({"evolve": {"rho0": "X", "tau_max": 1.0, "stride": 0.1}}, "rho0"),
             ({"bogus": {}}, "unknown"),
+            pytest.param(
+                {"atoms": {"omega0": "1", "mu": 0.1, "L": 1.0}}, r'atoms\.omega0 must be a number, got "1"', id="omega0-string"
+            ),
+            pytest.param(
+                {"evolve": {"rho0": 1, "tau_max": 1.0, "stride": 0.5}}, r"evolve\.rho0 must be a string, got 1", id="rho0-number"
+            ),
+            pytest.param(
+                {"sweep": {"L_min": 0.1, "L_max": 10.0, "n_points": True}}, r"sweep\.n_points must be an integer, got true",
+                id="n_points-true",
+            ),
             pytest.param({"spacetime": "desitter"}, "spacetime: expected an object", id="spacetime-string"),
             pytest.param({"spacetime": {"type": "desitter", "alpha": None}}, r"spacetime\.alpha .*null", id="alpha-null"),
             pytest.param(
@@ -65,10 +78,14 @@ class TestConfig:
                 {"evolve": {"rho0": "E", "tau_max": True, "stride": 0.5}}, r"evolve\.tau_max .*true", id="tau_max-true"
             ),
             pytest.param({"evolve": {"rho0": "E", "tau_max": 1.0, "stride": True}}, r"evolve\.stride .*true", id="stride-true"),
-            pytest.param({"spacetime": {"type": "desitter", "alpha": "1.0"}}, "spacetime: ", id="alpha-string"),
+            pytest.param(
+                {"spacetime": {"type": "desitter", "alpha": "1.0"}}, r'spacetime\.alpha must be a number, got "1\.0"',
+                id="alpha-string",
+            ),
             pytest.param({"spacetime": {"type": "desitter", "alpha": 10**400}}, "spacetime: ", id="alpha-400-digits"),
             pytest.param(
-                {"spacetime": {"type": "desitter", "alpha": 1.0, "temperature": 3}}, "spacetime: .*temperature",
+                {"spacetime": {"type": "desitter", "alpha": 1.0, "temperature": 3}},
+                r"spacetime\.temperature is not a field of DeSitterPatch",
                 id="desitter-with-temperature",
             ),
             pytest.param({"spacetime": None}, "spacetime: section is required", id="spacetime-null"),
@@ -86,8 +103,8 @@ class TestConfig:
         [
             ("tolerances", "ode_rtol", 1e-10, "ode_rtol"),
             ("output", "format", "csv", "'output'"),
-            ("atoms", "r", 1.0, "atoms: .*'r'"),
-            ("atoms", "delta_theta", 1.0, "atoms: .*'delta_theta'"),
+            ("atoms", "r", 1.0, r"atoms\.r is not a field"),
+            ("atoms", "delta_theta", 1.0, r"atoms\.delta_theta is not a field"),
             ("sweep", "spacing", "linear", "sweep.spacing must be 'log', got 'linear'"),
         ],
         ids=["tolerances.ode_rtol", "output.format", "atoms.r", "atoms.delta_theta", "sweep.spacing-linear"],

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import math
@@ -42,6 +43,30 @@ def minkowski_sweep(L_grid, omega0, mu=0.1):
         )
         for L in L_grid
     ]
+
+
+def polyfit_envelope(L, dE_S):
+    """Reference refinement: one least-squares parabola per maximum, fitted by np.polyfit in log-log."""
+    mag = np.abs(dE_S)
+    env_L, env_v = [], []
+    for i in range(1, mag.size - 1):
+        if not (mag[i] > mag[i - 1] and mag[i] >= mag[i + 1]):
+            continue
+        x, y = np.log(L[i - 1 : i + 2]), np.log(mag[i - 1 : i + 2])
+        c2, c1, c0 = np.polyfit(x, y, 2)
+        x0 = float(np.clip(-c1 / (2.0 * c2), x[0], x[2])) if c2 < 0 else math.log(L[i])
+        env_L.append(math.exp(x0))
+        env_v.append(math.exp((c2 * x0 + c1) * x0 + c0) if c2 < 0 else mag[i])
+    return np.array(env_L), np.array(env_v)
+
+
+# Far, crossover and near de Sitter sweeps (kappa = 1) and a thermal one, as (L_min, L_max, shift function).
+SWEEP_CASES = {
+    "desitter-far": (30.0, 1000.0, lambda L: rcpi_closed_desitter(L, 1.0, 10.0, 0.1)),
+    "desitter-crossover": (0.3, 10.0, lambda L: rcpi_closed_desitter(L, 1.0, 10.0, 0.1)),
+    "desitter-near": (0.001, 0.1, lambda L: rcpi_closed_desitter(L, 1.0, 200.0, 0.1)),
+    "thermal": (10.0, 100.0, lambda L: rcpi_closed_minkowski(L, 1.0, 0.1)),
+}
 
 
 class TestSweepRecord:
@@ -103,6 +128,40 @@ class TestExtractEnvelope:
         with pytest.raises(ValueError, match="same shape"):
             envelope_points(L, np.cos(x) / x)
 
+    def test_zero_neighbour_keeps_the_raw_sample(self):
+        # log 0 has no parabola: a maximum next to an exact zero is its own envelope point.
+        L = np.geomspace(1.0, 10.0, 11)
+        v = np.array([0.5, 1.0, 0.0, -0.9, 0.0, 0.8, 0.0, -0.7, 0.0, 0.6, 0.3])
+        env_L, env_v = envelope_points(L, v)
+        assert np.array_equal(env_L, L[[1, 3, 5, 7, 9]])
+        assert np.array_equal(env_v, np.abs(v[[1, 3, 5, 7, 9]]))
+
+    @pytest.mark.parametrize("n", [800, 3000, 5000])
+    @pytest.mark.parametrize("case", list(SWEEP_CASES))
+    def test_closed_form_vertices_match_polyfit(self, case, n):
+        L_min, L_max, shift = SWEEP_CASES[case]
+        L = np.geomspace(L_min, L_max, n)
+        dE_S = shift(L)
+        env_L, env_v = envelope_points(L, dE_S)
+        ref_L, ref_v = polyfit_envelope(L, dE_S)
+        assert env_L.size == ref_L.size >= 5
+        np.testing.assert_allclose(env_L, ref_L, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(env_v, ref_v, rtol=1e-9, atol=0)
+
+    def test_plateaus_register_once(self):
+        # A 2-sample and a 3-sample plateau at a maximum count once, at their first sample, in
+        # the envelope and in the CSV flags alike; a plateau on a falling slope is no maximum.
+        L = np.geomspace(1.0, 10.0, 14)
+        v = np.array([0.1, 0.5, 0.5, 0.2, -0.3, -0.6, -0.6, -0.6, -0.1, 0.4, 0.3, 0.3, 0.1, -0.2])
+        maxima = [1, 5, 9]
+        env_L, _ = envelope_points(L, v)
+        assert env_L.size == len(maxima)
+        assert np.all((L[np.subtract(maxima, 1)] <= env_L) & (env_L <= L[np.add(maxima, 1)]))
+        buf = io.StringIO()
+        write_sweep_csv(buf, L, v)
+        flags = [row[3] for row in csv.reader(io.StringIO(buf.getvalue()))][1:]
+        assert [i for i, f in enumerate(flags) if f == "1"] == maxima
+
     def test_desitter_far_envelope_matches_curved_law(self):
         # Fast oscillation (omega0 kappa = 10) so the product maxima sit on
         # the envelope: (mu^2 / 2 pi) kappa / L^2 within 1%.
@@ -135,6 +194,16 @@ class TestFitPowerLaw:
     def test_needs_four_points(self):
         with pytest.raises(ValueError):
             fit_power_law(np.array([1.0, 2.0, 3.0]), np.array([1.0, 0.5, 0.3]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0], ids=["nan", "inf", "-inf", "zero"])
+    @pytest.mark.parametrize("arg", ["env_L", "env_value"])
+    def test_rejects_non_finite_or_zero_entries(self, arg, bad):
+        # Each would reach the log-log fit as a NaN exponent or a log of zero.
+        L = np.geomspace(1.0, 100.0, 8)
+        values = {"env_L": L, "env_value": 1.0 / L**2}
+        values[arg][3] = bad
+        with pytest.raises(ValueError, match=f"{arg} must be positive and finite"):
+            fit_power_law(**values)
 
     def test_rejects_nonpositive_values(self):
         with pytest.raises(ValueError):
