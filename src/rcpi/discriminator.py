@@ -171,6 +171,8 @@ def fit_power_law(
     """Least-squares line in (log L, log |delta E|); exponent is minus the slope."""
     env_L = np.asarray(env_L, dtype=float)
     env_value = np.asarray(env_value, dtype=float)
+    if env_L.shape != env_value.shape:
+        raise ValueError(f"env_L and env_value must have the same shape, got {env_L.shape} and {env_value.shape}")
     for name, a in (("env_L", env_L), ("env_value", env_value)):
         bad = ~(np.isfinite(a) & (a > 0))
         if bad.any():
@@ -222,11 +224,11 @@ def read_sweep_csv(path_or_buf) -> tuple[np.ndarray, np.ndarray]:
     whose shifts are not finite, or whose dE_A differs from -dE_S by more than
     1e-10 of the larger magnitude raises ValueError naming the row.
     """
-    rows, (L, dE_S, dE_A) = csvio.read_columns(path_or_buf, ("L", "dE_S", "dE_A"))
+    file_row, (L, dE_S, dE_A) = csvio.read_columns(path_or_buf, ("L", "dE_S", "dE_A"))
     ok = _valid_samples(L, dE_S, dE_A)
     if not ok.all():
         i = int(np.argmin(ok))
-        raise ValueError(f"bad sweep row {rows[i]}: L={L[i]}, dE_S={dE_S[i]}, dE_A={dE_A[i]} ({_SAMPLE_RULE})")
+        raise ValueError(f"bad sweep row {file_row(i)}: L={L[i]}, dE_S={dE_S[i]}, dE_A={dE_A[i]} ({_SAMPLE_RULE})")
     return L, dE_S
 
 
@@ -238,5 +240,7 @@ def write_sweep_csv(path_or_buf, L, dE_S) -> None:
     """
     dE_S = np.asarray(dE_S, dtype=float)
     csvio.write_columns(
-        path_or_buf, ("L", "dE_S", "dE_A", "envelope"), (L, dE_S, -dE_S, _interior_maxima(np.abs(dE_S)))
+        path_or_buf,
+        ("L", "dE_S", "dE_A", "envelope"),
+        (L, dE_S, csvio.Negation(1), _interior_maxima(np.abs(dE_S))),
     )

@@ -11,10 +11,14 @@ the cross-atom denominator is rebuilt.
 vectorized density matrix, built from Pauli Kronecker products.  It is the
 reference for ``rcpi.liouvillian.rate_matrix``, which keeps only the
 population block in the Dicke basis, and for ``evolve``.
+
+``read_columns_by_row`` is the CSV reader that reads one row at a time with
+`csv` and `float`, the reference for ``rcpi.csvio.read_columns``.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -176,3 +180,30 @@ def embed(patch: geometry.DeSitterPatch, t: float, theta: float, phi: float) -> 
             r * math.sin(theta) * math.sin(phi),
         ]
     )
+
+
+def read_columns_by_row(buf, names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read the named columns of a CSV text buffer as floats, one row at a time.
+
+    Returns the file row of each sample (the header is row 1) and a
+    (len(names), n) array of values.  Blank lines are skipped.  A missing
+    column, a row shorter than the header or a field that `float` rejects
+    raises ValueError naming the row.
+    """
+    rows = csv.reader(buf)
+    header = next(rows, [])
+    if not set(names) <= set(header):
+        raise ValueError(f"CSV must have columns {','.join(names)}, got {header}")
+    index = [header.index(n) for n in names]
+    lines, values = [], []
+    for row in rows:
+        if not row:
+            continue
+        if len(row) < len(header):
+            raise ValueError(f"bad row {rows.line_num}: {len(row)} fields, the header has {len(header)}")
+        try:
+            values.append([float(row[i]) for i in index])
+        except ValueError as exc:
+            raise ValueError(f"bad row {rows.line_num}: {exc}") from None
+        lines.append(rows.line_num)
+    return np.array(lines, dtype=int), np.array(values, dtype=float).reshape(-1, len(names)).T

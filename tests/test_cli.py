@@ -6,13 +6,14 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rcpi import cli, csvio, liouvillian
+from rcpi import cli, csvio, discriminator, liouvillian
 from rcpi.cli import main
 from rcpi.config import (
     MAX_GRID_POINTS,
@@ -418,6 +419,26 @@ def test_csv_written_in_blocks_matches_per_row_writer(monkeypatch):
         assert buf.getvalue().encode() == per_row_csv(["a", "b", "c"], cols[:, :n].T.tolist())
 
 
+# Signed zeros, infinities, NaNs of both signs, the smallest subnormal and the
+# largest magnitudes: the values whose negated text is not "-" + text.
+EDGE_VALUES = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 1e308, -1e308, 0.25, -1.5, 3.0]
+
+
+@pytest.mark.parametrize("block_rows", [csvio._BLOCK_ROWS, 7])
+def test_sweep_of_edge_values_matches_per_row_writer(monkeypatch, block_rows):
+    # 26 rows: with blocks of 7, three full blocks and a partial one.
+    monkeypatch.setattr(csvio, "_BLOCK_ROWS", block_rows)
+    s = EDGE_VALUES + EDGE_VALUES[::-1]
+    L = s[::-1]
+    buf = io.StringIO()
+    discriminator.write_sweep_csv(buf, L, s)
+    m = [abs(v) for v in s]
+    flags = [0 < i < len(m) - 1 and m[i] > m[i - 1] and m[i] >= m[i + 1] for i in range(len(m))]
+    assert 0 < sum(flags)
+    rows = [(Li, v, -v, int(f)) for Li, v, f in zip(L, s, flags)]
+    assert buf.getvalue().encode() == per_row_csv(["L", "dE_S", "dE_A", "envelope"], rows)
+
+
 class TestDiscriminateCommand:
     def run_pipeline(self, tmp_path, capsys, spacetime, omega0, L_min, L_max, extra=()):
         doc = {
@@ -493,6 +514,16 @@ class TestDiscriminateCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: need at least 4 envelope points inside the window")
+
+    def test_header_only_sweep_fails_quietly(self, tmp_path, capsys):
+        # An empty sweep is an input error, and no warning of the CSV parser reaches stderr.
+        path = tmp_path / "sweep.csv"
+        path.write_text("L,dE_S,dE_A,envelope\r\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["discriminate", str(path)]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr() == ("", "error: need at least 5 samples to look for an envelope\n")
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -2,11 +2,14 @@ import csv
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import read_columns_by_row
+from rcpi import csvio
 from rcpi.discriminator import (
     InsufficientOscillationsError,
     PowerLawFit,
@@ -209,6 +212,10 @@ class TestFitPowerLaw:
         with pytest.raises(ValueError):
             fit_power_law(np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 0.5, 0.0, 0.3]))
 
+    def test_rejects_arrays_of_different_lengths(self):
+        with pytest.raises(ValueError, match=r"same shape, got \(5,\) and \(4,\)"):
+            fit_power_law(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([1.0, 0.5, 0.3, 0.2]))
+
 
 class TestClassify:
     def test_threshold_rule(self):
@@ -332,3 +339,67 @@ class TestCsvInterface:
         doc = json.loads(result.to_json())
         assert set(doc) == {"exponent", "amplitude", "residual_rms", "window", "verdict", "notes"}
         assert doc["verdict"] == "FlatOrThermal"
+
+
+@pytest.mark.parametrize("as_path", [False, True], ids=["buffer", "path"])
+def test_bad_sweep_row_after_blank_lines(tmp_path, as_path):
+    # Rows 4 and 5 are blank, so the NaN row is file row 6, the fourth sample.
+    text = SWEEP_HEAD + "\r\n\r\nnan,nan,nan,0\r\n"
+    source = io.StringIO(text)
+    if as_path:
+        source = tmp_path / "sweep.csv"
+        source.write_bytes(text.encode())
+    with pytest.raises(ValueError, match="^bad sweep row 6: L=nan"):
+        read_sweep_csv(source)
+
+
+@pytest.mark.parametrize("tail, fragment", [("3,0.1,-0.1,0\r\n", None), ("\r\n3,x,-0.1,0\r\n", "^bad row 5")])
+def test_sweep_read_from_a_pipe(tail, fragment):
+    # A buffer that cannot seek is read once; a bad row is still named.
+    r, w = os.pipe()
+    os.write(w, (SWEEP_HEAD + tail).encode())
+    os.close(w)
+    with open(r, newline="") as fh:
+        if fragment is None:
+            assert read_sweep_csv(fh)[0].tolist() == [1.0, 2.0, 3.0]
+        else:
+            with pytest.raises(ValueError, match=fragment):
+                read_sweep_csv(fh)
+
+
+# Fields that float takes, some of which loadtxt rejects (1_5, a quoted or
+# padded number), and fields that float rejects too, so that both the
+# loadtxt route and the row-by-row reading after a loadtxt failure are reached.
+NUMBER_FIELDS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from([
+        "1", "-0", "5e-324", "-1e308", "1e400", "nan", "-nan", "NaN", "-inf", "Infinity", "-Infinity",
+        "1_5", " 3 ", "\t4", '"5"', '" 6 "', '"1"5', '"9\n"',
+    ]),
+)
+CSV_FIELDS = st.one_of(NUMBER_FIELDS, NUMBER_FIELDS, NUMBER_FIELDS, st.sampled_from(["", " ", "x", '""', '"7,8"']))
+CSV_ROWS = st.one_of(st.just([]), st.lists(CSV_FIELDS, min_size=1, max_size=6), st.lists(NUMBER_FIELDS, min_size=3, max_size=6))
+CSV_HEADERS = st.sampled_from(["L,dE_S,dE_A,envelope", "L,dE_S,dE_A", "dE_A,x,L,dE_S,y", "L,dE_S"])
+
+
+def _read(reader, text):
+    try:
+        return reader(io.StringIO(text), ("L", "dE_S", "dE_A"))
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(CSV_HEADERS, st.lists(st.tuples(CSV_ROWS, st.sampled_from(["\n", "\r\n"])), max_size=6), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_read_columns_matches_row_by_row_reader(header, rows, last_line_end):
+    text = header + "\r\n" + "".join(",".join(row) + end for row, end in rows)
+    if rows and not last_line_end:
+        text = text[: -len(rows[-1][1])]
+    expected, got = _read(read_columns_by_row, text), _read(csvio.read_columns, text)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    (lines, values), (file_row, got_values) = expected, got
+    assert got_values.shape == values.shape
+    assert got_values.tobytes() == values.tobytes()
+    assert [file_row(i) for i in range(lines.size)] == lines.tolist()
