@@ -11,20 +11,15 @@ several temperatures to show the flat law never budges.
 import numpy as np
 
 from rcpi.dicke import DickeState
-from rcpi.discriminator import SweepRecord, classify, extract_envelope, fit_power_law
+from rcpi.discriminator import classify, envelope_points, fit_power_law
 from rcpi.geometry import DeSitterPatch, ThermalBath, kappa, local_temperature
 from rcpi.shifts import rcpi_closed
 
 MU = 0.1
 
 
-def sweep(spacetime, L_grid, omega0):
-    values = rcpi_closed(spacetime, L_grid, omega0, MU, DickeState.S)
-    return [SweepRecord(L, s, -s) for L, s in zip(L_grid.tolist(), values.tolist())]
-
-
 def run(label, spacetime, L_grid, omega0):
-    env_L, env_v = extract_envelope(sweep(spacetime, L_grid, omega0))
+    env_L, env_v = envelope_points(L_grid, rcpi_closed(spacetime, L_grid, omega0, MU, DickeState.S))
     result = classify(fit_power_law(env_L, env_v))
     print(f"{label:>40}: exponent {result.fit.exponent:6.3f} -> {result.verdict.value}")
     return result

@@ -14,16 +14,9 @@ import json
 import sys
 
 from . import __version__
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, load_config
 from .dicke import DickeState, projector
-from .discriminator import (
-    Classification,
-    classify,
-    envelope_points,
-    fit_power_law,
-    read_sweep_csv,
-    write_sweep_csv,
-)
+from .discriminator import Verdict, classify, envelope_points, fit_power_law, read_sweep_csv, write_sweep_csv
 from .geometry import DeSitterPatch, kappa
 from .liouvillian import EvolutionError, build_coefficients, evolve
 from .quadrature import QuadratureError
@@ -46,37 +39,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="rcpi", description="Resonance interaction energies of an entangled atom pair")
-    parser.add_argument("--version", action="version", version=f"rcpi {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_shift = sub.add_parser("shift", help="single-point shift by closed form and quadrature")
-    p_shift.add_argument("--config", required=True)
-    p_shift.add_argument("--out", default=None)
-    p_shift.add_argument("--format", choices=("json",), default="json")
-
-    p_sweep = sub.add_parser("sweep", help="closed-form shift versus separation, written as CSV")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--out", default=None)
-
-    p_evolve = sub.add_parser("evolve", help="propagate the master equation, trajectory as CSV")
-    p_evolve.add_argument("--config", required=True)
-    p_evolve.add_argument("--out", default=None)
-
-    p_disc = sub.add_parser("discriminate", help="classify a sweep CSV by its envelope decay law")
-    p_disc.add_argument("input", help="sweep CSV with columns L,dE_S,dE_A")
-    p_disc.add_argument("--lmin", type=float, default=None)
-    p_disc.add_argument("--lmax", type=float, default=None)
-    p_disc.add_argument("--strict", action="store_true", help="exit nonzero on an Indeterminate verdict")
-    p_disc.add_argument("--out", default=None)
-
-    p_val = sub.add_parser("validate", help="run the self-check battery")
-    p_val.add_argument("--level", choices=("quick", "full"), default="quick")
-    p_val.add_argument("--out", default=None)
-    return parser
-
-
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -95,7 +57,8 @@ def _regime_hint(ratio: float) -> str:
     return "crossover"
 
 
-def cmd_shift(cfg: RunConfig, out: str | None) -> int:
+def cmd_shift(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
     L = cfg.atoms.L
     report: dict = {"L": L}
     if isinstance(cfg.spacetime, DeSitterPatch):
@@ -117,67 +80,85 @@ def cmd_shift(cfg: RunConfig, out: str | None) -> int:
             "quadrature_error_estimate": quad_err,
         }
     )
-    _write_text(json.dumps(report, indent=2), out)
+    _write_text(json.dumps(report, indent=2), args.out)
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, out: str | None) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
     if cfg.sweep is None:
         raise ConfigError("sweep: section is required for the sweep command")
     grid = cfg.sweep.grid()
     dE_S = rcpi_closed(cfg.spacetime, grid, cfg.atoms.omega0, cfg.atoms.mu, DickeState.S)
-    write_sweep_csv(out or sys.stdout, grid, dE_S)
+    write_sweep_csv(args.out or sys.stdout, grid, dE_S)
     return EXIT_OK
 
 
-def cmd_evolve(cfg: RunConfig, out: str | None) -> int:
+def cmd_evolve(args: argparse.Namespace) -> int:
+    cfg = load_config(args.config)
     if cfg.evolve is None:
         raise ConfigError("evolve: section is required for the evolve command")
     gen = build_coefficients(cfg.spacetime, cfg.atoms.omega0, cfg.atoms.mu, cfg.atoms.L)
     traj = evolve(projector(DickeState(cfg.evolve.rho0)), gen, cfg.evolve.grid())
-    traj.to_csv(out or sys.stdout)
+    traj.to_csv(args.out or sys.stdout)
     return EXIT_OK
 
 
-def cmd_discriminate(input_path: str, lmin: float | None, lmax: float | None, strict: bool, out: str | None) -> int:
-    env_L, env_v = envelope_points(*read_sweep_csv(input_path))
-    window = None
-    if lmin is not None or lmax is not None:
-        window = (lmin if lmin is not None else float(env_L.min()), lmax if lmax is not None else float(env_L.max()))
-    fit = fit_power_law(env_L, env_v, window)
-    result: Classification = classify(fit)
-    _write_text(result.to_json(), out)
-    if strict and result.verdict.value == "Indeterminate":
+def cmd_discriminate(args: argparse.Namespace) -> int:
+    env_L, env_v = envelope_points(*read_sweep_csv(args.input))
+    result = classify(fit_power_law(env_L, env_v, (args.lmin, args.lmax)))
+    _write_text(result.to_json(), args.out)
+    if args.strict and result.verdict is Verdict.INDETERMINATE:
         return EXIT_VALIDATION
     return EXIT_OK
 
 
-def cmd_validate(level: str, out: str | None) -> int:
-    report = run_validation(level)
-    _write_text(json.dumps(report, indent=2), out)
+def cmd_validate(args: argparse.Namespace) -> int:
+    report = run_validation(args.level)
+    _write_text(json.dumps(report, indent=2), args.out)
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
+# The command table: one parser per process, each subcommand bound to its handler.
+_PARSER = _Parser(prog="rcpi", description="Resonance interaction energies of an entangled atom pair")
+_PARSER.add_argument("--version", action="version", version=f"rcpi {__version__}")
+_commands = _PARSER.add_subparsers(dest="command", required=True)
+
+_shift = _commands.add_parser("shift", help="single-point shift by closed form and quadrature")
+_shift.set_defaults(run=cmd_shift)
+_shift.add_argument("--config", required=True)
+_shift.add_argument("--out", default=None)
+_shift.add_argument("--format", choices=("json",), default="json")
+
+_sweep = _commands.add_parser("sweep", help="closed-form shift versus separation, written as CSV")
+_sweep.set_defaults(run=cmd_sweep)
+_sweep.add_argument("--config", required=True)
+_sweep.add_argument("--out", default=None)
+
+_evolve = _commands.add_parser("evolve", help="propagate the master equation, trajectory as CSV")
+_evolve.set_defaults(run=cmd_evolve)
+_evolve.add_argument("--config", required=True)
+_evolve.add_argument("--out", default=None)
+
+_discriminate = _commands.add_parser("discriminate", help="classify a sweep CSV by its envelope decay law")
+_discriminate.set_defaults(run=cmd_discriminate)
+_discriminate.add_argument("input", help="sweep CSV with columns L,dE_S,dE_A")
+_discriminate.add_argument("--lmin", type=float, default=None)
+_discriminate.add_argument("--lmax", type=float, default=None)
+_discriminate.add_argument("--strict", action="store_true", help="exit nonzero on an Indeterminate verdict")
+_discriminate.add_argument("--out", default=None)
+
+_validate = _commands.add_parser("validate", help="run the self-check battery")
+_validate.set_defaults(run=cmd_validate)
+_validate.add_argument("--level", choices=("quick", "full"), default="quick")
+_validate.add_argument("--out", default=None)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.command == "shift":
-            return cmd_shift(load_config(args.config), args.out)
-        if args.command == "sweep":
-            return cmd_sweep(load_config(args.config), args.out)
-        if args.command == "evolve":
-            return cmd_evolve(load_config(args.config), args.out)
-        if args.command == "discriminate":
-            return cmd_discriminate(args.input, args.lmin, args.lmax, args.strict, args.out)
-        if args.command == "validate":
-            return cmd_validate(args.level, args.out)
-        raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
-    except (OSError, ValueError) as exc:  # ConfigError and InsufficientOscillationsError are ValueErrors
+        args = _PARSER.parse_args(argv)
+        return args.run(args)
+    except (_UsageError, OSError, ValueError) as exc:  # ConfigError and InsufficientOscillationsError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (QuadratureError, EvolutionError) as exc:

@@ -166,9 +166,13 @@ def extract_envelope(samples: list[SweepRecord]) -> tuple[np.ndarray, np.ndarray
 
 
 def fit_power_law(
-    env_L: np.ndarray, env_value: np.ndarray, window: tuple[float, float] | None = None
+    env_L: np.ndarray, env_value: np.ndarray, window: tuple[float | None, float | None] | None = None
 ) -> PowerLawFit:
-    """Least-squares line in (log L, log |delta E|); exponent is minus the slope."""
+    """Least-squares line in (log L, log |delta E|); exponent is minus the slope.
+
+    The fit takes the points with L in the closed ``window`` (lo, hi); a
+    missing window, or a None end of it, is that end of ``env_L``.
+    """
     env_L = np.asarray(env_L, dtype=float)
     env_value = np.asarray(env_value, dtype=float)
     if env_L.shape != env_value.shape:
@@ -177,12 +181,12 @@ def fit_power_law(
         bad = ~(np.isfinite(a) & (a > 0))
         if bad.any():
             raise ValueError(f"{name} must be positive and finite to fit in log space, got {a[bad][0]}")
-    if window is None:
-        window = (float(env_L.min()), float(env_L.max()))
-    lo, hi = window
+    lo, hi = window or (None, None)
+    lo = float(env_L.min()) if lo is None else lo
+    hi = float(env_L.max()) if hi is None else hi
     mask = (env_L >= lo) & (env_L <= hi)
     if int(mask.sum()) < 4:
-        raise ValueError(f"need at least 4 envelope points inside the window {window}, got {int(mask.sum())}")
+        raise ValueError(f"need at least 4 envelope points inside the window {(lo, hi)}, got {int(mask.sum())}")
     x = np.log(env_L[mask])
     y = np.log(env_value[mask])
     slope, intercept = np.polyfit(x, y, 1)

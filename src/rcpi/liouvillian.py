@@ -48,7 +48,6 @@ __all__ = [
     "EvolutionError",
     "Trajectory",
     "dissipator_coefficients",
-    "hamiltonian_cross_coefficients",
     "build_coefficients",
     "assemble_generator",
     "rate_matrix",
@@ -125,17 +124,10 @@ def _a2_closed_form(sigma, c, omega0: float, mu: float):
     return (mu * mu / (8.0 * math.pi)) * np.cos(omega0 * sigma) / c
 
 
-def hamiltonian_cross_coefficients(spacetime: SpacetimeConfig, omega0: float, mu: float, L: float) -> float:
-    """Cross-atom Hamiltonian coefficient a2: mu^2 / 8 pi^2 times the resonance integral
-    (``quadrature.rcpi_integral``, its numerical oracle), which is pi cos(omega0 sigma) / c."""
-    _require_positive(omega0=omega0, mu=mu, L=L)
-    return float(_a2_closed_form(*response_shape(spacetime, L), omega0, mu))
-
-
 def build_coefficients(spacetime: SpacetimeConfig, omega0: float, mu: float, L: float) -> GeneratorMatrices:
     """The generator's six scalars for one configuration, all in closed form."""
     at1, bt1, at2, bt2 = dissipator_coefficients(spacetime, omega0, mu, L)
-    a2 = hamiltonian_cross_coefficients(spacetime, omega0, mu, L)
+    a2 = float(_a2_closed_form(*response_shape(spacetime, L), omega0, mu))
     return GeneratorMatrices(omega0=omega0, a2=a2, at1=at1, bt1=bt1, at2=at2, bt2=bt2)
 
 

@@ -66,7 +66,7 @@ def sinc(x):
 
 def fourier_desitter_same(lam, kappa_val: float):
     """Same-atom spectral function (1/2 pi) lambda / (1 - e^{-2 pi kappa lambda})."""
-    if kappa_val <= 0:
+    if not (math.isfinite(kappa_val) and kappa_val > 0):
         raise ValueError(f"kappa must be positive, got {kappa_val}")
     out = _planck_weight(lam, 2.0 * math.pi * kappa_val) / (2.0 * math.pi)
     return out if np.ndim(out) else float(out)
@@ -79,10 +79,10 @@ def geometric_factor_f(lam, z, kappa_val: float):
     as sinc(2 kappa lambda asinh(z/kappa)) times a lambda-independent geometric
     ratio, which is how both removable singularities are handled.
     """
-    if kappa_val <= 0:
+    if not (math.isfinite(kappa_val) and kappa_val > 0):
         raise ValueError(f"kappa must be positive, got {kappa_val}")
     z = np.asarray(z, dtype=float)
-    if np.any(z <= 0):
+    if not np.all(np.isfinite(z) & (z > 0)):
         raise ValueError("separation argument z must be positive")
     w = z / kappa_val
     asinh_w = np.arcsinh(w)
@@ -98,7 +98,7 @@ def geometric_factor_f(lam, z, kappa_val: float):
 
 def fourier_desitter_cross(lam, kappa_val: float, L: float):
     """Cross-atom spectral function: the same-atom weight times f(lambda, L/2)."""
-    if L <= 0:
+    if not (math.isfinite(L) and L > 0):
         raise ValueError(f"separation L must be positive, got {L}")
     out = fourier_desitter_same(lam, kappa_val) * geometric_factor_f(lam, L / 2.0, kappa_val)
     return out if np.ndim(out) else float(out)
@@ -113,9 +113,9 @@ def fourier_thermal_minkowski(lam, temperature: float, L: float | None = None):
     separation ``L`` carries the extra factor sinc(lambda L).  At T = 0 only
     positive frequencies respond (vacuum step).
     """
-    if temperature < 0:
+    if not (math.isfinite(temperature) and temperature >= 0):
         raise ValueError(f"temperature must be >= 0, got {temperature}")
-    if L is not None and not L > 0:
+    if L is not None and not (math.isfinite(L) and L > 0):
         raise ValueError(f"cross spectral function needs a positive separation L, got {L}")
     lam_arr = np.asarray(lam, dtype=float)
     if temperature == 0.0:

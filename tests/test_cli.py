@@ -261,11 +261,12 @@ class TestShiftCommand:
 
 
 class TestSweepCommand:
-    def test_deterministic_and_antisymmetric(self, tmp_path):
+    def test_deterministic_and_antisymmetric(self, tmp_path, capsys):
         doc = {**DS_DOC, "sweep": {"L_min": 0.01, "L_max": 1000.0, "n_points": 200, "spacing": "log"}}
         cfg = write_config(tmp_path, doc)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
+        assert main(["sweep", "--config", cfg, "--bogus"]) == 1  # a usage error leaves the next call as it was
         assert main(["sweep", "--config", cfg, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
         lines = out1.read_text().strip().splitlines()
@@ -479,6 +480,9 @@ class TestDiscriminateCommand:
         )
         assert doc["verdict"] == "Indeterminate"
         assert code == 2
+        # The next call of the same process parses its own flags: without --strict the verdict is no failure.
+        assert main(["discriminate", str(tmp_path / "sweep.csv")]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "Indeterminate"
 
     @pytest.fixture
     def far_sweep(self, tmp_path):
@@ -594,6 +598,21 @@ class TestExitCodes:
     def test_directory_path_is_a_usage_error(self, tmp_path, capsys, argv):
         assert main([a.format(dir=tmp_path) for a in argv]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_main_builds_no_parser(self, monkeypatch, capsys):
+        # The parser is built once, at import; a call only parses.
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        assert main(["shift"]) == 1
+        assert main(["discriminate", "/nonexistent/sweep.csv"]) == 1
+        assert built == []
+        capsys.readouterr()
 
     def test_bad_config_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"spacetime": {"type": "desitter", "alpha": -1.0}, "atoms": {"omega0": 1, "mu": 1, "L": 1}})

@@ -188,11 +188,16 @@ class TestFitPowerLaw:
         fit = fit_power_law(L, 0.2 / L)
         assert fit.exponent == pytest.approx(1.0, abs=1e-10)
 
-    def test_desitter_far_exponent(self):
+    @pytest.mark.parametrize("window", [(30.0, 1000.0), (100.0, None), (None, 300.0)], ids=["both", "lo-only", "hi-only"])
+    def test_desitter_far_exponent(self, window):
         recs = desitter_sweep(np.geomspace(30.0, 1000.0, 3000), 10.0)
         env_L, env_v = extract_envelope(recs)
-        fit = fit_power_law(env_L, env_v, (30.0, 1000.0))
+        fit = fit_power_law(env_L, env_v, window)
         assert 1.95 <= fit.exponent <= 2.05
+        # A None end is that end of the envelope.
+        lo, hi = window
+        explicit = (env_L.min() if lo is None else lo, env_L.max() if hi is None else hi)
+        assert fit == fit_power_law(env_L, env_v, explicit)
 
     def test_needs_four_points(self):
         with pytest.raises(ValueError):

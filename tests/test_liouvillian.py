@@ -18,7 +18,6 @@ from rcpi.liouvillian import (
     dicke_population_rate,
     dissipator_coefficients,
     evolve,
-    hamiltonian_cross_coefficients,
     rate_matrix,
 )
 from rcpi.quadrature import rcpi_integral
@@ -125,7 +124,7 @@ class TestHamiltonianCoefficients:
     def test_cross_a2_matches_quadrature(self, spacetime, omega0, L):
         # a2 is mu^2 / 8 pi^2 times the resonance integral, here taken by quadrature.
         mu = 0.1
-        a2 = hamiltonian_cross_coefficients(spacetime, omega0, mu, L)
+        a2 = build_coefficients(spacetime, omega0, mu, L).a2
         assert a2 == pytest.approx(mu * mu / (8.0 * math.pi**2) * rcpi_integral(spacetime, omega0, L).value, rel=1e-9)
 
     @pytest.mark.parametrize(
@@ -177,7 +176,10 @@ class TestHamiltonianCoefficients:
         "fn, arg, bad",
         [
             pytest.param(fn, arg, bad, id=f"{prefix}{bad}-{arg}")
-            for fn, prefix in ((hamiltonian_cross_coefficients, ""), (dissipator_coefficients, "dissipator-"))
+            for fn, prefix in (
+                (lambda spacetime, **kw: build_coefficients(spacetime, **kw).a2, ""),
+                (dissipator_coefficients, "dissipator-"),
+            )
             for arg in ("omega0", "mu", "L")
             for bad in (math.nan, math.inf)
         ],
@@ -188,8 +190,8 @@ class TestHamiltonianCoefficients:
             fn(PATCH, **kwargs)
 
     def test_cross_vanishes_at_large_separation(self):
-        a2 = hamiltonian_cross_coefficients(PATCH, 1.0, 0.1, 1.0)
-        a2_far = hamiltonian_cross_coefficients(PATCH, 1.0, 0.1, 300.0)
+        a2 = build_coefficients(PATCH, 1.0, 0.1, 1.0).a2
+        a2_far = build_coefficients(PATCH, 1.0, 0.1, 300.0).a2
         assert abs(a2_far) < 1e-2 * abs(a2)
 
 

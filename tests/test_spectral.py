@@ -153,6 +153,32 @@ class TestThermalSpectrum:
             fourier_thermal_minkowski(1.0, 0.5, L)
 
 
+# Valid keyword arguments of each spectral function, and the message that rejects each parameter.
+_VALID_ARGS = {
+    fourier_desitter_same: {"lam": 1.0, "kappa_val": 1.0},
+    fourier_desitter_cross: {"lam": 1.0, "kappa_val": 1.0, "L": 1.0},
+    fourier_thermal_minkowski: {"lam": 1.0, "temperature": 1.0, "L": 1.0},
+    geometric_factor_f: {"lam": 1.0, "z": 1.0, "kappa_val": 1.0},
+}
+_REJECTION = {
+    (fourier_desitter_cross, "L"): "separation L must be positive",
+    (fourier_thermal_minkowski, "L"): "positive separation",
+    (fourier_thermal_minkowski, "temperature"): "temperature must be >= 0",
+    (geometric_factor_f, "z"): "z must be positive",
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "fn, arg",
+    [pytest.param(fn, arg, id=f"{fn.__name__}-{arg}") for fn, args in _VALID_ARGS.items() for arg in args if arg != "lam"],
+)
+def test_rejects_non_finite_parameters(fn, arg, bad):
+    # A NaN or infinite curvature scale, separation or temperature is an error, not a NaN or inf result.
+    with pytest.raises(ValueError, match=_REJECTION.get((fn, arg), "kappa must be positive")):
+        fn(**{**_VALID_ARGS[fn], arg: bad})
+
+
 def _windowed_transform(corr, lam, window, points=None):
     """2 Re int_0^window corr(t) e^{i lam t} dt; hermiticity folds the negative axis."""
 
