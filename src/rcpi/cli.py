@@ -114,7 +114,7 @@ def cmd_discriminate(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    report = run_validation(args.level)
+    report = run_validation()
     _write_text(json.dumps(report, indent=2), args.out)
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
@@ -150,7 +150,6 @@ _discriminate.add_argument("--out", default=None)
 
 _validate = _commands.add_parser("validate", help="run the self-check battery")
 _validate.set_defaults(run=cmd_validate)
-_validate.add_argument("--level", choices=("quick", "full"), default="quick")
 _validate.add_argument("--out", default=None)
 
 

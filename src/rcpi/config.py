@@ -95,9 +95,10 @@ class EvolveSettings:
             )
 
     def grid(self) -> np.ndarray:
-        """0, stride, 2 stride, ... up to tau_max, with tau_max appended when the stride misses it."""
+        """0, stride, 2 stride, ... ending at tau_max: appended if the stride misses it, in place of a point past it."""
         n = int(np.floor(self.tau_max / self.stride + 1e-9)) + 1
         tau = np.arange(n) * self.stride
+        tau[-1] = min(tau[-1], self.tau_max)
         if tau[-1] < self.tau_max - 1e-12 * self.tau_max:
             tau = np.append(tau, self.tau_max)
         return tau

@@ -12,8 +12,9 @@ at |argument| < 1e-4; the two branches agree to ~1e-12 at the switch point.
 
 No route imports this module: the routes read the response shape and the
 field temperature from ``geometry``, and this module is the independent
-frequency-domain oracle that the tests compare them against.  The tests in
-turn check it against the time-domain Wightman functions.
+frequency-domain oracle that the tests and the ``validate`` checks compare
+them against (those checks import it when they run).  The tests in turn
+check it against the time-domain Wightman functions.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rcpi import cli, csvio, discriminator, liouvillian
+from rcpi import cli, csvio, discriminator, liouvillian, quadrature, shifts, spectral, validation
 from rcpi.cli import main
 from rcpi.config import (
     MAX_GRID_POINTS,
@@ -193,6 +194,14 @@ class TestConfig:
         tau = EvolveSettings(rho0="E", tau_max=10.0, stride=0.3).grid()
         np.testing.assert_array_equal(tau, np.append(np.arange(34) * 0.3, 10.0))
         np.testing.assert_array_equal(EvolveSettings(rho0="E", tau_max=1.5, stride=0.5).grid(), [0.0, 0.5, 1.0, 1.5])
+
+    @pytest.mark.parametrize("tau_max, stride, n", [(3.0, 1.0000000002, 4), (0.3, 0.1, 4)])
+    def test_evolve_grid_ends_at_tau_max(self, tau_max, stride, n):
+        # The allowance that keeps tau_max as a grid point, or the rounding of k * stride,
+        # can carry the last point past tau_max; it is then tau_max itself.
+        tau = EvolveSettings(rho0="E", tau_max=tau_max, stride=stride).grid()
+        assert (tau.size, tau[-1]) == (n, tau_max)
+        assert np.all(np.diff(tau) > 0)
 
     def test_sweep_grid_is_log_spaced(self):
         L = SweepSettings(1.0, 100.0, 3).grid()
@@ -536,10 +545,34 @@ class TestDiscriminateCommand:
         assert "row 2" in capsys.readouterr().err
 
 
+def _negate_at2(dissipator_coefficients):
+    return lambda *args: np.multiply(dissipator_coefficients(*args), [1.0, 1.0, -1.0, 1.0])
+
+
+# One break per check of `validate`: (check, module, name, a function of the original that returns the broken one).
+_BREAKS = [
+    ("kms_desitter", liouvillian, "dissipator_coefficients", _negate_at2),
+    ("kms_thermal", liouvillian, "dissipator_coefficients", _negate_at2),
+    ("temperature_decomposition", validation, "local_temperature",
+     lambda f: lambda p: dataclasses.replace(f(p), T_a=2.0 * f(p).T_a)),
+    ("oracle_equivalence", quadrature, "response_shape", lambda f: lambda *a: tuple(1.001 * x for x in f(*a))),
+    # lambda / (1 - e^{-beta lambda}) less its vacuum term lambda: the occupation part alone.
+    ("thermal_temperature_independence", spectral, "_planck_weight", lambda f: lambda lam, b: f(lam, b) - lam),
+    ("asymptotic_regimes", shifts, "rcpi_asymptotic",
+     lambda f: lambda *a: f(*a) * (2.0 if a[4] is shifts.Regime.FAR else 1.0)),
+    ("flat_limit", shifts, "_desitter_shape", lambda f: lambda *a: (1.001 * f(*a)[0], f(*a)[1])),
+    ("antisymmetry", shifts, "_entangled_sign", lambda f: lambda state: -f(state)),
+    # G and E swapped: rows and columns (G, E, S, A) read as (E, G, S, A).
+    ("lindblad_generator", liouvillian, "rate_matrix", lambda f: lambda g: f(g)[[1, 0, 2, 3]][:, [1, 0, 2, 3]]),
+    ("discriminator", discriminator, "DESITTER_BAND", lambda band: (band[0] + 0.5, band[1] + 0.5)),
+    ("lindblad_trajectories", liouvillian, "_fill_run", lambda f: lambda y, p: f(y, p * (1.0 + 1e-6))),
+]
+
+
 class TestValidateCommand:
-    def test_quick_level_passes(self, tmp_path):
+    def test_battery_passes(self, tmp_path):
         out = tmp_path / "report.json"
-        assert main(["validate", "--level", "quick", "--out", str(out)]) == 0
+        assert main(["validate", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["passed"] is True
         assert [c["name"] for c in report["checks"]] == [
@@ -553,14 +586,21 @@ class TestValidateCommand:
             "antisymmetry",
             "lindblad_generator",
             "discriminator",
+            "lindblad_trajectories",
         ]
+        # Every clause names the two routes it compares.
+        assert all(" vs " in clause for c in report["checks"] for clause in c["detail"].split("; "))
         times = [c["elapsed_seconds"] for c in report["checks"]]
         assert all(t >= 0.0 for t in times) and sum(times) <= report["elapsed_seconds"] + 1e-3
 
+    def test_level_option_is_gone(self, capsys):
+        assert main(["validate", "--level", "quick"]) == 1
+        assert "--level" in capsys.readouterr().err
+
     def test_report_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert main(["validate", "--level", "quick", "--out", str(a)]) == 0
-        assert main(["validate", "--level", "quick", "--out", str(b)]) == 0
+        assert main(["validate", "--out", str(a)]) == 0
+        assert main(["validate", "--out", str(b)]) == 0
         da, db = json.loads(a.read_text()), json.loads(b.read_text())
         for report in (da, db):
             report.pop("elapsed_seconds")
@@ -575,10 +615,17 @@ class TestValidateCommand:
     )
     def test_detects_a_wrong_dissipator(self, monkeypatch, w_coth):
         monkeypatch.setattr(liouvillian, "_w_coth", w_coth)
-        report = run_validation("quick")
+        report = run_validation()
         assert report["passed"] is False
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert {"kms_desitter", "kms_thermal"} <= failed
+
+    @pytest.mark.parametrize("check, module, name, breaking", _BREAKS, ids=[b[0] for b in _BREAKS])
+    def test_a_broken_route_fails_its_check(self, monkeypatch, check, module, name, breaking):
+        # Each check compares two routes; breaking one of them must fail it.
+        monkeypatch.setattr(module, name, breaking(getattr(module, name)))
+        report = run_validation()
+        assert check in {c["name"] for c in report["checks"] if not c["passed"]}
 
 
 class TestExitCodes:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -292,6 +293,33 @@ class TestEvolve:
             min_eig = np.linalg.eigvalsh(0.5 * (exact + exact.conj().transpose(0, 2, 1)))[:, 0]
             assert np.max(np.abs(traj.populations - pops)) <= 1e-12
             assert np.max(np.abs(traj.min_eigenvalue - min_eig)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "spacetime, L, stiff",
+        [
+            (PATCH, 1.0, True),
+            (ThermalBath(1e-3), 1.0, False),
+            (ThermalBath(0.0), 1.0, False),
+            (PATCH, 1e-6, False),
+            (ThermalBath(0.0), 1e-6, False),
+        ],
+        ids=["stiff-step", "omega0-over-T-1e3", "T0", "desitter-L-over-kappa-1e-6", "thermal-L1e-6-T0"],
+    )
+    def test_corner_matches_mpmath(self, spacetime, L, stiff):
+        # The corners of the evolve domain against a 40-digit matrix exponential of the same
+        # rate matrix R, one per point.  The stiff step has max |R| h = 7.7e2; at L = 1e-6 with
+        # T = 0 the A state decouples and R has a near-double zero eigenvalue.
+        gen = build_coefficients(spacetime, 1.0, 0.5, L)
+        r = rate_matrix(gen)
+        tau = np.arange(51) * (770.0 / np.max(np.abs(r)) if stiff else 4.0)
+        with mpmath.workdps(40):
+            m = mpmath.matrix(r.tolist())
+            exact = [mpmath.expm(m * float(t)) for t in tau]
+        for s, k in ((DickeState.E, 1), (DickeState.A, 3)):
+            traj = evolve(projector(s), gen, tau)
+            pops = np.array([[float(e[i, k]) for i in range(4)] for e in exact])
+            assert np.max(np.abs(traj.populations - pops)) <= 1e-12
+            assert np.max(np.abs(traj.trace - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize(
         "rho0",
