@@ -30,6 +30,7 @@ MAX_GRID_POINTS = 10**7
 
 
 def _require_positive_finite(name: str, value: float) -> None:
+    """The rule of ``geometry._require_positive``, raised as the ConfigError that names ``section.field``."""
     if not (math.isfinite(value) and value > 0):
         raise ConfigError(f"{name} must be positive and finite, got {value}")
 

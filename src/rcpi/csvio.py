@@ -1,11 +1,12 @@
 """The CSV format of the sweep and trajectory files.
 
-A header row, then one row per sample with every value written as ``%.17g``
-(enough digits for each float to read back exactly) and ``\\r\\n`` line ends,
-the format `csv.writer` emits.  Both functions take a path or an open text
-buffer; a path is opened and closed here, a buffer is left open.  Writing
-formats each value once; reading parses with `np.loadtxt` and reads the file
-row by row only to name a bad row.
+A header row, then one row per sample with ``\\r\\n`` line ends, the format
+`csv.writer` emits; a float is written as ``%.17g``, enough digits to read it
+back exactly.  Each function takes a path or an open text buffer; a path is
+opened and closed here, a buffer is left open.  The writer knows nothing of
+columns: `write_rows` writes the text its caller formats for each block of
+rows, and `write_columns` is that caller for columns of floats.  Reading
+parses with `np.loadtxt` and reads the file row by row only to name a bad row.
 """
 
 from __future__ import annotations
@@ -31,52 +32,27 @@ def _open(path_or_buf, mode: str):
     return contextlib.nullcontext(path_or_buf)
 
 
-# Rows converted and formatted at a time, so a file's text is never held whole.
+# Rows formatted at a time, so a file's text is never held whole.
 _BLOCK_ROWS = 1 << 14
 
 
-class Negation:
-    """A column that is minus column ``of``, written from that column's text.
-
-    The ``%.17g`` text of -x is the text of x with its leading ``-`` toggled
-    (``nan`` stays ``nan``), so the values are formatted once.
-    """
-
-    def __init__(self, of: int):
-        self.of = of
-
-
-def _negated(texts: list[str]) -> list[str]:
-    return [t[1:] if t[0] == "-" else t if t == "nan" else "-" + t for t in texts]
+def write_rows(path_or_buf, header: tuple[str, ...], n_rows: int, rows: Callable[[int, int], str]) -> None:
+    """Write the header, then ``rows(start, stop)``, the text of rows start to stop, block by block."""
+    with _open(path_or_buf, "w") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            fh.write(rows(start, min(start + _BLOCK_ROWS, n_rows)))
 
 
 def write_columns(path_or_buf, header: tuple[str, ...], columns) -> None:
-    """Write equal-length columns under the header, one row per index.
+    """Write equal-length columns of floats under the header as ``%.17g``, one row per index."""
+    cols = [np.asarray(c, dtype=float) for c in columns]
+    row = ",".join(["%.17g"] * len(cols)) + "\r\n"
 
-    A column of numbers is written as ``%.17g``, a bool column as 0 or 1 and a
-    ``Negation(j)`` as minus column j, an earlier column of numbers.
-    """
-    negated = {c.of for c in columns if isinstance(c, Negation)}
-    cols, fields = [], []
-    for j, c in enumerate(columns):
-        if not isinstance(c, Negation):
-            c = np.asarray(c)
-            c = c if c.dtype == bool else c.astype(float, copy=False)
-        cols.append(c)
-        # A negation and the column it negates are formatted per block, before the rows.
-        fields.append("%s" if j in negated or isinstance(c, Negation) else "%d" if c.dtype == bool else "%.17g")
-    row = ",".join(fields) + "\r\n"
-    with _open(path_or_buf, "w") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, len(cols[0]), _BLOCK_ROWS):
-            block = []
-            for j, c in enumerate(cols):
-                if isinstance(c, Negation):
-                    block.append(_negated(block[c.of]))
-                else:
-                    values = c[start : start + _BLOCK_ROWS].tolist()
-                    block.append(list(map("%.17g".__mod__, values)) if j in negated else values)
-            fh.write("".join(map(row.__mod__, zip(*block))))
+    def rows(start: int, stop: int) -> str:
+        return "".join(map(row.__mod__, zip(*(c[start:stop].tolist() for c in cols))))
+
+    write_rows(path_or_buf, header, len(cols[0]), rows)
 
 
 def _scan(path_or_buf, start: int, index: list[int], width: int):

@@ -10,7 +10,7 @@ import enum
 
 import numpy as np
 
-__all__ = ["DickeState", "ket", "projector"]
+__all__ = ["DickeState", "KETS", "ket", "projector"]
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -21,21 +21,27 @@ class DickeState(enum.Enum):
     S = "S"
     A = "A"
 
+    @property
+    def index(self) -> int:
+        """Position in DickeState order: the row of ``KETS``, and of the population (pG, pE, pS, pA)."""
+        return list(DickeState).index(self)
 
-_KETS = {
-    DickeState.G: np.array([1.0, 0.0, 0.0, 0.0], dtype=complex),
-    DickeState.E: np.array([0.0, 0.0, 0.0, 1.0], dtype=complex),
-    DickeState.S: np.array([0.0, _SQRT_HALF, _SQRT_HALF, 0.0], dtype=complex),
-    DickeState.A: np.array([0.0, -_SQRT_HALF, _SQRT_HALF, 0.0], dtype=complex),
-}
+
+# The collective basis as real kets in the product basis, one row per state in DickeState order.
+KETS = np.array([
+    [1.0, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0],
+    [0.0, _SQRT_HALF, _SQRT_HALF, 0.0],
+    [0.0, -_SQRT_HALF, _SQRT_HALF, 0.0],
+])
 
 
 def ket(state: DickeState) -> np.ndarray:
-    """State vector in the product basis (returns a copy)."""
-    return _KETS[state].copy()
+    """Complex state vector in the product basis (a new array)."""
+    return KETS[state.index].astype(complex)
 
 
 def projector(state: DickeState) -> np.ndarray:
-    """Rank-one density matrix |state><state|."""
-    v = _KETS[state]
-    return np.outer(v, v.conj())
+    """Rank-one complex density matrix |state><state|."""
+    v = KETS[state.index]
+    return np.outer(v, v).astype(complex)

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import csvio
+from .geometry import _require_positive
 
 __all__ = [
     "SweepRecord",
@@ -132,8 +133,9 @@ def envelope_points(L, dE_S) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"L and dE_S must have the same shape, got {L.shape} and {v.shape}")
     if L.size < 5:
         raise InsufficientOscillationsError("need at least 5 samples to look for an envelope")
-    if not (np.all(np.isfinite(L) & (L > 0)) and np.all(np.isfinite(v))):
-        raise ValueError("sweep samples must be finite, with L > 0")
+    _require_positive(L=L)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"dE_S must be finite, got {v[~np.isfinite(v)][0]}")
     if np.any(np.diff(L) <= 0):
         raise ValueError("sweep samples must be ordered by strictly increasing L")
 
@@ -177,10 +179,7 @@ def fit_power_law(
     env_value = np.asarray(env_value, dtype=float)
     if env_L.shape != env_value.shape:
         raise ValueError(f"env_L and env_value must have the same shape, got {env_L.shape} and {env_value.shape}")
-    for name, a in (("env_L", env_L), ("env_value", env_value)):
-        bad = ~(np.isfinite(a) & (a > 0))
-        if bad.any():
-            raise ValueError(f"{name} must be positive and finite to fit in log space, got {a[bad][0]}")
+    _require_positive(env_L=env_L, env_value=env_value)  # the fit is in log space
     lo, hi = window or (None, None)
     lo = float(env_L.min()) if lo is None else lo
     hi = float(env_L.max()) if hi is None else hi
@@ -240,11 +239,17 @@ def write_sweep_csv(path_or_buf, L, dE_S) -> None:
     """Write a sweep as columns L, dE_S, dE_A = -dE_S and envelope, byte-stable for fixed input.
 
     The envelope column is 1 at the interior local maxima of |dE_S| and 0
-    elsewhere.
+    elsewhere.  Each dE_S is formatted once: the ``%.17g`` text of -x is that
+    of x with its leading ``-`` toggled (``nan`` stays ``nan``).
     """
+    L = np.asarray(L, dtype=float)
     dE_S = np.asarray(dE_S, dtype=float)
-    csvio.write_columns(
-        path_or_buf,
-        ("L", "dE_S", "dE_A", "envelope"),
-        (L, dE_S, csvio.Negation(1), _interior_maxima(np.abs(dE_S))),
-    )
+    envelope = _interior_maxima(np.abs(dE_S))
+
+    def rows(start: int, stop: int) -> str:
+        s = list(map("%.17g".__mod__, dE_S[start:stop].tolist()))
+        a = [t[1:] if t[0] == "-" else t if t == "nan" else "-" + t for t in s]
+        fields = zip(L[start:stop].tolist(), s, a, envelope[start:stop].tolist())
+        return "".join(map("%.17g,%s,%s,%d\r\n".__mod__, fields))
+
+    csvio.write_rows(path_or_buf, ("L", "dE_S", "dE_A", "envelope"), L.size, rows)

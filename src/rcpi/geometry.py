@@ -26,6 +26,21 @@ __all__ = [
 ]
 
 
+def _require_positive(**values) -> None:
+    """Raise ValueError naming the first argument that is not positive and finite.
+
+    A value may be a scalar or a numpy array; for an array the message quotes its first bad element.
+    """
+    for name, x in values.items():
+        if getattr(x, "ndim", 0) == 0:
+            bad = () if math.isfinite(x) and x > 0 else (x,)
+        else:
+            x = np.asarray(x, dtype=float)
+            bad = x[~(np.isfinite(x) & (x > 0))]
+        if len(bad):
+            raise ValueError(f"{name} must be positive and finite, got {bad[0]}")
+
+
 @dataclass(frozen=True)
 class DeSitterPatch:
     """Static de Sitter patch of curvature radius ``alpha``, atoms at radius ``r``.
@@ -41,8 +56,7 @@ class DeSitterPatch:
     r: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"de Sitter radius must be positive and finite, got alpha={self.alpha}")
+        _require_positive(alpha=self.alpha)
         if not (0.0 <= self.r < self.alpha):
             raise ValueError(
                 f"atoms must sit strictly inside the horizon (0 <= r < alpha), got r={self.r}, alpha={self.alpha}"
@@ -106,26 +120,23 @@ def field_temperature(spacetime: SpacetimeConfig) -> float:
     raise TypeError(f"unsupported spacetime configuration: {spacetime!r}")
 
 
-def _require_positive(**values) -> None:
-    """Raise ValueError naming the first argument that is not positive and finite.
-
-    A value may be a scalar or a numpy array; for an array the message quotes its first bad element.
-    """
-    for name, x in values.items():
-        if getattr(x, "ndim", 0) == 0:
-            bad = () if math.isfinite(x) and x > 0 else (x,)
-        else:
-            x = np.asarray(x, dtype=float)
-            bad = x[~(np.isfinite(x) & (x > 0))]
-        if len(bad):
-            raise ValueError(f"{name} must be positive and finite, got {bad[0]}")
-
-
 def _desitter_shape(L, kappa_val: float):
     """(sigma, c) = (2 kappa asinh(L / 2 kappa), L sqrt(1 + L^2 / 4 kappa^2)) for a scalar or an array ``L``."""
     x = L / (2.0 * kappa_val)
-    sigma, c = 2.0 * kappa_val * np.arcsinh(x), L * np.sqrt(1.0 + x * x)
-    return (sigma, c) if np.ndim(sigma) else (float(sigma), float(c))
+    sigma = 2.0 * kappa_val * np.arcsinh(x)
+    # sqrt(1 + x^2) rounds to x itself from x = 2^27 on, so x is squared only below there: the
+    # bits of sqrt(1 + x * x) wherever x * x is finite, and no overflow past it.  A scalar is
+    # done in Python floats, which overflow to inf silently; a c that is no double raises.
+    if np.ndim(sigma):
+        with np.errstate(over="ignore"):
+            c = L * np.where(x < 2.0**27, np.sqrt(1.0 + x * x), x)
+        bad = L[~np.isfinite(c)]
+    else:
+        sigma, c = float(sigma), float(L) * (math.sqrt(1.0 + x * x) if x < 2.0**27 else float(x))
+        bad = () if math.isfinite(c) else (L,)
+    if len(bad):
+        raise ValueError(f"c = L sqrt(1 + L^2 / 4 kappa^2) is not finite at L={bad[0]}, kappa={kappa_val}")
+    return sigma, c
 
 
 def response_shape(spacetime: SpacetimeConfig, L):

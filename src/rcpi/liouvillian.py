@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import csvio
-from .dicke import DickeState, ket
+from .dicke import KETS, DickeState
 from .geometry import SpacetimeConfig, _require_positive, field_temperature, response_shape
 
 __all__ = [
@@ -54,10 +54,6 @@ __all__ = [
     "dicke_population_rate",
     "evolve",
 ]
-
-# The collective basis (G, E, S, A) as rows of real kets in the product basis.
-_DICKE_ORDER = (DickeState.G, DickeState.E, DickeState.S, DickeState.A)
-_DICKE_KETS = np.array([ket(s).real for s in _DICKE_ORDER])
 
 
 class EvolutionError(RuntimeError):
@@ -155,8 +151,7 @@ def rate_matrix(gen: GeneratorMatrices) -> np.ndarray:
 
 def dicke_population_rate(gen: GeneratorMatrices, state: DickeState) -> float:
     """Instantaneous d p_state / d tau with the system prepared in that Dicke state: a diagonal entry of R."""
-    k = _DICKE_ORDER.index(state)
-    return float(rate_matrix(gen)[k, k])
+    return float(rate_matrix(gen)[state.index, state.index])
 
 
 @dataclass(frozen=True)
@@ -180,7 +175,7 @@ class Trajectory:
     @property
     def rho(self) -> np.ndarray:
         """(n, 4, 4) real density matrices in the product basis."""
-        return np.einsum("nk,ki,kj->nij", self.populations, _DICKE_KETS, _DICKE_KETS)
+        return np.einsum("nk,ki,kj->nij", self.populations, KETS, KETS)
 
     @property
     def hermiticity_defect(self) -> np.ndarray:
@@ -230,7 +225,7 @@ def evolve(rho0, gen: GeneratorMatrices, tau_grid) -> Trajectory:
     tau = np.asarray(tau_grid, dtype=float)
     if tau.ndim != 1 or tau.size < 2 or not np.all(np.isfinite(tau)) or np.any(np.diff(tau) <= 0):
         raise ValueError("tau_grid must be a finite, strictly increasing 1D grid with at least two points")
-    dicke = _DICKE_KETS @ rho_init @ _DICKE_KETS.T
+    dicke = KETS @ rho_init @ KETS.T
     p0 = dicke.diagonal().real
     coherence = np.max(np.abs(dicke - np.diag(p0)))
     if not coherence <= 1e-12:

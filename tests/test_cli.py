@@ -81,6 +81,18 @@ class TestConfig:
             ),
             pytest.param({"evolve": {"rho0": "E", "tau_max": 1.0, "stride": True}}, r"evolve\.stride .*true", id="stride-true"),
             pytest.param(
+                {"evolve": {"rho0": "E", "tau_max": 1.0, "stride": 0.0}}, r"evolve\.stride must lie in \(0, tau_max\], got 0\.0",
+                id="stride-zero",
+            ),
+            pytest.param(
+                {"evolve": {"rho0": "E", "tau_max": 1.0, "stride": -0.5}}, r"evolve\.stride must lie in \(0, tau_max\]",
+                id="stride-negative",
+            ),
+            pytest.param(
+                {"evolve": {"rho0": "E", "tau_max": 1.0, "stride": 1.5}}, r"evolve\.stride must lie in \(0, tau_max\], got 1\.5",
+                id="stride-above-tau_max",
+            ),
+            pytest.param(
                 {"spacetime": {"type": "desitter", "alpha": "1.0"}}, r'spacetime\.alpha must be a number, got "1\.0"',
                 id="alpha-string",
             ),
@@ -216,6 +228,12 @@ class TestConfig:
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
 
+    def test_top_level_array_is_rejected(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="configuration document must be a JSON object"):
+            config_from_dict([DS_DOC])
+        assert main(["shift", "--config", write_config(tmp_path, [DS_DOC])]) == 1
+        assert "must be a JSON object" in capsys.readouterr().err
+
     def test_json_error_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{\n  \"spacetime\": }\n")
@@ -224,13 +242,20 @@ class TestConfig:
 
 
 class TestShiftCommand:
-    def test_closed_and_quadrature_agree(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, DS_DOC)
+    @pytest.mark.parametrize(
+        "L, regime",
+        [(0.05, "near (flat-space law applies)"), (1.0, "crossover"), (20.0, "far (curvature-dominated decay)")],
+        ids=["near", "crossover", "far"],
+    )
+    def test_closed_and_quadrature_agree(self, tmp_path, capsys, L, regime):
+        # kappa = 1, so L is L / kappa: below 0.1 is near, above 10 far.
+        cfg = write_config(tmp_path, {**DS_DOC, "atoms": {**DS_DOC["atoms"], "L": L}})
         assert main(["shift", "--config", cfg]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["dE_S_quadrature"] == pytest.approx(doc["dE_S_closed"], rel=1e-6)
         assert doc["dE_A_closed"] == -doc["dE_S_closed"]
-        assert doc["regime"] == "crossover"
+        assert doc["L_over_kappa"] == L
+        assert doc["regime"] == regime
         assert doc["quadrature_error_estimate"] > 0
 
     def test_thermal_shift_is_temperature_free(self, tmp_path, capsys):
@@ -296,6 +321,11 @@ class TestSweepCommand:
 
 
 class TestEvolveCommand:
+    def test_missing_evolve_section(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, DS_DOC)
+        assert main(["evolve", "--config", cfg]) == 1
+        assert "evolve: section is required for the evolve command" in capsys.readouterr().err
+
     def test_trajectory_columns_and_trace(self, tmp_path):
         doc = {
             "spacetime": {"type": "desitter", "alpha": 1.0, "r": 0.0},
@@ -434,17 +464,18 @@ def test_csv_written_in_blocks_matches_per_row_writer(monkeypatch):
 EDGE_VALUES = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 1e308, -1e308, 0.25, -1.5, 3.0]
 
 
+@pytest.mark.parametrize("n", [26, 21, 0], ids=["26-rows", "21-rows", "no-rows"])
 @pytest.mark.parametrize("block_rows", [csvio._BLOCK_ROWS, 7])
-def test_sweep_of_edge_values_matches_per_row_writer(monkeypatch, block_rows):
-    # 26 rows: with blocks of 7, three full blocks and a partial one.
+def test_sweep_of_edge_values_matches_per_row_writer(monkeypatch, block_rows, n):
+    # With blocks of 7, 26 rows are three full blocks and a partial one, 21 rows exactly three blocks.
     monkeypatch.setattr(csvio, "_BLOCK_ROWS", block_rows)
-    s = EDGE_VALUES + EDGE_VALUES[::-1]
+    s = (EDGE_VALUES + EDGE_VALUES[::-1])[:n]
     L = s[::-1]
     buf = io.StringIO()
     discriminator.write_sweep_csv(buf, L, s)
     m = [abs(v) for v in s]
     flags = [0 < i < len(m) - 1 and m[i] > m[i - 1] and m[i] >= m[i + 1] for i in range(len(m))]
-    assert 0 < sum(flags)
+    assert n == 0 or 0 < sum(flags)
     rows = [(Li, v, -v, int(f)) for Li, v, f in zip(L, s, flags)]
     assert buf.getvalue().encode() == per_row_csv(["L", "dE_S", "dE_A", "envelope"], rows)
 

@@ -223,6 +223,20 @@ class TestFitPowerLaw:
 
 
 class TestClassify:
+    @pytest.mark.parametrize(
+        "fields, fragment",
+        [
+            ({"n_points": 3}, "at least 4 points, got 3"),
+            ({"residual_rms": -1e-9}, "residual_rms must be non-negative"),
+            ({"window": (100.0, 10.0)}, r"fit window must be increasing, got \(100\.0, 10\.0\)"),
+        ],
+        ids=["three-points", "negative-residual", "decreasing-window"],
+    )
+    def test_fit_record_rejects_an_impossible_fit(self, fields, fragment):
+        kwargs = {"exponent": 2.0, "amplitude": 1.0, "residual_rms": 1e-4, "window": (10.0, 100.0), "n_points": 8}
+        with pytest.raises(ValueError, match=fragment):
+            PowerLawFit(**{**kwargs, **fields})
+
     def test_threshold_rule(self):
         fit = PowerLawFit(2.01, 1.0, 1e-4, (10.0, 100.0), 8)
         assert classify(fit).verdict is Verdict.DESITTER_FAR

@@ -100,6 +100,33 @@ class TestResponseShape:
         assert field_temperature(patch) == local_temperature(patch).T
         assert field_temperature(ThermalBath(0.7)) == 0.7
 
+    @pytest.mark.parametrize("call", [lambda st: response_shape(st, 1.0), field_temperature], ids=["shape", "temperature"])
+    @pytest.mark.parametrize("spacetime", [None, 1.0, "desitter"], ids=["none", "float", "str"])
+    def test_rejects_what_is_no_spacetime(self, call, spacetime):
+        with pytest.raises(TypeError, match="unsupported spacetime configuration"):
+            call(spacetime)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_c_keeps_its_bits_up_to_the_overflow_of_x_squared(self):
+        # From x = L / 2 kappa = 2^27 on, sqrt(1 + x^2) is taken as x itself; up to where x * x
+        # overflows, that is the same double as L sqrt(1 + x * x).
+        # kappa = 1e-3 keeps c = 2 kappa x^2 a double as far as x = 1.3e154.
+        patch = DeSitterPatch(1e-3)
+        L = np.geomspace(1e-9, 2.6e151, 4001)
+        x = L / (2.0 * kappa(patch))
+        assert x[-1] > 1.3e154
+        c = response_shape(patch, L)[1]
+        np.testing.assert_array_equal(c, L * np.sqrt(1.0 + x * x))
+        assert [response_shape(patch, v)[1] for v in L[::97].tolist()] == c[::97].tolist()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+    def test_c_past_the_double_range_is_rejected(self, as_array):
+        # At kappa = 1, c = L sqrt(1 + L^2 / 4) passes the largest double near L = 1.89e154.
+        L = np.array([1.0, 1.8e154, 2.6e154, 3e154]) if as_array else 2.6e154
+        with pytest.raises(ValueError, match=r"not finite at L=2\.6e\+154, kappa=1\.0"):
+            response_shape(DeSitterPatch(1.0), L)
+
 
 def test_thermal_bath_validation():
     assert ThermalBath(0.0).temperature == 0.0

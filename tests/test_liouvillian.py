@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from oracles import h_ls_matrix, superoperator
-from rcpi.dicke import DickeState, ket, projector
+from rcpi.dicke import KETS, DickeState, ket, projector
 from rcpi.geometry import DeSitterPatch, ThermalBath, kappa
 from rcpi.liouvillian import (
     EvolutionError,
@@ -41,6 +41,19 @@ def _commutator(h):
 
 # Rows are the Dicke kets (G, E, S, A) in the product basis.
 _KETS = np.array([ket(s) for s in (DickeState.G, DickeState.E, DickeState.S, DickeState.A)])
+
+
+def test_dicke_basis_table():
+    # Product order (gg, ge, eg, ee): G = gg, E = ee, S = (eg + ge)/sqrt2, A = (eg - ge)/sqrt2.
+    h = math.sqrt(0.5)
+    expected = {"G": [1, 0, 0, 0], "E": [0, 0, 0, 1], "S": [0, h, h, 0], "A": [0, -h, h, 0]}
+    assert [s.value for s in DickeState] == ["G", "E", "S", "A"]
+    for k, state in enumerate(DickeState):
+        assert state.index == k
+        np.testing.assert_allclose(KETS[k], expected[state.value], rtol=0, atol=1e-15)
+        assert ket(state).dtype == complex and np.array_equal(ket(state), KETS[k])
+        assert projector(state).dtype == complex and np.array_equal(projector(state), np.outer(KETS[k], KETS[k]))
+    np.testing.assert_allclose(KETS @ KETS.T, np.eye(4), atol=1e-15)
 
 
 def _dicke_matrix(rho):
@@ -336,6 +349,11 @@ class TestEvolve:
     def test_rejects_a_start_with_dicke_coherence(self, gen_unit, rho0):
         with pytest.raises(ValueError, match="Dicke-diagonal"):
             evolve(rho0, gen_unit, [0.0, 1.0])
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (16,), (2, 4, 4)])
+    def test_rejects_a_start_that_is_not_4x4(self, gen_unit, shape):
+        with pytest.raises(ValueError, match=rf"must be 4x4, got shape \({shape[0]},"):
+            evolve(np.zeros(shape), gen_unit, [0.0, 1.0])
 
     def test_accepts_a_dicke_coherence_within_the_limit(self, gen_unit):
         rho0 = projector(DickeState.E) + 5e-13 * np.outer(_KETS[1], _KETS[3])

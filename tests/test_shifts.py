@@ -96,6 +96,24 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             rcpi_closed_desitter(1.0, 1.0, 1.0, 0.1, DickeState.G)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+    def test_x_squared_past_the_double_range(self, as_array):
+        # x = L / 2 kappa = 5e159, so x * x overflows, yet c = L x (1 + O(1/x^2)) = 5e69 is a double.
+        L, kap = 1e-90, 1e-250
+        sigma = 2.0 * kap * math.asinh(L / (2.0 * kap))
+        expected = -(1.0 / (4.0 * math.pi)) * math.cos(sigma) / (L * (L / (2.0 * kap)))
+        value = rcpi_closed_desitter(np.array([L]) if as_array else L, kap, 1.0, 1.0)
+        assert np.ravel(value).tolist() == pytest.approx([expected], rel=1e-15, abs=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+    def test_c_past_the_double_range_raises(self, as_array):
+        # The shift is at most mu^2 / 4 pi c, about 2e-10 here, but c itself is no double: an error, not -0.0.
+        L = np.array([1e3, 2.6e154]) if as_array else 2.6e154
+        with pytest.raises(ValueError, match=r"not finite at L=2\.6e\+154, kappa=1\.0"):
+            rcpi_closed_desitter(L, 1.0, 1.0, 1e150)
+
     def test_huge_curvature_scale_gives_the_flat_value(self):
         # kappa = 1e200 is past the range DeSitterPatch accepts (kappa^2 overflows);
         # the closed form takes kappa itself and reaches the flat limit.
