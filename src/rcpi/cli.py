@@ -10,6 +10,7 @@ battery).  Exit codes: 0 ok, 1 usage/config error, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -39,14 +40,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _write_text(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
+def _output(out: str | None):
+    """Where a command writes its result: stdout, or the ``--out`` file, opened once the result is computed."""
+    return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="")
+
+
+def _write_json(text: str, out: str | None) -> None:
+    with _output(out) as fh:
+        fh.write(text + "\n")
 
 
 def _regime_hint(ratio: float) -> str:
@@ -80,7 +81,7 @@ def cmd_shift(args: argparse.Namespace) -> int:
             "quadrature_error_estimate": quad_err,
         }
     )
-    _write_text(json.dumps(report, indent=2), args.out)
+    _write_json(json.dumps(report, indent=2), args.out)
     return EXIT_OK
 
 
@@ -90,7 +91,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("sweep: section is required for the sweep command")
     grid = cfg.sweep.grid()
     dE_S = rcpi_closed(cfg.spacetime, grid, cfg.atoms.omega0, cfg.atoms.mu, DickeState.S)
-    write_sweep_csv(args.out or sys.stdout, grid, dE_S)
+    with _output(args.out) as fh:
+        write_sweep_csv(fh, grid, dE_S)
     return EXIT_OK
 
 
@@ -100,14 +102,15 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         raise ConfigError("evolve: section is required for the evolve command")
     gen = build_coefficients(cfg.spacetime, cfg.atoms.omega0, cfg.atoms.mu, cfg.atoms.L)
     traj = evolve(projector(DickeState(cfg.evolve.rho0)), gen, cfg.evolve.grid())
-    traj.to_csv(args.out or sys.stdout)
+    with _output(args.out) as fh:
+        traj.to_csv(fh)
     return EXIT_OK
 
 
 def cmd_discriminate(args: argparse.Namespace) -> int:
     env_L, env_v = envelope_points(*read_sweep_csv(args.input))
     result = classify(fit_power_law(env_L, env_v, (args.lmin, args.lmax)))
-    _write_text(result.to_json(), args.out)
+    _write_json(result.to_json(), args.out)
     if args.strict and result.verdict is Verdict.INDETERMINATE:
         return EXIT_VALIDATION
     return EXIT_OK
@@ -115,7 +118,7 @@ def cmd_discriminate(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     report = run_validation()
-    _write_text(json.dumps(report, indent=2), args.out)
+    _write_json(json.dumps(report, indent=2), args.out)
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
@@ -124,33 +127,27 @@ _PARSER = _Parser(prog="rcpi", description="Resonance interaction energies of an
 _PARSER.add_argument("--version", action="version", version=f"rcpi {__version__}")
 _commands = _PARSER.add_subparsers(dest="command", required=True)
 
-_shift = _commands.add_parser("shift", help="single-point shift by closed form and quadrature")
-_shift.set_defaults(run=cmd_shift)
-_shift.add_argument("--config", required=True)
-_shift.add_argument("--out", default=None)
+
+def _command(name: str, run, help: str, config: bool = True) -> argparse.ArgumentParser:
+    """Add the subcommand ``name`` bound to ``run``, with the options every command shares."""
+    sub = _commands.add_parser(name, help=help)
+    sub.set_defaults(run=run)
+    if config:
+        sub.add_argument("--config", required=True)
+    sub.add_argument("--out", default=None)
+    return sub
+
+
+_shift = _command("shift", cmd_shift, "single-point shift by closed form and quadrature")
 _shift.add_argument("--format", choices=("json",), default="json")
-
-_sweep = _commands.add_parser("sweep", help="closed-form shift versus separation, written as CSV")
-_sweep.set_defaults(run=cmd_sweep)
-_sweep.add_argument("--config", required=True)
-_sweep.add_argument("--out", default=None)
-
-_evolve = _commands.add_parser("evolve", help="propagate the master equation, trajectory as CSV")
-_evolve.set_defaults(run=cmd_evolve)
-_evolve.add_argument("--config", required=True)
-_evolve.add_argument("--out", default=None)
-
-_discriminate = _commands.add_parser("discriminate", help="classify a sweep CSV by its envelope decay law")
-_discriminate.set_defaults(run=cmd_discriminate)
+_command("sweep", cmd_sweep, "closed-form shift versus separation, written as CSV")
+_command("evolve", cmd_evolve, "propagate the master equation, trajectory as CSV")
+_discriminate = _command("discriminate", cmd_discriminate, "classify a sweep CSV by its envelope decay law", config=False)
 _discriminate.add_argument("input", help="sweep CSV with columns L,dE_S,dE_A")
 _discriminate.add_argument("--lmin", type=float, default=None)
 _discriminate.add_argument("--lmax", type=float, default=None)
 _discriminate.add_argument("--strict", action="store_true", help="exit nonzero on an Indeterminate verdict")
-_discriminate.add_argument("--out", default=None)
-
-_validate = _commands.add_parser("validate", help="run the self-check battery")
-_validate.set_defaults(run=cmd_validate)
-_validate.add_argument("--out", default=None)
+_command("validate", cmd_validate, "run the self-check battery", config=False)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -163,7 +160,3 @@ def main(argv: list[str] | None = None) -> int:
     except (QuadratureError, EvolutionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

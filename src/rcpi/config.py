@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath
+from .dicke import DickeState
+from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, response_shape
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL
 
 
@@ -83,8 +84,9 @@ class EvolveSettings:
     stride: float
 
     def __post_init__(self) -> None:
-        if self.rho0 not in ("G", "E", "S", "A"):
-            raise ConfigError(f"evolve.rho0 must be one of G, E, S, A, got {self.rho0!r}")
+        names = [state.value for state in DickeState]
+        if self.rho0 not in names:
+            raise ConfigError(f"evolve.rho0 must be one of {', '.join(names)}, got {self.rho0!r}")
         _require_positive_finite("evolve.tau_max", self.tau_max)
         if not (0 < self.stride <= self.tau_max):
             raise ConfigError(f"evolve.stride must lie in (0, tau_max], got {self.stride}")
@@ -124,6 +126,15 @@ class RunConfig:
     sweep: SweepSettings | None = None
     evolve: EvolveSettings | None = None
     tolerances: ToleranceSettings = field(default_factory=ToleranceSettings)
+
+    def __post_init__(self) -> None:
+        # c grows with L, so the largest separation of each command bounds every c it computes.
+        largest = {"atoms.L": self.atoms.L} | ({"sweep.L_max": self.sweep.L_max} if self.sweep else {})
+        for name, L in largest.items():
+            try:
+                response_shape(self.spacetime, L)
+            except ValueError as exc:
+                raise ConfigError(f"{name}: {exc}") from None
 
 
 _SPACETIMES = {"desitter": DeSitterPatch, "thermal": ThermalBath}

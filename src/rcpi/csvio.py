@@ -4,9 +4,9 @@ A header row, then one row per sample with ``\\r\\n`` line ends, the format
 `csv.writer` emits; a float is written as ``%.17g``, enough digits to read it
 back exactly.  Each function takes a path or an open text buffer; a path is
 opened and closed here, a buffer is left open.  The writer knows nothing of
-columns: `write_rows` writes the text its caller formats for each block of
-rows, and `write_columns` is that caller for columns of floats.  Reading
-parses with `np.loadtxt` and reads the file row by row only to name a bad row.
+columns: `write_rows` writes the text each file's writer formats for a block
+of rows.  Reading parses with `np.loadtxt` and reads the file row by row only
+to name a bad row.
 """
 
 from __future__ import annotations
@@ -42,17 +42,6 @@ def write_rows(path_or_buf, header: tuple[str, ...], n_rows: int, rows: Callable
         fh.write(",".join(header) + "\r\n")
         for start in range(0, n_rows, _BLOCK_ROWS):
             fh.write(rows(start, min(start + _BLOCK_ROWS, n_rows)))
-
-
-def write_columns(path_or_buf, header: tuple[str, ...], columns) -> None:
-    """Write equal-length columns of floats under the header as ``%.17g``, one row per index."""
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    row = ",".join(["%.17g"] * len(cols)) + "\r\n"
-
-    def rows(start: int, stop: int) -> str:
-        return "".join(map(row.__mod__, zip(*(c[start:stop].tolist() for c in cols))))
-
-    write_rows(path_or_buf, header, len(cols[0]), rows)
 
 
 def _scan(path_or_buf, start: int, index: list[int], width: int):

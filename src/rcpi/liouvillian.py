@@ -183,12 +183,14 @@ class Trajectory:
         return np.zeros(len(self.populations))
 
     def to_csv(self, path_or_buf) -> None:
-        """Write tau, Dicke populations, trace and minimum eigenvalue as CSV."""
-        csvio.write_columns(
-            path_or_buf,
-            ("tau", "pG", "pE", "pS", "pA", "trace", "min_eig"),
-            (self.tau, *self.populations.T, self.trace, self.min_eigenvalue),
-        )
+        """Write tau, Dicke populations, trace and minimum eigenvalue as CSV, each as ``%.17g``."""
+        cols = (self.tau, *self.populations.T, self.trace, self.min_eigenvalue)
+
+        def rows(start: int, stop: int) -> str:
+            fields = zip(*(c[start:stop].tolist() for c in cols))
+            return "".join(map("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n".__mod__, fields))
+
+        csvio.write_rows(path_or_buf, ("tau", "pG", "pE", "pS", "pA", "trace", "min_eig"), self.tau.size, rows)
 
 
 def _fill_run(y: np.ndarray, p: np.ndarray) -> None:

@@ -56,8 +56,8 @@ class IntegralResult:
 
     value: float
     error: float
-    evaluations: int = 0
-    lobes: int = 0
+    evaluations: int
+    lobes: int
 
 
 def _piece(f: Callable[[float], float], a: float, b: float, abs_tol: float, rel_tol: float = 0.0, **weight) -> IntegralResult:
@@ -81,11 +81,11 @@ def _cauchy(f: Callable[[float], float], a: float, b: float, pole: float, abs_to
     return _piece(f, a, b, abs_tol, rel_tol, weight="cauchy", wvar=pole)
 
 
-def _require_tolerance(res: IntegralResult, abs_tol: float, rel_tol: float, what: str) -> IntegralResult:
+def _require_tolerance(res: IntegralResult, abs_tol: float, rel_tol: float) -> IntegralResult:
     """Return ``res`` if its error estimate meets max(abs_tol, rel_tol |value|), else raise."""
     if not res.error <= max(abs_tol, rel_tol * abs(res.value)):
         raise QuadratureError(
-            f"{what}: requested tolerance not met: estimate {res.error:g} for value {res.value:g} "
+            f"resonance integral: requested tolerance not met: estimate {res.error:g} for value {res.value:g} "
             f"(evaluations={res.evaluations}, lobes={res.lobes})"
         )
     return res
@@ -152,7 +152,7 @@ def _resonance_kernel(
     res = IntegralResult(
         math.fsum(q.value for q in pieces), sum(q.error for q in pieces), sum(q.evaluations for q in pieces), tail.lobes
     )
-    return _require_tolerance(res, abs_tol, rel_tol, "resonance integral")
+    return _require_tolerance(res, abs_tol, rel_tol)
 
 
 def rcpi_integral(

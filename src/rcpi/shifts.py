@@ -91,7 +91,7 @@ def rcpi_asymptotic(
     FAR (L >> kappa): envelope 2 kappa / L^2 with a log-periodic phase; the
     displayed phase uses log(L/kappa), which differs from the exact
     asinh-based phase by O(kappa^2/L^2).  NEAR (L << kappa): the flat-space
-    1/L law.
+    1/L law of ``rcpi_closed_minkowski``.
     """
     _require_positive(L=L, kappa=kappa_val, omega0=omega0, mu=mu)
     sign = _entangled_sign(state)
@@ -100,7 +100,7 @@ def rcpi_asymptotic(
             2.0 * omega0 * kappa_val * math.log(L / kappa_val)
         )
     if regime is Regime.NEAR:
-        return sign * (mu * mu / (4.0 * math.pi)) * math.cos(omega0 * L) / L
+        return rcpi_closed_minkowski(L, omega0, mu, state)
     raise ValueError(f"unknown regime {regime}")
 
 

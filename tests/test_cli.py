@@ -54,7 +54,10 @@ class TestConfig:
                 r"atoms\.r is not a field of AtomPair", id="atoms-r",
             ),
             ({"sweep": {"L_min": 5.0, "L_max": 1.0, "n_points": 10}}, "L_min < L_max"),
-            ({"evolve": {"rho0": "X", "tau_max": 1.0, "stride": 0.1}}, "rho0"),
+            pytest.param(
+                {"evolve": {"rho0": "X", "tau_max": 1.0, "stride": 0.1}},
+                r"evolve\.rho0 must be one of G, E, S, A, got 'X'", id="rho0-unknown",
+            ),
             ({"bogus": {}}, "unknown"),
             pytest.param(
                 {"atoms": {"omega0": "1", "mu": 0.1, "L": 1.0}}, r'atoms\.omega0 must be a number, got "1"', id="omega0-string"
@@ -105,6 +108,17 @@ class TestConfig:
             pytest.param({"spacetime": None}, "spacetime: section is required", id="spacetime-null"),
             pytest.param({"atoms": {"omega0": 10**400, "mu": 0.1, "L": 1.0}}, "atoms: ", id="omega0-400-digits"),
             pytest.param({"output": {"path": 5}}, r"unknown configuration fields: \['output'\]", id="output-path"),
+            # c = L sqrt(1 + L^2 / 4 kappa^2) leaves the double range at about L = 1.89e154 for kappa = 1.
+            pytest.param(
+                {"atoms": {"omega0": 1.0, "mu": 0.1, "L": 1e155}},
+                r"^atoms\.L: c = L sqrt\(1 \+ L\^2 / 4 kappa\^2\) is not finite at L=1e\+155, kappa=1\.0$",
+                id="atoms.L-c-overflow",
+            ),
+            pytest.param(
+                {"sweep": {"L_min": 1.0, "L_max": 1e160, "n_points": 10}},
+                r"^sweep\.L_max: c = L sqrt\(1 \+ L\^2 / 4 kappa\^2\) is not finite at L=1e\+160, kappa=1\.0$",
+                id="sweep.L_max-c-overflow",
+            ),
         ],
     )
     def test_validation_messages(self, mutation, fragment):
@@ -155,6 +169,9 @@ class TestConfig:
             ("shift", "atoms", "L", None),
             ("evolve", "evolve", "stride", True),
             ("shift", "tolerances", "quad_rel_tol", [1e-9]),
+            ("shift", "atoms", "L", 1e155),
+            ("evolve", "atoms", "L", 1e155),
+            ("sweep", "sweep", "L_max", 1e160),
         ],
         ids=[
             "evolve.tau_max-inf", "sweep.n_points-fractional", "tolerances.quad_abs_tol-nan", "tolerances.quad_abs_tol-inf",
@@ -162,6 +179,7 @@ class TestConfig:
             "sweep.L_min-nan", "sweep.L_max-inf",
             "sweep.n_points-1e15", "evolve.tau_max-1e15", "evolve.stride-1e-300", "atoms.L-null",
             "evolve.stride-true", "tolerances.quad_rel_tol-list",
+            "atoms.L-c-overflow-shift", "atoms.L-c-overflow-evolve", "sweep.L_max-c-overflow",
         ],
     )
     def test_bad_value_exits_with_usage_error(self, tmp_path, capsys, command, section, field, value):
@@ -452,11 +470,12 @@ class TestCsvBytes:
 def test_csv_written_in_blocks_matches_per_row_writer(monkeypatch):
     # Blocks of 7 rows: 23 rows are three full blocks and a partial one.
     monkeypatch.setattr(csvio, "_BLOCK_ROWS", 7)
-    cols = np.random.default_rng(1).standard_normal((3, 23))
+    cols = np.random.default_rng(1).standard_normal((7, 23))
     for n in (23, 21, 0):
+        c = cols[:, :n]
         buf = io.StringIO()
-        csvio.write_columns(buf, ("a", "b", "c"), cols[:, :n])
-        assert buf.getvalue().encode() == per_row_csv(["a", "b", "c"], cols[:, :n].T.tolist())
+        liouvillian.Trajectory(tau=c[0], populations=c[1:5].T, trace=c[5], min_eigenvalue=c[6]).to_csv(buf)
+        assert buf.getvalue().encode() == per_row_csv(["tau", "pG", "pE", "pS", "pA", "trace", "min_eig"], c.T.tolist())
 
 
 # Signed zeros, infinities, NaNs of both signs, the smallest subnormal and the
@@ -606,6 +625,7 @@ class TestValidateCommand:
         assert main(["validate", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["passed"] is True
+        assert out.read_text().endswith("}\n")
         assert [c["name"] for c in report["checks"]] == [
             "kms_desitter",
             "kms_thermal",
@@ -703,6 +723,44 @@ class TestExitCodes:
         cfg = write_config(tmp_path, doc)
         assert main(["shift", "--config", cfg]) == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_no_half_period_around_the_pole(self, tmp_path, capsys):
+        # sigma omega0 = 1e15: the half-period pi / sigma is below the resolution of doubles at omega0.
+        doc = {"spacetime": {"type": "thermal", "temperature": 0.0}, "atoms": {"omega0": 1e7, "mu": 0.1, "L": 1e8}}
+        assert main(["shift", "--config", write_config(tmp_path, doc)]) == 3
+        assert "leaves no half-period around the pole" in capsys.readouterr().err
+
+
+class TestOutputDestination:
+    @pytest.mark.parametrize("command", ["shift", "sweep", "evolve", "discriminate"])
+    def test_stdout_and_out_file_hold_the_same_bytes(self, tmp_path, capsys, command):
+        doc = {
+            **DS_DOC,
+            "atoms": {"omega0": 10.0, "mu": 0.1, "L": 1.0},
+            "sweep": {"L_min": 30.0, "L_max": 1000.0, "n_points": 400},
+            "evolve": {"rho0": "S", "tau_max": 1.0, "stride": 0.25},
+        }
+        cfg = write_config(tmp_path, doc)
+        sweep = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(sweep)]) == 0
+        argv = ["discriminate", str(sweep)] if command == "discriminate" else [command, "--config", cfg]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out.encode()
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == stdout
+        # A JSON document ends with exactly one newline.
+        assert stdout.endswith(b"\r\n" if command in ("sweep", "evolve") else b"}\n")
+
+    def test_failing_command_leaves_the_out_file_alone(self, tmp_path, capsys):
+        # The file is opened only once the result is computed.
+        out = tmp_path / "out.json"
+        out.write_text("kept")
+        doc = {**DS_DOC, "tolerances": {"quad_abs_tol": 1e-30, "quad_rel_tol": 1e-30}}
+        assert main(["shift", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 3
+        assert out.read_text() == "kept"
+        capsys.readouterr()
 
 
 class TestImportSurface:

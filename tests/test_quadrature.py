@@ -122,6 +122,11 @@ class TestResonanceIntegral:
         with pytest.raises(ValueError):
             rcpi_integral(ThermalBath(0.0), 1.0, 0.0)
 
+    def test_no_half_period_around_the_pole(self):
+        # sigma omega0 = 1e15: the half-period pi / sigma is below the resolution of doubles at omega0.
+        with pytest.raises(QuadratureError, match="leaves no half-period around the pole"):
+            rcpi_integral(ThermalBath(0.0), 1e7, 1e8)
+
     def test_result_fields(self):
         res = rcpi_integral(DeSitterPatch(1.0, 0.0), 1.0, 1.0)
         assert isinstance(res, IntegralResult)

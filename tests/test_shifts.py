@@ -175,6 +175,17 @@ class TestAsymptotics:
         phase = 2.0 * kap * math.log(L / kap)
         assert val == pytest.approx(-(mu**2 / (2.0 * math.pi)) * kap / L**2 * math.cos(phase), rel=1e-14)
 
+    def test_near_value(self):
+        # The near form is the flat-space law (mu^2/4 pi) cos(omega0 L) / L, whatever kappa is.
+        L, omega0, mu = 0.03, 7.0, 0.1
+        val = rcpi_asymptotic(L, 5.0, omega0, mu, Regime.NEAR)
+        assert val == pytest.approx(-(mu**2 / (4.0 * math.pi)) * math.cos(omega0 * L) / L, rel=1e-14)
+
+    def test_unknown_regime_is_rejected(self):
+        # The regime is a Regime member, not its value.
+        with pytest.raises(ValueError, match="unknown regime near"):
+            rcpi_asymptotic(1.0, 1.0, 1.0, 0.1, "near")
+
 
 class TestQuadratureRoute:
     def test_matches_closed_form(self):
