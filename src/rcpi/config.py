@@ -128,13 +128,19 @@ class RunConfig:
     tolerances: ToleranceSettings = field(default_factory=ToleranceSettings)
 
     def __post_init__(self) -> None:
-        # c grows with L, so the largest separation of each command bounds every c it computes.
+        # c grows with L, so the largest separation of each command bounds every c it computes,
+        # and the smallest bounds the envelope mu^2 / (4 pi c) of every shift.
         largest = {"atoms.L": self.atoms.L} | ({"sweep.L_max": self.sweep.L_max} if self.sweep else {})
         for name, L in largest.items():
             try:
                 response_shape(self.spacetime, L)
             except ValueError as exc:
                 raise ConfigError(f"{name}: {exc}") from None
+        smallest = {"atoms.L": self.atoms.L} | ({"sweep.L_min": self.sweep.L_min} if self.sweep else {})
+        mu = self.atoms.mu
+        for name, L in smallest.items():
+            if not math.isfinite(mu * mu / (4.0 * math.pi * response_shape(self.spacetime, L)[1])):
+                raise ConfigError(f"atoms.mu: the envelope mu^2 / (4 pi c) is not a double at mu={mu}, {name}={L}")
 
 
 _SPACETIMES = {"desitter": DeSitterPatch, "thermal": ThermalBath}

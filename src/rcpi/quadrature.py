@@ -1,34 +1,37 @@
 """Weighted QUADPACK quadrature of the resonance integral.
 
-The cross-atom integral has the form P int_0^inf p(w) sinc(sigma w) / (w - omega0) dw:
-a simple pole at the transition frequency times a shape factor that only
-oscillates over a 1/w envelope.  One kernel splits it into pieces, each
-taken by the rule of Piessens et al., QUADPACK (1983), that fits it:
+With y = sigma w and a = sigma omega0 the cross-atom integral is (2/c) I(a), where
 
-* QAWC (Cauchy weight) on a window [omega0 - d, omega0 + d] centred on the
-  pole, d = min(omega0, pi/sigma), at most two half-periods wide;
-* plain adaptive quadrature on the first half-period [0, pi/sigma];
-* QAWO (sine weight, finite interval) from there up to the window, and from
-  the window up to one QAWF cycle past the pole;
+    I(a) = P int_0^inf y sin(y) / (y^2 - a^2) dy = (pi/2) cos(a):
+
+a simple pole at y = a times a sine over a 1/y envelope.  One kernel splits
+I(a) into pieces, each taken by the rule of Piessens et al., QUADPACK (1983),
+that fits it:
+
+* QAWC (Cauchy weight) on a window [a - d, a + d] centred on the pole,
+  d = min(a, pi), at most two half-periods wide;
+* QAWO (sine weight, finite interval) from 0 up to the window, and from the
+  window up to one QAWF cycle, 3 pi, past the pole;
 * QAWF (sine weight, Fourier integral) from there to infinity.
 
-The QAWO stretches are cut into panels that grow geometrically away from
-w = 0 and from the pole, so that no panel sees a singularity closer than its
-own length; on longer panels the Chebyshev error estimate of QAWO can be
-tiny while the value is wrong.
+The sine-weighted amplitude y / (y + a) / (y - a) is analytic at y = 0, so
+the first QAWO panel starts there.  The QAWO stretches are cut into panels
+that grow geometrically away from the pole, so that no panel sees the pole
+closer than its own length; on longer panels the Chebyshev error estimate of
+QAWO can be tiny while the value is wrong.
 
 Each piece gets an equal share of abs_tol as an absolute target.  Near a
-zero of cos(sigma omega0) the pieces are much larger than their sum, so a
-target relative to each piece at rel_tol would not bound the error of the
-sum; the only relative target is a roundoff floor of 1e-12 of the piece,
-which keeps the target reachable when the integral is large.
+zero of cos(a) the pieces are much larger than their sum, so a target
+relative to each piece at rel_tol would not bound the error of the sum; the
+only relative target is a roundoff floor of 1e-12 of the piece, which keeps
+the target reachable when the integral is large.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import pairwise
 from typing import Callable
 
@@ -82,8 +85,10 @@ def _cauchy(f: Callable[[float], float], a: float, b: float, pole: float, abs_to
 
 
 def _require_tolerance(res: IntegralResult, abs_tol: float, rel_tol: float) -> IntegralResult:
-    """Return ``res`` if its error estimate meets max(abs_tol, rel_tol |value|), else raise."""
-    if not res.error <= max(abs_tol, rel_tol * abs(res.value)):
+    """Return ``res`` if its value and error estimate are finite and the estimate meets
+    max(abs_tol, rel_tol |value|), else raise."""
+    finite = math.isfinite(res.value) and math.isfinite(res.error)
+    if not (finite and res.error <= max(abs_tol, rel_tol * abs(res.value))):
         raise QuadratureError(
             f"resonance integral: requested tolerance not met: estimate {res.error:g} for value {res.value:g} "
             f"(evaluations={res.evaluations}, lobes={res.lobes})"
@@ -92,67 +97,47 @@ def _require_tolerance(res: IntegralResult, abs_tol: float, rel_tol: float) -> I
 
 
 def _panels(start: float, stop: float, pole: float) -> list[float]:
-    """Panel edges from start > 0 to stop, each panel no longer than its distance to 0 and to the pole.
-
-    The pole lies outside [start, stop].
-    """
+    """Panel edges from start to stop, each panel no longer than its distance to the pole, or than half of
+    it while the panels approach the pole.  The pole lies outside [start, stop]."""
     edges = [start]
     while edges[-1] < stop:
         x = edges[-1]
-        edges.append(min(stop, x + (min(x, 0.5 * (pole - x)) if x < pole else x - pole)))
+        edges.append(min(stop, x + (0.5 * (pole - x) if x < pole else x - pole)))
     return edges
 
 
-def _resonance_kernel(
-    p: Callable[[float], float], omega0: float, sigma: float, abs_tol: float, rel_tol: float
-) -> IntegralResult:
-    """P int_0^inf p(w) sinc(sigma w) / (w - omega0) dw by weighted QUADPACK rules.
+def _resonance_kernel(a: float, abs_tol: float) -> IntegralResult:
+    """I(a) = P int_0^inf y sin(y) / (y^2 - a^2) dy, which is (pi/2) cos(a), by weighted QUADPACK rules.
 
-    Contract: p is the resonance numerator amplitude 2 w^2 / (w + omega0) of
-    ``rcpi_integral``, or a polynomial of degree at most one, so that the
-    sine-weighted integrand p(w) / (sigma w (w - omega0)) decays as 1/w.  A
-    faster-growing p gives a divergent integral which the Fourier rule's
-    extrapolation may still sum to a finite value; it is not detected.
-
-    Raises QuadratureError when the summed error estimate misses
-    max(abs_tol, rel_tol |value|).
+    Returns the summed error estimate of the pieces unchecked; raises QuadratureError when the window
+    around the pole is below the resolution of doubles at a.
     """
-    half = math.pi / sigma
-    d = min(omega0, half)
-    if d <= 64.0 * sys.float_info.epsilon * omega0:
-        raise QuadratureError(f"sigma omega0 = {sigma * omega0:g} leaves no half-period around the pole in double precision")
-    # Length of the cycles that QAWF sums: (2 floor(sigma) + 1) half-periods.
-    cycle = (2.0 * math.floor(sigma) + 1.0) * half
+    d = min(a, math.pi)
+    if d <= 64.0 * sys.float_info.epsilon * a:
+        raise QuadratureError(f"sigma omega0 = {a:g} leaves no half-period around the pole in double precision")
 
-    def shaped(w: float) -> float:
-        s = sigma * w
-        return p(w) * (math.sin(s) / s if s else 1.0)
+    def window(y: float) -> float:
+        return y * math.sin(y) / (y + a)
 
-    def plain(w: float) -> float:
-        return shaped(w) / (w - omega0)
+    def amplitude(y: float) -> float:
+        # Two divisions: the product (y + a)(y - a) underflows to 0 for tiny a.
+        return y / (y + a) / (y - a)
 
-    def sine_weighted(w: float) -> float:
-        return p(w) / (sigma * w * (w - omega0))
-
-    sine = {"weight": "sin", "wvar": sigma}
-    spans = []
-    if omega0 > d:
-        spans.append((plain, 0.0, min(half, omega0 - d), {}))
-        if omega0 - d > half:
-            spans += [(sine_weighted, a, b, sine) for a, b in pairwise(_panels(half, omega0 - d, omega0))]
-    right = _panels(omega0 + d, omega0 + cycle, omega0)
-    spans += [(sine_weighted, a, b, sine) for a, b in pairwise(right)]
+    sine = {"weight": "sin", "wvar": 1.0}
+    left = _panels(0.0, a - d, a) if a > d else []
+    # QAWF sums cycles of 3 pi at unit frequency; its tail starts one cycle past the pole.
+    right = _panels(a + d, a + 3.0 * math.pi, a)
+    spans = list(pairwise(left)) + list(pairwise(right))
     tol = abs_tol / (len(spans) + 2)
-    pieces = [_cauchy(shaped, omega0 - d, omega0 + d, omega0, tol, _ROUNDOFF)]
-    pieces += [_piece(f, a, b, tol, _ROUNDOFF, **weight) for f, a, b, weight in spans]
+    pieces = [_cauchy(window, a - d, a + d, a, tol, _ROUNDOFF)]
+    pieces += [_piece(amplitude, lo, hi, tol, _ROUNDOFF, **sine) for lo, hi in spans]
     # QAWF takes no relative target; its roundoff floor is relative to the largest piece.
     floor = _ROUNDOFF * max(abs(q.value) for q in pieces)
-    tail = _piece(sine_weighted, right[-1], math.inf, max(tol, floor), **sine)
+    tail = _piece(amplitude, right[-1], math.inf, max(tol, floor), **sine)
     pieces.append(tail)
-    res = IntegralResult(
+    return IntegralResult(
         math.fsum(q.value for q in pieces), sum(q.error for q in pieces), sum(q.evaluations for q in pieces), tail.lobes
     )
-    return _require_tolerance(res, abs_tol, rel_tol)
 
 
 def rcpi_integral(
@@ -170,18 +155,17 @@ def rcpi_integral(
     -(4 pi^2 / mu^2) times the symmetric-state energy shift.  The thermal
     occupation numbers at +/-w sum to one, which removes the bath temperature
     from the integrand exactly; the thermal result therefore cannot depend
-    on T, and the de Sitter result sees the curvature only through f.
+    on T, and the de Sitter result sees the curvature only through f.  With
+    y = sigma w the integrand is (2/c) y sin(y) / (y^2 - a^2) at a = sigma omega0,
+    so the result is (2/c) times the kernel's I(a).
 
     Raises ValueError for a non-positive or non-finite omega0 or L, and
     QuadratureError (with the work counters and the error estimate) when the
-    combined error estimate misses the requested tolerance.
+    result or its error estimate is not finite, or the estimate misses the
+    requested tolerance.
     """
     _require_positive(omega0=omega0, L=L)
     sigma, c = response_shape(spacetime, L)
-    amplitude = sigma / c
-
-    def p(w: float) -> float:
-        # w/(w - w0) + w/(w + w0) = 2 w^2 / ((w + w0)(w - w0))
-        return amplitude * 2.0 * w * w / (w + omega0)
-
-    return _resonance_kernel(p, omega0, sigma, abs_tol, rel_tol)
+    res = _resonance_kernel(sigma * omega0, 0.5 * c * abs_tol)
+    scale = 2.0 / c
+    return _require_tolerance(replace(res, value=scale * res.value, error=scale * res.error), abs_tol, rel_tol)

@@ -46,8 +46,14 @@ def _entangled_sign(state: DickeState) -> float:
 
 
 def _interaction(sigma, c, omega0: float, mu: float, state: DickeState) -> float | np.ndarray:
-    """The closed form sign (mu^2 / 4 pi) cos(omega0 sigma) / c = -/+ 2 a2 for S/A, at scalar or array (sigma, c)."""
-    value = _entangled_sign(state) * 2.0 * _a2_closed_form(sigma, c, omega0, mu)
+    """The closed form sign (mu^2 / 4 pi) cos(omega0 sigma) / c = -/+ 2 a2 for S/A, at scalar or array (sigma, c).
+
+    Raises ValueError where it is not a double: mu^2 / (4 pi c) overflows at the smallest c.
+    """
+    with np.errstate(over="ignore"):
+        value = _entangled_sign(state) * 2.0 * _a2_closed_form(sigma, c, omega0, mu)
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"the envelope mu^2 / (4 pi c) is not a double at mu={mu}, c={np.min(c)}")
     return float(value) if value.ndim == 0 else value
 
 

@@ -119,6 +119,17 @@ class TestConfig:
                 r"^sweep\.L_max: c = L sqrt\(1 \+ L\^2 / 4 kappa\^2\) is not finite at L=1e\+160, kappa=1\.0$",
                 id="sweep.L_max-c-overflow",
             ),
+            # The envelope mu^2 / (4 pi c) is largest at the smallest separation.
+            pytest.param(
+                {"atoms": {"omega0": 1.0, "mu": 1e200, "L": 1.0}},
+                r"^atoms\.mu: the envelope mu\^2 / \(4 pi c\) is not a double at mu=1e\+200, atoms\.L=1\.0$",
+                id="atoms.mu-envelope-overflow",
+            ),
+            pytest.param(
+                {"atoms": {"omega0": 1.0, "mu": 1e150, "L": 1.0}, "sweep": {"L_min": 1e-20, "L_max": 1.0, "n_points": 10}},
+                r"^atoms\.mu: the envelope mu\^2 / \(4 pi c\) is not a double at mu=1e\+150, sweep\.L_min=1e-20$",
+                id="atoms.mu-envelope-overflow-at-sweep.L_min",
+            ),
         ],
     )
     def test_validation_messages(self, mutation, fragment):
@@ -172,6 +183,9 @@ class TestConfig:
             ("shift", "atoms", "L", 1e155),
             ("evolve", "atoms", "L", 1e155),
             ("sweep", "sweep", "L_max", 1e160),
+            ("shift", "atoms", "mu", 1e200),
+            ("sweep", "atoms", "mu", 1e200),
+            ("evolve", "atoms", "mu", 1e200),
         ],
         ids=[
             "evolve.tau_max-inf", "sweep.n_points-fractional", "tolerances.quad_abs_tol-nan", "tolerances.quad_abs_tol-inf",
@@ -180,6 +194,7 @@ class TestConfig:
             "sweep.n_points-1e15", "evolve.tau_max-1e15", "evolve.stride-1e-300", "atoms.L-null",
             "evolve.stride-true", "tolerances.quad_rel_tol-list",
             "atoms.L-c-overflow-shift", "atoms.L-c-overflow-evolve", "sweep.L_max-c-overflow",
+            "atoms.mu-overflow-shift", "atoms.mu-overflow-sweep", "atoms.mu-overflow-evolve",
         ],
     )
     def test_bad_value_exits_with_usage_error(self, tmp_path, capsys, command, section, field, value):
@@ -729,6 +744,23 @@ class TestExitCodes:
         doc = {"spacetime": {"type": "thermal", "temperature": 0.0}, "atoms": {"omega0": 1e7, "mu": 0.1, "L": 1e8}}
         assert main(["shift", "--config", write_config(tmp_path, doc)]) == 3
         assert "leaves no half-period around the pole" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "omega0, L, code",
+        [(1e-300, 1.0, 0), (1.0, 1e-300, 0), (1e-300, 1e-300, 3), (1e10, 1e-310, 3), (1.0, 1e-310, 3)],
+        ids=["a-1e-300", "a-and-c-1e-300", "a-underflows-to-0", "2-over-c-overflows", "a-subnormal"],
+    )
+    def test_tiny_phase_or_separation(self, tmp_path, capsys, omega0, L, code):
+        # a = sigma omega0 or c = L near the bottom of the double range: a value within its estimate, or exit 3.
+        doc = {"spacetime": {"type": "thermal", "temperature": 0.5}, "atoms": {"omega0": omega0, "mu": 0.1, "L": L}}
+        assert main(["shift", "--config", write_config(tmp_path, doc)]) == code
+        out, err = capsys.readouterr()
+        assert "Infinity" not in out and "NaN" not in out
+        if code == 0:
+            report = json.loads(out)
+            assert abs(report["dE_S_quadrature"] - report["dE_S_closed"]) <= report["quadrature_error_estimate"]
+        else:
+            assert err.startswith("numerical failure: ")
 
 
 class TestOutputDestination:

@@ -1,11 +1,13 @@
 import math
+from itertools import pairwise
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import sici
+from hypothesis import given, settings, strategies as st
 
 from rcpi.geometry import DeSitterPatch, ThermalBath
-from rcpi.quadrature import IntegralResult, QuadratureError, _cauchy, _resonance_kernel, rcpi_integral
+from rcpi.quadrature import IntegralResult, QuadratureError, _cauchy, _panels, _resonance_kernel, rcpi_integral
 
 
 def closed_form_integral(spacetime, omega0, L):
@@ -60,23 +62,46 @@ class TestPrincipalValue:
 
 
 class TestOscillatoryTail:
-    """The resonance kernel, whose oscillatory pieces are the QAWO panels and the QAWF tail."""
+    """The kernel I(a) of one variable a = sigma omega0, with its QAWO panels and its QAWF tail."""
 
-    def test_sine_integral(self):
-        # p(w) = w - 1 cancels the pole: int_0^inf sin(w)/w dw = pi/2.
-        res = _resonance_kernel(lambda w: w - 1.0, 1.0, 1.0, 1e-11, 0.0)
-        assert res.value == pytest.approx(math.pi / 2.0, abs=1e-12)
-        assert abs(res.value - math.pi / 2.0) <= res.error <= 1e-11
-
-    def test_linear_numerator_at_contract_edge(self):
-        # p(w) = w is the fastest growth the kernel accepts:
-        # P int_0^inf sin(w)/(w - 1) dw = cos 1 (pi/2 + Si 1) - sin 1 Ci 1.
-        si, ci = sici(1.0)
-        exact = math.cos(1.0) * (math.pi / 2.0 + si) - math.sin(1.0) * ci
-        res = _resonance_kernel(lambda w: w, 1.0, 1.0, 1e-11, 0.0)
-        assert res.value == pytest.approx(exact, abs=1e-13)
-        assert abs(res.value - exact) <= res.error <= 1e-11
+    @pytest.mark.parametrize(
+        "a",
+        [1e-300, 1e-9, 1.0, math.pi, 1e6, 1.5 * math.pi],
+        ids=["1e-300", "1e-9", "1", "pi", "1e6", "zero-of-cos"],
+    )
+    def test_kernel_matches_half_pi_cos(self, a):
+        # I(a) = P int_0^inf y sin(y) / (y^2 - a^2) dy = (pi/2) cos(a), taken at the exact double a.
+        # From a = pi on, the QAWO panels run from 0 up to the window as well as past it.
+        exact = float(mpmath.pi / 2 * mpmath.cos(mpmath.mpf(a)))
+        res = _resonance_kernel(a, 1e-9)
+        assert abs(res.value - exact) <= res.error <= 1e-9
         assert res.lobes > 0 and res.evaluations > 0
+
+
+def _panel_cases():
+    """(start, stop, pole): a stretch up to a gap below the pole, or from a gap above it."""
+    pole = st.floats(1e-6, 1e8)
+    fraction = st.floats(1e-6, 1.0, exclude_max=True)
+    below = st.tuples(pole, fraction, st.floats(0.0, 1.0)).map(
+        lambda t: (t[0] * (1.0 - t[1]) * t[2], t[0] * (1.0 - t[1]), t[0])
+    )
+    above = st.tuples(pole, fraction, st.floats(1e-6, 1e6)).map(
+        lambda t: (t[0] * (1.0 + t[1]), t[0] * (1.0 + t[1] + t[2]), t[0])
+    )
+    return st.one_of(below, above).filter(lambda case: case[0] < case[1])
+
+
+@given(_panel_cases())
+@settings(max_examples=300, derandomize=True)
+def test_panels_no_longer_than_their_distance_to_the_pole(case):
+    start, stop, pole = case
+    edges = _panels(start, stop, pole)
+    assert edges[0] == start and edges[-1] == stop
+    for lo, hi in pairwise(edges):
+        assert lo < hi
+        # Half the distance on the near side, the whole distance past the pole; up to the rounding of hi.
+        bound = 0.5 * (pole - lo) if hi <= pole else lo - pole
+        assert hi - lo <= bound + math.ulp(hi)
 
 
 GRID_SEPARATIONS = (0.1, 0.3, 1.0, 3.0, 10.0)

@@ -114,6 +114,14 @@ class TestClosedForms:
         with pytest.raises(ValueError, match=r"not finite at L=2\.6e\+154, kappa=1\.0"):
             rcpi_closed_desitter(L, 1.0, 1.0, 1e150)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("as_array", [False, True], ids=["scalar", "array"])
+    @pytest.mark.parametrize("mu, L", [(1e200, 1.0), (1e150, 1e-20)], ids=["mu-squared", "over-c"])
+    def test_envelope_past_the_double_range_raises(self, as_array, mu, L):
+        # mu^2 / (4 pi c) overflows: an error, not -inf.
+        with pytest.raises(ValueError, match=r"envelope mu\^2 / \(4 pi c\) is not a double"):
+            rcpi_closed(ThermalBath(0.0), np.array([1.0, L]) if as_array else L, 1.0, mu)
+
     def test_huge_curvature_scale_gives_the_flat_value(self):
         # kappa = 1e200 is past the range DeSitterPatch accepts (kappa^2 overflows);
         # the closed form takes kappa itself and reaches the flat limit.
