@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dicke import DickeState
-from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, response_shape
+from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, _require_envelope, response_shape
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL
 
 
@@ -137,10 +137,11 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"{name}: {exc}") from None
         smallest = {"atoms.L": self.atoms.L} | ({"sweep.L_min": self.sweep.L_min} if self.sweep else {})
-        mu = self.atoms.mu
         for name, L in smallest.items():
-            if not math.isfinite(mu * mu / (4.0 * math.pi * response_shape(self.spacetime, L)[1])):
-                raise ConfigError(f"atoms.mu: the envelope mu^2 / (4 pi c) is not a double at mu={mu}, {name}={L}")
+            try:
+                _require_envelope(self.atoms.mu, response_shape(self.spacetime, L)[1], at=f"{name}={L}")
+            except ValueError as exc:
+                raise ConfigError(f"atoms.mu: {exc}") from None
 
 
 _SPACETIMES = {"desitter": DeSitterPatch, "thermal": ThermalBath}

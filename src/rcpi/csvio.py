@@ -75,9 +75,9 @@ def read_columns(path_or_buf, names: tuple[str, ...]) -> tuple[Callable[[int], i
     bad row, or returns the values of fields that `float` takes and loadtxt
     does not, such as ``1_5``.  File rows are counted only on request.
     """
-    if not _is_path(path_or_buf) and not path_or_buf.seekable():
-        path_or_buf = io.StringIO(path_or_buf.read())
     with _open(path_or_buf, "r") as fh:
+        if not fh.seekable():  # a pipe, opened here or passed in, is read into memory once
+            path_or_buf = fh = io.StringIO(fh.read())
         start = fh.tell()
         header = next(csv.reader(fh), [])
         if not set(names) <= set(header):

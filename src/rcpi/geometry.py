@@ -122,18 +122,18 @@ def field_temperature(spacetime: SpacetimeConfig) -> float:
 
 def _desitter_shape(L, kappa_val: float):
     """(sigma, c) = (2 kappa asinh(L / 2 kappa), L sqrt(1 + L^2 / 4 kappa^2)) for a scalar or an array ``L``."""
-    x = L / (2.0 * kappa_val)
-    sigma = 2.0 * kappa_val * np.arcsinh(x)
     # sqrt(1 + x^2) rounds to x itself from x = 2^27 on, so x is squared only below there: the
-    # bits of sqrt(1 + x * x) wherever x * x is finite, and no overflow past it.  A scalar is
-    # done in Python floats, which overflow to inf silently; a c that is no double raises.
-    if np.ndim(sigma):
-        with np.errstate(over="ignore"):
+    # bits of sqrt(1 + x * x) wherever x * x is finite, and no overflow past it.  An x or a c
+    # past the double range is inf, with no warning; a c that is no double raises.
+    with np.errstate(over="ignore"):
+        x = L / (2.0 * kappa_val)
+        sigma = 2.0 * kappa_val * np.arcsinh(x)
+        if np.ndim(sigma):
             c = L * np.where(x < 2.0**27, np.sqrt(1.0 + x * x), x)
-        bad = L[~np.isfinite(c)]
-    else:
-        sigma, c = float(sigma), float(L) * (math.sqrt(1.0 + x * x) if x < 2.0**27 else float(x))
-        bad = () if math.isfinite(c) else (L,)
+            bad = L[~np.isfinite(c)]
+        else:
+            sigma, c = float(sigma), float(L) * (math.sqrt(1.0 + x * x) if x < 2.0**27 else float(x))
+            bad = () if math.isfinite(c) else (L,)
     if len(bad):
         raise ValueError(f"c = L sqrt(1 + L^2 / 4 kappa^2) is not finite at L={bad[0]}, kappa={kappa_val}")
     return sigma, c
@@ -154,3 +154,19 @@ def response_shape(spacetime: SpacetimeConfig, L):
     if isinstance(spacetime, ThermalBath):
         return L, L
     raise TypeError(f"unsupported spacetime configuration: {spacetime!r}")
+
+
+def _require_envelope(mu: float, c, at: str = "") -> None:
+    """Raise ValueError where the envelope mu^2 / (4 pi c) is not a double at the smallest ``c``, one that underflowed
+    to 0 included.  ``c`` is a scalar or an array; ``at`` names it in the message in place of its value."""
+    mu, c_min = float(mu), float(c if getattr(c, "ndim", 0) == 0 else c.min())
+    if not (c_min > 0 and math.isfinite(mu * mu / (4.0 * math.pi * c_min))):
+        raise ValueError(f"the envelope mu^2 / (4 pi c) is not a double at mu={mu}, {at or f'c={c_min}'}")
+
+
+def _require_phase(omega0: float, sigma) -> None:
+    """Raise ValueError where the phase omega0 sigma is not a double at the largest ``sigma``, a scalar or an array.
+    The product is taken in Python floats, which overflow without a warning; call this before any cos or sin of it."""
+    phase = float(omega0) * float(sigma if getattr(sigma, "ndim", 0) == 0 else sigma.max())
+    if not math.isfinite(phase):
+        raise ValueError(f"the phase omega0 sigma is not a double: {phase}")

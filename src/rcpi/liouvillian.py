@@ -41,7 +41,7 @@ import numpy as np
 
 from . import csvio
 from .dicke import KETS, DickeState
-from .geometry import SpacetimeConfig, _require_positive, field_temperature, response_shape
+from .geometry import SpacetimeConfig, _require_envelope, _require_phase, _require_positive, field_temperature, response_shape
 
 __all__ = [
     "GeneratorMatrices",
@@ -104,14 +104,17 @@ def dissipator_coefficients(
 
     The same-atom weights G(+/- w0) = (1/2 pi) (+/- w0) / (1 - e^{-/+ w0/T})
     sum to (w0/2 pi) coth(w0/2T) and differ by w0/2 pi, whatever T is; the
-    cross weights carry the even factor (sigma/c) sinc(sigma w0) on top.
+    cross weights carry the even factor (sigma/c) sinc(sigma w0) on top,
+    which is sigma/c where c w0 underflows to 0.  Raises ValueError where the
+    phase omega0 sigma is not a double.
     """
     _require_positive(omega0=omega0, mu=mu, L=L)
     sigma, c = response_shape(spacetime, L)
+    _require_phase(omega0, sigma)
     pref = mu * mu / (8.0 * math.pi)
     at1 = pref * _w_coth(omega0, field_temperature(spacetime))
     bt1 = pref * omega0
-    cross = math.sin(sigma * omega0) / (c * omega0)
+    cross = math.sin(sigma * omega0) / (c * omega0) if c * omega0 else sigma / c
     return at1, bt1, at1 * cross, bt1 * cross
 
 
@@ -121,9 +124,12 @@ def _a2_closed_form(sigma, c, omega0: float, mu: float):
 
 
 def build_coefficients(spacetime: SpacetimeConfig, omega0: float, mu: float, L: float) -> GeneratorMatrices:
-    """The generator's six scalars for one configuration, all in closed form."""
-    at1, bt1, at2, bt2 = dissipator_coefficients(spacetime, omega0, mu, L)
-    a2 = float(_a2_closed_form(*response_shape(spacetime, L), omega0, mu))
+    """The generator's six scalars for one configuration, all in closed form; ValueError where the envelope
+    mu^2 / (4 pi c) or the phase omega0 sigma is not a double."""
+    at1, bt1, at2, bt2 = dissipator_coefficients(spacetime, omega0, mu, L)  # checks the phase
+    sigma, c = response_shape(spacetime, L)
+    _require_envelope(mu, c)
+    a2 = float(_a2_closed_form(sigma, c, omega0, mu))
     return GeneratorMatrices(omega0=omega0, a2=a2, at1=at1, bt1=bt1, at2=at2, bt2=bt2)
 
 

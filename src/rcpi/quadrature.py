@@ -77,25 +77,6 @@ def _piece(f: Callable[[float], float], a: float, b: float, abs_tol: float, rel_
     return IntegralResult(value, error, int(info["neval"]), int(info.get("lst", 0)))
 
 
-def _cauchy(f: Callable[[float], float], a: float, b: float, pole: float, abs_tol: float, rel_tol: float = 0.0) -> IntegralResult:
-    """P int_a^b f(w) / (w - pole) dw by QAWC; the pole must lie strictly inside (a, b)."""
-    if not a < pole < b or min(pole - a, b - pole) <= 64.0 * sys.float_info.epsilon * max(abs(a), abs(b)):
-        raise QuadratureError(f"pole {pole:g} must lie strictly inside the support [{a:g}, {b:g}]")
-    return _piece(f, a, b, abs_tol, rel_tol, weight="cauchy", wvar=pole)
-
-
-def _require_tolerance(res: IntegralResult, abs_tol: float, rel_tol: float) -> IntegralResult:
-    """Return ``res`` if its value and error estimate are finite and the estimate meets
-    max(abs_tol, rel_tol |value|), else raise."""
-    finite = math.isfinite(res.value) and math.isfinite(res.error)
-    if not (finite and res.error <= max(abs_tol, rel_tol * abs(res.value))):
-        raise QuadratureError(
-            f"resonance integral: requested tolerance not met: estimate {res.error:g} for value {res.value:g} "
-            f"(evaluations={res.evaluations}, lobes={res.lobes})"
-        )
-    return res
-
-
 def _panels(start: float, stop: float, pole: float) -> list[float]:
     """Panel edges from start to stop, each panel no longer than its distance to the pole, or than half of
     it while the panels approach the pole.  The pole lies outside [start, stop]."""
@@ -124,12 +105,12 @@ def _resonance_kernel(a: float, abs_tol: float) -> IntegralResult:
         return y / (y + a) / (y - a)
 
     sine = {"weight": "sin", "wvar": 1.0}
-    left = _panels(0.0, a - d, a) if a > d else []
+    left = _panels(0.0, a - d, a)
     # QAWF sums cycles of 3 pi at unit frequency; its tail starts one cycle past the pole.
     right = _panels(a + d, a + 3.0 * math.pi, a)
     spans = list(pairwise(left)) + list(pairwise(right))
     tol = abs_tol / (len(spans) + 2)
-    pieces = [_cauchy(window, a - d, a + d, a, tol, _ROUNDOFF)]
+    pieces = [_piece(window, a - d, a + d, tol, _ROUNDOFF, weight="cauchy", wvar=a)]
     pieces += [_piece(amplitude, lo, hi, tol, _ROUNDOFF, **sine) for lo, hi in spans]
     # QAWF takes no relative target; its roundoff floor is relative to the largest piece.
     floor = _ROUNDOFF * max(abs(q.value) for q in pieces)
@@ -168,4 +149,10 @@ def rcpi_integral(
     sigma, c = response_shape(spacetime, L)
     res = _resonance_kernel(sigma * omega0, 0.5 * c * abs_tol)
     scale = 2.0 / c
-    return _require_tolerance(replace(res, value=scale * res.value, error=scale * res.error), abs_tol, rel_tol)
+    value, error = scale * res.value, scale * res.error
+    if not (math.isfinite(value) and math.isfinite(error) and error <= max(abs_tol, rel_tol * abs(value))):
+        raise QuadratureError(
+            f"resonance integral: requested tolerance not met: estimate {error:g} for value {value:g} "
+            f"(evaluations={res.evaluations}, lobes={res.lobes})"
+        )
+    return replace(res, value=value, error=error)

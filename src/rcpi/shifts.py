@@ -17,7 +17,9 @@ import math
 import numpy as np
 
 from .dicke import DickeState
-from .geometry import SpacetimeConfig, ThermalBath, _desitter_shape, _require_positive, response_shape
+from .geometry import (
+    SpacetimeConfig, ThermalBath, _desitter_shape, _require_envelope, _require_phase, _require_positive, response_shape
+)
 from .liouvillian import _a2_closed_form
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, rcpi_integral
 
@@ -48,12 +50,11 @@ def _entangled_sign(state: DickeState) -> float:
 def _interaction(sigma, c, omega0: float, mu: float, state: DickeState) -> float | np.ndarray:
     """The closed form sign (mu^2 / 4 pi) cos(omega0 sigma) / c = -/+ 2 a2 for S/A, at scalar or array (sigma, c).
 
-    Raises ValueError where it is not a double: mu^2 / (4 pi c) overflows at the smallest c.
+    Raises ValueError where the envelope mu^2 / (4 pi c) or the phase omega0 sigma is not a double.
     """
-    with np.errstate(over="ignore"):
-        value = _entangled_sign(state) * 2.0 * _a2_closed_form(sigma, c, omega0, mu)
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"the envelope mu^2 / (4 pi c) is not a double at mu={mu}, c={np.min(c)}")
+    _require_envelope(mu, c)
+    _require_phase(omega0, sigma)
+    value = _entangled_sign(state) * 2.0 * _a2_closed_form(sigma, c, omega0, mu)
     return float(value) if value.ndim == 0 else value
 
 
@@ -94,17 +95,20 @@ def rcpi_asymptotic(
 ) -> float:
     """Limiting forms of the de Sitter interaction.
 
-    FAR (L >> kappa): envelope 2 kappa / L^2 with a log-periodic phase; the
-    displayed phase uses log(L/kappa), which differs from the exact
-    asinh-based phase by O(kappa^2/L^2).  NEAR (L << kappa): the flat-space
-    1/L law of ``rcpi_closed_minkowski``.
+    FAR (L >> kappa): envelope 2 kappa / L^2, i.e. c = L^2 / 2 kappa, with a
+    log-periodic phase; the displayed phase uses log(L/kappa), which differs
+    from the exact asinh-based phase by O(kappa^2/L^2).  NEAR (L << kappa):
+    the flat-space 1/L law of ``rcpi_closed_minkowski``.  Either raises
+    ValueError where its envelope or phase is not a double.
     """
     _require_positive(L=L, kappa=kappa_val, omega0=omega0, mu=mu)
     sign = _entangled_sign(state)
     if regime is Regime.FAR:
-        return sign * (mu * mu / (2.0 * math.pi)) * (kappa_val / (L * L)) * math.cos(
-            2.0 * omega0 * kappa_val * math.log(L / kappa_val)
-        )
+        # c first: L / kappa underflows to 0 only where c does.
+        c = L * L / (2.0 * kappa_val)
+        _require_envelope(mu, c)
+        _require_phase(2.0 * omega0 * kappa_val, math.log(L / kappa_val))
+        return sign * (mu * mu / (4.0 * math.pi * c)) * math.cos(2.0 * omega0 * kappa_val * math.log(L / kappa_val))
     if regime is Regime.NEAR:
         return rcpi_closed_minkowski(L, omega0, mu, state)
     raise ValueError(f"unknown regime {regime}")
@@ -119,8 +123,12 @@ def rcpi_quadrature(
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> tuple[float, float]:
-    """Interaction energy by direct numerical quadrature; returns (value, error estimate)."""
-    _require_positive(mu=mu)
+    """Interaction energy by direct numerical quadrature; returns (value, error estimate).  Raises as ``rcpi_closed``
+    where the envelope mu^2 / (4 pi c) or the phase omega0 sigma is not a double."""
+    _require_positive(mu=mu, omega0=omega0, L=L)
+    sigma, c = response_shape(spacetime, L)
+    _require_envelope(mu, c)
+    _require_phase(omega0, sigma)
     res = rcpi_integral(spacetime, omega0, L, abs_tol=abs_tol, rel_tol=rel_tol)
     scale = mu * mu / (4.0 * math.pi**2)
     return _entangled_sign(state) * scale * res.value, scale * res.error

@@ -603,6 +603,24 @@ class TestDiscriminateCommand:
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr() == ("", "error: need at least 5 samples to look for an envelope\n")
 
+    @pytest.mark.parametrize("bad_row", [False, True], ids=["sweep", "bad-row"])
+    def test_sweep_read_from_a_pipe(self, far_sweep, bad_row):
+        # /dev/stdin on a pipe cannot seek back: it is read into memory once, and a bad row is still named.
+        csv_path, _ = far_sweep
+        rows = Path(csv_path).read_bytes().split(b"\r\n")
+        if bad_row:
+            rows[1] = b"x," + rows[1].split(b",", 1)[1]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "rcpi", "discriminate", "/dev/stdin"], input=b"\r\n".join(rows), env=env, capture_output=True
+        )
+        if bad_row:
+            assert (proc.returncode, proc.stdout) == (1, b"")
+            assert proc.stderr == b"error: bad row 2: could not convert string to float: 'x'\n"
+        else:
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["verdict"] == "DeSitterFar"
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("L,dE_S,dE_A\n1.0,0.1,nope\n")
@@ -744,6 +762,19 @@ class TestExitCodes:
         doc = {"spacetime": {"type": "thermal", "temperature": 0.0}, "atoms": {"omega0": 1e7, "mu": 0.1, "L": 1e8}}
         assert main(["shift", "--config", write_config(tmp_path, doc)]) == 3
         assert "leaves no half-period around the pole" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["shift", "sweep", "evolve"])
+    def test_phase_past_the_double_range(self, tmp_path, capsys, command):
+        # omega0 sigma = 1e400 is no double, though the envelope mu^2 / (4 pi c) = 8e-205 is: an error naming
+        # the phase, not a numpy warning, an envelope message or "math domain error".
+        doc = {
+            "spacetime": {"type": "thermal", "temperature": 0.0},
+            "atoms": {"omega0": 1e200, "mu": 0.1, "L": 1e200},
+            "sweep": {"L_min": 1e199, "L_max": 1e200, "n_points": 3},
+            "evolve": {"rho0": "E", "tau_max": 1.0, "stride": 0.5},
+        }
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 1
+        assert capsys.readouterr() == ("", "error: the phase omega0 sigma is not a double: inf\n")
 
     @pytest.mark.parametrize(
         "omega0, L, code",

