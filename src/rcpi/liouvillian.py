@@ -111,6 +111,13 @@ def dissipator_coefficients(
     _require_positive(omega0=omega0, mu=mu, L=L)
     sigma, c = response_shape(spacetime, L)
     _require_phase(omega0, sigma)
+    return _dissipator(spacetime, sigma, c, omega0, mu)
+
+
+def _dissipator(
+    spacetime: SpacetimeConfig, sigma: float, c: float, omega0: float, mu: float
+) -> tuple[float, float, float, float]:
+    """``dissipator_coefficients`` at a checked response shape (sigma, c)."""
     pref = mu * mu / (8.0 * math.pi)
     at1 = pref * _w_coth(omega0, field_temperature(spacetime))
     bt1 = pref * omega0
@@ -126,9 +133,11 @@ def _a2_closed_form(sigma, c, omega0: float, mu: float):
 def build_coefficients(spacetime: SpacetimeConfig, omega0: float, mu: float, L: float) -> GeneratorMatrices:
     """The generator's six scalars for one configuration, all in closed form; ValueError where the envelope
     mu^2 / (4 pi c) or the phase omega0 sigma is not a double."""
-    at1, bt1, at2, bt2 = dissipator_coefficients(spacetime, omega0, mu, L)  # checks the phase
+    _require_positive(omega0=omega0, mu=mu, L=L)
     sigma, c = response_shape(spacetime, L)
+    _require_phase(omega0, sigma)
     _require_envelope(mu, c)
+    at1, bt1, at2, bt2 = _dissipator(spacetime, sigma, c, omega0, mu)
     a2 = float(_a2_closed_form(sigma, c, omega0, mu))
     return GeneratorMatrices(omega0=omega0, a2=a2, at1=at1, bt1=bt1, at2=at2, bt2=bt2)
 

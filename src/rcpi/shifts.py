@@ -126,9 +126,9 @@ def rcpi_quadrature(
     """Interaction energy by direct numerical quadrature; returns (value, error estimate).  Raises as ``rcpi_closed``
     where the envelope mu^2 / (4 pi c) or the phase omega0 sigma is not a double."""
     _require_positive(mu=mu, omega0=omega0, L=L)
-    sigma, c = response_shape(spacetime, L)
-    _require_envelope(mu, c)
-    _require_phase(omega0, sigma)
-    res = rcpi_integral(spacetime, omega0, L, abs_tol=abs_tol, rel_tol=rel_tol)
+    if not math.isfinite(mu * mu / (4.0 * math.pi * L)):
+        # c >= L in either spacetime: only here can the envelope fail, and only here is c needed before the integral.
+        _require_envelope(mu, response_shape(spacetime, L)[1])
+    res = rcpi_integral(spacetime, omega0, L, abs_tol=abs_tol, rel_tol=rel_tol)  # checks the phase
     scale = mu * mu / (4.0 * math.pi**2)
     return _entangled_sign(state) * scale * res.value, scale * res.error

@@ -14,6 +14,10 @@ population block in the Dicke basis, and for ``evolve``.
 
 ``read_columns_by_row`` is the CSV reader that reads one row at a time with
 `csv` and `float`, the reference for ``rcpi.csvio.read_columns``.
+
+``resonance_tail`` takes the resonance integrand past the pole window by
+QUADPACK alone, the reference for the sine- and cosine-integral tail of
+``rcpi.quadrature``.
 """
 
 from __future__ import annotations
@@ -23,8 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import integrate
 
 from rcpi import geometry
+from rcpi.quadrature import _panels
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
 
@@ -207,3 +213,29 @@ def read_columns_by_row(buf, names: tuple[str, ...]) -> tuple[np.ndarray, np.nda
             raise ValueError(f"bad row {rows.line_num}: {exc}") from None
         lines.append(rows.line_num)
     return np.array(lines, dtype=int), np.array(values, dtype=float).reshape(-1, len(names)).T
+
+
+def resonance_tail(a: float, d: float, abs_tol: float = 1e-12) -> tuple[float, float]:
+    """int_{a+d}^inf y sin(y) / (y^2 - a^2) dy and its error estimate, by QUADPACK's sine-weighted rules.
+
+    QAWO takes panels from a + d up to a + 3 pi, each no longer than its
+    distance to the pole, and QAWF the infinite rest in cycles of 3 pi; each
+    of them gets an equal share of abs_tol.  The tail starts at the double
+    a + d.
+    """
+
+    def amplitude(y: float) -> float:
+        return y / (y + a) / (y - a)
+
+    edges = _panels(a + d, a + 3.0 * math.pi, a)
+    tol = abs_tol / len(edges)
+    pieces = [
+        integrate.quad(amplitude, lo, hi, epsabs=tol, epsrel=1e-12, limit=200, weight="sin", wvar=1.0)
+        for lo, hi in zip(edges, edges[1:])
+    ]
+    # QAWF takes no relative target; its floor is relative to the largest panel.
+    floor = 1e-12 * max(abs(v) for v, _ in pieces)
+    pieces.append(
+        integrate.quad(amplitude, edges[-1], math.inf, epsabs=max(tol, floor), limlst=200, weight="sin", wvar=1.0)
+    )
+    return math.fsum(v for v, _ in pieces), sum(e for _, e in pieces)

@@ -704,6 +704,19 @@ class TestValidateCommand:
         failed = {c["name"] for c in report["checks"] if not c["passed"]}
         assert {"kms_desitter", "kms_thermal"} <= failed
 
+    def test_quadrature_window_is_computed_not_restated(self, monkeypatch, tmp_path):
+        # Only the tail past the pole window is in closed form: a window off by 1e-4 must fail the check.
+        piece = quadrature._piece
+
+        def scaled_window(*args, **kw):
+            res = piece(*args, **kw)
+            return dataclasses.replace(res, value=res.value * (1.0 + 1e-4)) if kw.get("weight") == "cauchy" else res
+
+        monkeypatch.setattr(quadrature, "_piece", scaled_window)
+        out = tmp_path / "report.json"
+        assert main(["validate", "--out", str(out)]) == 2
+        assert "oracle_equivalence" in {c["name"] for c in json.loads(out.read_text())["checks"] if not c["passed"]}
+
     @pytest.mark.parametrize("check, module, name, breaking", _BREAKS, ids=[b[0] for b in _BREAKS])
     def test_a_broken_route_fails_its_check(self, monkeypatch, check, module, name, breaking):
         # Each check compares two routes; breaking one of them must fail it.
