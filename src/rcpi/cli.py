@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 
 from . import __version__
@@ -43,6 +44,14 @@ class _Parser(argparse.ArgumentParser):
 def _output(out: str | None):
     """Where a command writes its result: stdout, or the ``--out`` file, opened once the result is computed."""
     return contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", newline="")
+
+
+def _finite_float(text: str) -> float:
+    """The type of an option that ends up in a JSON result, which has no Infinity or NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _write_json(text: str, out: str | None) -> None:
@@ -81,7 +90,7 @@ def cmd_shift(args: argparse.Namespace) -> int:
             "quadrature_error_estimate": quad_err,
         }
     )
-    _write_json(json.dumps(report, indent=2), args.out)
+    _write_json(json.dumps(report, indent=2, allow_nan=False), args.out)
     return EXIT_OK
 
 
@@ -118,7 +127,7 @@ def cmd_discriminate(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     report = run_validation()
-    _write_json(json.dumps(report, indent=2), args.out)
+    _write_json(json.dumps(report, indent=2, allow_nan=False), args.out)
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
@@ -144,8 +153,8 @@ _command("sweep", cmd_sweep, "closed-form shift versus separation, written as CS
 _command("evolve", cmd_evolve, "propagate the master equation, trajectory as CSV")
 _discriminate = _command("discriminate", cmd_discriminate, "classify a sweep CSV by its envelope decay law", config=False)
 _discriminate.add_argument("input", help="sweep CSV with columns L,dE_S,dE_A")
-_discriminate.add_argument("--lmin", type=float, default=None)
-_discriminate.add_argument("--lmax", type=float, default=None)
+_discriminate.add_argument("--lmin", type=_finite_float, default=None)
+_discriminate.add_argument("--lmax", type=_finite_float, default=None)
 _discriminate.add_argument("--strict", action="store_true", help="exit nonzero on an Indeterminate verdict")
 _command("validate", cmd_validate, "run the self-check battery", config=False)
 

@@ -106,6 +106,7 @@ class Classification:
                 "notes": self.notes,
             },
             indent=2,
+            allow_nan=False,
         )
 
 

@@ -1,4 +1,4 @@
-"""Weighted QUADPACK quadrature of the resonance integral.
+"""QUADPACK quadrature of the resonance integral at its pole.
 
 With y = sigma w and a = sigma omega0 the cross-atom integral is (2/c) I(a), where
 
@@ -9,32 +9,26 @@ I(a) at the edges of a window [a - d, a + d] centred on the pole,
 d = min(a, pi), at most two half-periods wide:
 
 * QAWC (Cauchy weight), a rule of Piessens et al., QUADPACK (1983), takes the
-  principal value on the window;
-* QAWO (sine weight, finite interval) takes [0, a - d] below it;
-* past the window, y sin(y) / (y^2 - a^2) = (1/2) sin(y) [1/(y - a) + 1/(y + a)],
-  whose integral from a + d to infinity is exact in the sine and cosine
-  integrals:  T(a, d) = (1/2) [cos(a) (pi - Si(d) - Si(2a + d))
-  + sin(a) (Ci(2a + d) - Ci(d))].
+  principal value on the window, in t = y - a with sin(a + t) expanded, so
+  that the window [-d, d], its nodes and its Cauchy weight 1/t are exact at
+  any a; in y, their rounding to u a would cost about u a / t close to the pole;
+* outside it, y sin(y) / (y^2 - a^2) = (1/2) sin(y) [1/(y - a) + 1/(y + a)],
+  whose integrals over [0, a - d] and [a + d, inf) are exact in the sine and
+  cosine integrals:  O(a, d) = (1/2) [cos(a) C + sin(a) S] with
+  C = pi - 2 Si(d) + Si(2a - d) - Si(2a + d) and S = Ci(2a + d) - Ci(2a - d).
 
-So the pole and everything below it stay numerical, and the closed form of
-I(a) itself enters nowhere.  The sine-weighted amplitude y / (y + a) / (y - a)
-is analytic at y = 0, so the first QAWO panel starts there.  The QAWO stretch
-is cut into panels that grow geometrically away from the pole, so that no
-panel sees the pole closer than its own length; on longer panels the
-Chebyshev error estimate of QAWO can be tiny while the value is wrong.  For
-a <= pi the window reaches down to 0 and the QAWC call is the only one.
+So the principal value stays numerical, one QUADPACK call, and the closed form
+of I(a) itself enters nowhere.
 
-Each QUADPACK piece gets an equal share of abs_tol as an absolute target.
-Near a zero of cos(a) the pieces are much larger than their sum, so a target
-relative to each piece at rel_tol would not bound the error of the sum; the
-only relative target is a roundoff floor of 1e-12 of the piece, which keeps
-the target reachable when the integral is large.  The error estimate adds to
-the pieces' own estimates a rounding bound for T and a node-rounding term
-2 u (a + d) times the summed magnitude of the pieces, u the unit roundoff: a
-QAWO panel near y places its sine weight at a centre rounded to u y.  The
-window is taken in t = y - a with sin(a + t) expanded, so that its nodes and
-its Cauchy weight 1/t are exact near the pole; in y, their rounding to u a
-would cost about u a / t close to the pole.
+The window gets half of abs_tol as an absolute target.  Near a zero of
+cos(a) the window and O are much larger than their sum, so a target relative
+to the window at rel_tol would not bound the error of the sum; the only
+relative target is a roundoff floor of 1e-12, which keeps the target
+reachable when the integral is large.  The error estimate adds to QAWC's own
+a rounding bound for O and an a-scale term 2 u (a + d) (|W| + (|C| + |S|) / 2),
+W the window's value and u the unit roundoff.  That term is of the order of
+what the rounding of a = sigma omega0, u a, moves the result by; it stands in
+for that rounding until the phase is exact (ROADMAP item 16).
 """
 
 from __future__ import annotations
@@ -42,7 +36,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
-from itertools import pairwise
 from typing import Callable
 
 from .geometry import SpacetimeConfig, _require_phase, _require_positive, response_shape
@@ -61,7 +54,7 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Value of an integral together with its error estimate and the integrand calls over all QUADPACK pieces."""
+    """Value of an integral together with its error estimate and the integrand calls of its QUADPACK rule."""
 
     value: float
     error: float
@@ -82,68 +75,43 @@ def _piece(f: Callable[[float], float], a: float, b: float, abs_tol: float, rel_
     return IntegralResult(value, error, int(info["neval"]))
 
 
-def _panels(start: float, stop: float, pole: float) -> list[float]:
-    """Panel edges from start to stop, each panel no longer than its distance to the pole, or than half of
-    it while the panels approach the pole.  The pole lies outside [start, stop]."""
-    edges = [start]
-    while edges[-1] < stop:
-        x = edges[-1]
-        edges.append(min(stop, x + (0.5 * (pole - x) if x < pole else x - pole)))
-    return edges
-
-
-def _tail(a: float, d: float) -> tuple[float, float]:
-    """T(a, d) = int_{a+d}^inf y sin(y) / (y^2 - a^2) dy in the sine and cosine integrals, and a bound on its
-    rounding error: a few units in the last place of the largest term."""
+def _outside(a: float, d: float) -> tuple[float, float, float]:
+    """O(a, d), the integral of y sin(y) / (y^2 - a^2) over [0, a - d] and [a + d, inf) in the sine and cosine
+    integrals, a bound on its rounding error (a few units in the last place of the largest term), and |C| + |S|,
+    the sizes of the brackets C and S that multiply cos(a) and sin(a) in O."""
     from scipy.special import sici  # loaded with scipy.integrate
 
-    far = 2.0 * a + d
-    si_near, ci_near = sici(d)
-    si_far, ci_far = sici(far)
+    # 2a -/+ d overflow to inf past a = 9e307, where Si is pi/2 and Ci is 0, as they are to double precision.
+    below, above = 2.0 * a - d, 2.0 * a + d
+    (si_d, si_below, si_above), (_, ci_below, ci_above) = sici([d, below, above])
+    brackets = math.pi - 2.0 * si_d + si_below - si_above, ci_above - ci_below
     cos_a, sin_a = math.cos(a), math.sin(a)
-    value = 0.5 * (cos_a * (math.pi - si_near - si_far) + sin_a * (ci_far - ci_near))
-    # Ci(x) is gamma + ln(x) plus a series, so its rounding error scales with 1 + |ln x|, not with |Ci(x)|.
-    size = abs(cos_a) * (math.pi + abs(si_near) + abs(si_far)) + abs(sin_a) * (
-        abs(ci_near) + abs(ci_far) + 2.0 + abs(math.log(d)) + abs(math.log(far))
+    value = 0.5 * (cos_a * brackets[0] + sin_a * brackets[1])
+    # Ci(x) is gamma + ln(x) plus a series up to x = 4, so there its rounding error scales with 1 + |ln x|.
+    size = abs(cos_a) * (math.pi + 2.0 * abs(si_d) + abs(si_below) + abs(si_above)) + abs(sin_a) * sum(
+        abs(ci) + 1.0 + abs(math.log(min(x, 4.0))) for ci, x in ((ci_below, below), (ci_above, above))
     )
-    return float(value), 4.0 * sys.float_info.epsilon * float(size)
+    return float(value), 4.0 * sys.float_info.epsilon * float(size), float(abs(brackets[0]) + abs(brackets[1]))
 
 
 def _resonance_kernel(a: float, abs_tol: float) -> IntegralResult:
-    """I(a) = P int_0^inf y sin(y) / (y^2 - a^2) dy, which is (pi/2) cos(a), by weighted QUADPACK rules up to
-    a + d and the sine and cosine integrals beyond.
-
-    Returns the error estimate unchecked; raises QuadratureError when the window around the pole is below
-    the resolution of doubles at a.
-    """
+    """I(a) = P int_0^inf y sin(y) / (y^2 - a^2) dy, which is (pi/2) cos(a), by QAWC on the window [a - d, a + d]
+    and the sine and cosine integrals outside it.  Returns the error estimate unchecked; raises QuadratureError
+    where a has underflowed to 0, which puts the pole at the end point y = 0."""
+    if a == 0.0:
+        raise QuadratureError("sigma omega0 underflows to 0, which puts the pole at the end point y = 0")
     d = min(a, math.pi)
-    if d <= 64.0 * sys.float_info.epsilon * a:
-        raise QuadratureError(f"sigma omega0 = {a:g} leaves no half-period around the pole in double precision")
-
     cos_a, sin_a = math.cos(a), math.sin(a)
 
     def window(t: float) -> float:
-        # y sin(y) / (y + a) at y = a + t, with no node rounded at the scale of a.
-        return (a + t) * (sin_a * math.cos(t) + cos_a * math.sin(t)) / (2.0 * a + t)
+        # y sin(y) / (y + a) at y = a + t, with no node rounded at the scale of a and no overflow of 2a.
+        return 0.5 * (a + t) * (sin_a * math.cos(t) + cos_a * math.sin(t)) / (a + 0.5 * t)
 
-    def amplitude(y: float) -> float:
-        # Two divisions: the product (y + a)(y - a) underflows to 0 for tiny a.
-        return y / (y + a) / (y - a)
-
-    lo, hi = a - d, a + d
-    spans = list(pairwise(_panels(0.0, lo, a)))
-    # One share of abs_tol per QUADPACK piece and one for the tail.
-    tol = abs_tol / (len(spans) + 2)
-    pieces = [_piece(window, lo - a, hi - a, tol, _ROUNDOFF, weight="cauchy", wvar=0.0)]
-    pieces += [_piece(amplitude, x0, x1, tol, _ROUNDOFF, weight="sin", wvar=1.0) for x0, x1 in spans]
-    # The tail starts where the window ends: at the double hi, whose distance hi - a to the pole is exact.
-    tail, tail_error = _tail(a, hi - a)
-    nodes = sys.float_info.epsilon * (a + d) * sum(abs(q.value) for q in pieces)
-    return IntegralResult(
-        math.fsum([tail, *(q.value for q in pieces)]),
-        sum(q.error for q in pieces) + tail_error + nodes,
-        sum(q.evaluations for q in pieces),
-    )
+    w = _piece(window, -d, d, 0.5 * abs_tol, _ROUNDOFF, weight="cauchy", wvar=0.0)
+    outside, rounding, brackets = _outside(a, d)
+    # The a-scale term, in place of the rounding of a = sigma omega0 until the phase is exact (ROADMAP item 16).
+    a_scale = sys.float_info.epsilon * (a + d) * (abs(w.value) + 0.5 * brackets)
+    return replace(w, value=w.value + outside, error=w.error + rounding + a_scale)
 
 
 def rcpi_integral(
@@ -169,7 +137,7 @@ def rcpi_integral(
     the phase omega0 sigma is not a double, and QuadratureError (with the
     evaluation count and the error estimate) when the
     result or its error estimate is not finite, or the estimate misses the
-    requested tolerance.
+    requested tolerance, or where sigma omega0 underflows to 0.
     """
     _require_positive(omega0=omega0, L=L)
     sigma, c = response_shape(spacetime, L)

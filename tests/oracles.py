@@ -15,9 +15,10 @@ population block in the Dicke basis, and for ``evolve``.
 ``read_columns_by_row`` is the CSV reader that reads one row at a time with
 `csv` and `float`, the reference for ``rcpi.csvio.read_columns``.
 
-``resonance_tail`` takes the resonance integrand past the pole window by
-QUADPACK alone, the reference for the sine- and cosine-integral tail of
-``rcpi.quadrature``.
+``resonance_outside`` takes the resonance integrand outside the pole window
+by QUADPACK alone, the reference for the sine- and cosine-integral part of
+``rcpi.quadrature``: QAWO on ``_panels`` below the window, and
+``resonance_tail`` past it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 from scipy import integrate
 
 from rcpi import geometry
-from rcpi.quadrature import _panels
 
 _FOUR_PI_SQ = 4.0 * math.pi**2
 
@@ -215,6 +215,22 @@ def read_columns_by_row(buf, names: tuple[str, ...]) -> tuple[np.ndarray, np.nda
     return np.array(lines, dtype=int), np.array(values, dtype=float).reshape(-1, len(names)).T
 
 
+def _panels(start: float, stop: float, pole: float) -> list[float]:
+    """Panel edges from start to stop, each panel no longer than its distance to the pole, or than half of
+    it while the panels approach the pole.  The pole lies outside [start, stop]; on a longer panel the
+    Chebyshev error estimate of QAWO can be tiny while the value is wrong."""
+    edges = [start]
+    while edges[-1] < stop:
+        x = edges[-1]
+        edges.append(min(stop, x + (0.5 * (pole - x) if x < pole else x - pole)))
+    return edges
+
+
+def _amplitude(a: float):
+    """The amplitude y / (y^2 - a^2) of the sine weight, as two divisions: the product underflows for tiny a."""
+    return lambda y: y / (y + a) / (y - a)
+
+
 def resonance_tail(a: float, d: float, abs_tol: float = 1e-12) -> tuple[float, float]:
     """int_{a+d}^inf y sin(y) / (y^2 - a^2) dy and its error estimate, by QUADPACK's sine-weighted rules.
 
@@ -223,10 +239,7 @@ def resonance_tail(a: float, d: float, abs_tol: float = 1e-12) -> tuple[float, f
     of them gets an equal share of abs_tol.  The tail starts at the double
     a + d.
     """
-
-    def amplitude(y: float) -> float:
-        return y / (y + a) / (y - a)
-
+    amplitude = _amplitude(a)
     edges = _panels(a + d, a + 3.0 * math.pi, a)
     tol = abs_tol / len(edges)
     pieces = [
@@ -238,4 +251,18 @@ def resonance_tail(a: float, d: float, abs_tol: float = 1e-12) -> tuple[float, f
     pieces.append(
         integrate.quad(amplitude, edges[-1], math.inf, epsabs=max(tol, floor), limlst=200, weight="sin", wvar=1.0)
     )
+    return math.fsum(v for v, _ in pieces), sum(e for _, e in pieces)
+
+
+def resonance_outside(a: float, d: float, abs_tol: float = 1e-12) -> tuple[float, float]:
+    """The integral of y sin(y) / (y^2 - a^2) over [0, a - d] and [a + d, inf), and its error estimate: QAWO
+    on panels from 0 up to the double a - d, each no longer than half its distance to the pole, and
+    ``resonance_tail`` from the double a + d."""
+    edges = _panels(0.0, a - d, a)
+    tol = abs_tol / len(edges)
+    pieces = [
+        integrate.quad(_amplitude(a), lo, hi, epsabs=tol, epsrel=1e-12, limit=200, weight="sin", wvar=1.0)
+        for lo, hi in zip(edges, edges[1:])
+    ]
+    pieces.append(resonance_tail(a, d, tol))
     return math.fsum(v for v, _ in pieces), sum(e for _, e in pieces)

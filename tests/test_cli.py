@@ -585,6 +585,19 @@ class TestDiscriminateCommand:
         assert doc["exponent"] == fit_power_law(env_L, env_v, tuple(window)).exponent
         assert doc["verdict"] == "DeSitterFar"
 
+    @pytest.mark.parametrize("flag", ["--lmax=inf", "--lmax=1e400", "--lmax=nan", "--lmin=-inf"])
+    def test_non_finite_window_bound_is_a_usage_error(self, far_sweep, capsys, flag):
+        # An infinite bound once went into the verdict as "window": [..., Infinity], which is not JSON.
+        assert main(["discriminate", far_sweep[0], flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag.split('=')[0]}: must be finite" in captured.err
+
+    def test_verdict_json_rejects_a_non_finite_window(self, far_sweep):
+        fit = fit_power_law(*far_sweep[1], (None, math.inf))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            discriminator.classify(fit).to_json()
+
     def test_window_with_too_few_envelope_points(self, far_sweep, capsys):
         csv_path, (env_L, _) = far_sweep
         lo, hi = (env_L[4] + env_L[5]) / 2, (env_L[7] + env_L[8]) / 2  # three envelope points between
@@ -705,7 +718,7 @@ class TestValidateCommand:
         assert {"kms_desitter", "kms_thermal"} <= failed
 
     def test_quadrature_window_is_computed_not_restated(self, monkeypatch, tmp_path):
-        # Only the tail past the pole window is in closed form: a window off by 1e-4 must fail the check.
+        # Only the stretches outside the pole window are in closed form: a window off by 1e-4 must fail the check.
         piece = quadrature._piece
 
         def scaled_window(*args, **kw):
@@ -770,11 +783,18 @@ class TestExitCodes:
         assert main(["shift", "--config", cfg]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_no_half_period_around_the_pole(self, tmp_path, capsys):
-        # sigma omega0 = 1e15: the half-period pi / sigma is below the resolution of doubles at omega0.
-        doc = {"spacetime": {"type": "thermal", "temperature": 0.0}, "atoms": {"omega0": 1e7, "mu": 0.1, "L": 1e8}}
-        assert main(["shift", "--config", write_config(tmp_path, doc)]) == 3
-        assert "leaves no half-period around the pole" in capsys.readouterr().err
+    @pytest.mark.parametrize("omega0, L, code", [(1e7, 1e8, 3), (1e3, 1e12, 0)], ids=["c-1e8", "c-1e12"])
+    def test_phase_1e15(self, tmp_path, capsys, omega0, L, code):
+        # sigma omega0 = 1e15: the estimate's a-scale term, about u a, misses the target c abs_tol / 2 at c = 1e8
+        # and meets it at c = 1e12.
+        doc = {"spacetime": {"type": "thermal", "temperature": 0.0}, "atoms": {"omega0": omega0, "mu": 0.1, "L": L}}
+        assert main(["shift", "--config", write_config(tmp_path, doc)]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert "requested tolerance not met" in err
+        else:
+            d = json.loads(out)
+            assert abs(d["dE_S_quadrature"] - d["dE_S_closed"]) <= d["quadrature_error_estimate"]
 
     @pytest.mark.parametrize("command", ["shift", "sweep", "evolve"])
     def test_phase_past_the_double_range(self, tmp_path, capsys, command):

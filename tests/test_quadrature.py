@@ -5,11 +5,11 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import resonance_tail
+from oracles import _panels, resonance_outside
 
 from rcpi import quadrature
-from rcpi.geometry import DeSitterPatch, ThermalBath
-from rcpi.quadrature import IntegralResult, QuadratureError, _panels, _piece, _resonance_kernel, _tail, rcpi_integral
+from rcpi.geometry import DeSitterPatch, ThermalBath, response_shape
+from rcpi.quadrature import IntegralResult, QuadratureError, _outside, _piece, _resonance_kernel, rcpi_integral
 
 
 def closed_form_integral(spacetime, omega0, L):
@@ -58,7 +58,8 @@ class TestPrincipalValue:
 
 
 class TestOscillatoryTail:
-    """The kernel I(a) of one variable a = sigma omega0, with its QAWO panels and its QAWF tail."""
+    """The kernel I(a) of one variable a = sigma omega0: QAWC on the pole window, the sine and cosine integrals
+    outside it."""
 
     @pytest.mark.parametrize(
         "a",
@@ -67,7 +68,7 @@ class TestOscillatoryTail:
     )
     def test_kernel_matches_half_pi_cos(self, a):
         # I(a) = P int_0^inf y sin(y) / (y^2 - a^2) dy = (pi/2) cos(a), taken at the exact double a.
-        # From a = pi on, the QAWO panels run from 0 up to the window as well as past it.
+        # From a = pi on, the window no longer reaches down to y = 0.
         exact = float(mpmath.pi / 2 * mpmath.cos(mpmath.mpf(a)))
         res = _resonance_kernel(a, 1e-9)
         assert abs(res.value - exact) <= res.error <= 1e-9
@@ -80,9 +81,9 @@ class TestOscillatoryTail:
         res = _resonance_kernel(a, 1e-9)
         assert abs(res.value - float(mpmath.pi / 2 * mpmath.cos(mpmath.mpf(a)))) <= res.error
 
-    @pytest.mark.parametrize("a", [1e-300, 1e-9])
-    def test_tiny_a_takes_one_quadpack_call(self, monkeypatch, a):
-        # For a <= pi the window reaches down to y = 0 and the sine and cosine integrals take the rest.
+    @pytest.mark.parametrize("a", [1e-300, 1e-9, math.pi, 30.0, 1e6, 1e12, 1e15])
+    def test_one_quadpack_call_at_every_a(self, monkeypatch, a):
+        # QAWC takes the window, and the sine and cosine integrals take the rest on both sides of it.
         calls = []
         monkeypatch.setattr(quadrature, "_piece", lambda *args, **kw: calls.append(kw["weight"]) or _piece(*args, **kw))
         _resonance_kernel(a, 1e-9)
@@ -90,29 +91,34 @@ class TestOscillatoryTail:
 
 
 def _window_edge(a):
-    """The distance from the pole to the double a + d at which the kernel's tail starts, d = min(a, pi)."""
+    """A half-width d near min(a, pi) whose window edges a - d and a + d are both doubles, so that a QUADPACK
+    oracle in y integrates over the same stretch as the sine and cosine integrals."""
     return (a + min(a, math.pi)) - a
 
 
 class TestTail:
-    """T(a, d), the integral from a + d to infinity in the sine and cosine integrals."""
+    """O(a, d), the integral over [0, a - d] and [a + d, inf) in the sine and cosine integrals."""
 
     @pytest.mark.parametrize("a", [1e-300, 1e-100, 1e-9, 1e-3, 0.5, 1.0, math.pi, 1.5 * math.pi, 10.0, 1e2, 1e3])
-    def test_matches_quadpack_tail(self, a):
+    def test_matches_quadpack(self, a):
         d = _window_edge(a)
-        value, error = _tail(a, d)
-        oracle, oracle_error = resonance_tail(a, d)
+        value, error, _ = _outside(a, d)
+        oracle, oracle_error = resonance_outside(a, d)
         assert abs(value - oracle) <= error + oracle_error
 
-    @pytest.mark.parametrize("a", [1e-300, 1e-9, 0.5, math.pi, 1.5 * math.pi, 1e3, 1e5, 4352165.543776667, 1e7])
+    @pytest.mark.parametrize(
+        "a", [1e-300, 1e-9, 0.5, math.pi, 1.5 * math.pi, 1e3, 1e5, 4352165.543776667, 1e7, 1e15, 1e308]
+    )
     def test_matches_mpmath(self, a):
-        d = _window_edge(a)
-        value, error = _tail(a, d)
+        # At a = 1e308, 2a - d and 2a + d overflow to inf, where Si is pi/2 and Ci is 0 to double precision;
+        # the result is a double, with no RuntimeWarning (an error under the suite's warning filters).
+        d = min(a, math.pi)
+        value, error, _ = _outside(a, d)
         with mpmath.workdps(50):
             A, D = mpmath.mpf(a), mpmath.mpf(d)
             exact = (
-                mpmath.cos(A) * (mpmath.pi - mpmath.si(D) - mpmath.si(2 * A + D))
-                + mpmath.sin(A) * (mpmath.ci(2 * A + D) - mpmath.ci(D))
+                mpmath.cos(A) * (mpmath.pi - 2 * mpmath.si(D) + mpmath.si(2 * A - D) - mpmath.si(2 * A + D))
+                + mpmath.sin(A) * (mpmath.ci(2 * A + D) - mpmath.ci(2 * A - D))
             ) / 2
         assert abs(value - float(exact)) <= error
 
@@ -186,10 +192,16 @@ class TestResonanceIntegral:
         with pytest.raises(ValueError):
             rcpi_integral(ThermalBath(0.0), 1.0, 0.0)
 
-    def test_no_half_period_around_the_pole(self):
-        # sigma omega0 = 1e15: the half-period pi / sigma is below the resolution of doubles at omega0.
-        with pytest.raises(QuadratureError, match="leaves no half-period around the pole"):
-            rcpi_integral(ThermalBath(0.0), 1e7, 1e8)
+    @pytest.mark.parametrize("omega0, L", [(1e7, 1e8), (1e3, 1e12)], ids=["c-1e8", "c-1e12"])
+    def test_phase_1e15(self, omega0, L):
+        # sigma omega0 = 1e15: the a-scale term of the estimate, about u a, misses the target c abs_tol / 2 at
+        # c = 1e8 and meets it at c = 1e12.
+        if L < 1e12:
+            with pytest.raises(QuadratureError, match="requested tolerance not met"):
+                rcpi_integral(ThermalBath(0.0), omega0, L)
+        else:
+            res = rcpi_integral(ThermalBath(0.0), omega0, L)
+            assert abs(res.value - closed_form_integral(ThermalBath(0.0), omega0, L)) <= res.error
 
     def test_result_fields(self):
         res = rcpi_integral(DeSitterPatch(1.0, 0.0), 1.0, 1.0)
@@ -203,6 +215,62 @@ class TestResonanceIntegral:
         kwargs = {"omega0": 1.0, "L": 1.0, arg: bad}
         with pytest.raises(ValueError, match=arg):
             rcpi_integral(DeSitterPatch(1.0, 0.0), **kwargs)
+
+
+def _exact_phase_draws(n=400, seed=1):
+    """Draws of (spacetime, omega0, L): a bath at T = 0 at odd draws; at even ones de Sitter, with alpha
+    log-uniform in [0.1, 10] and r / alpha uniform in [0, 0.99).  L is log-uniform in [1e-2, 1e3] and
+    a = sigma omega0 in [10, 1e15]."""
+    rng = np.random.default_rng(seed)
+    for i, (u_alpha, u_r, u_L, u_a) in enumerate(rng.random((n, 4))):
+        if i % 2:
+            spacetime = ThermalBath(0.0)
+        else:
+            alpha = 10.0 ** (2.0 * u_alpha - 1.0)
+            spacetime = DeSitterPatch(float(alpha), float(0.99 * u_r * alpha))
+        L = float(10.0 ** (5.0 * u_L - 2.0))
+        yield spacetime, float(10.0 ** (14.0 * u_a + 1.0)) / response_shape(spacetime, L)[0], L
+
+
+def _exact_phase_truth(spacetime, omega0, L):
+    """(2/c) (pi/2) cos(omega0 sigma) in 60-digit mpmath at the exact inputs, sigma and c included."""
+    with mpmath.workdps(60):
+        L = mpmath.mpf(L)
+        if isinstance(spacetime, DeSitterPatch):
+            k = mpmath.sqrt(mpmath.mpf(spacetime.alpha) ** 2 - mpmath.mpf(spacetime.r) ** 2)
+            sigma, c = 2 * k * mpmath.asinh(L / (2 * k)), L * mpmath.sqrt(1 + (L / (2 * k)) ** 2)
+        else:
+            sigma = c = L
+        return float(mpmath.pi / c * mpmath.cos(mpmath.mpf(omega0) * sigma))
+
+
+# Draws whose estimate leaves out the rounding of a = sigma omega0 itself, from the product and, in de Sitter,
+# from sigma: the result is right at the double a and misses the exact phase by 1.2 to 2.2 times its estimate.
+EXACT_PHASE_MISSES = {
+    (ThermalBath(0.0), 68076356.86894828, 0.32807576218826084),
+    (DeSitterPatch(0.18538875781431288, 0.07398528965808872), 458849.291998038, 0.1040581746468931),
+    (DeSitterPatch(0.413654640820602, 0.21027436452803092), 15193026.349272283, 0.2011979767429741),
+    (DeSitterPatch(3.8195809147503863, 3.7759357161776914), 83517.95566718122, 2.390370775026891),
+    (DeSitterPatch(0.1572410285468111, 0.044381898834087836), 6306742820.391325, 592.1423779778388),
+    (DeSitterPatch(0.6347589743762514, 0.51761942509627), 1808246.3859079527, 1.0613258306196154),
+}
+_ITEM_16 = pytest.mark.xfail(strict=True, reason="the estimate leaves out the rounding of sigma omega0 (ROADMAP item 16)")
+
+
+@pytest.mark.parametrize(
+    "spacetime, omega0, L",
+    [
+        pytest.param(*draw, id=f"draw-{i}", marks=[_ITEM_16] if draw in EXACT_PHASE_MISSES else [])
+        for i, draw in enumerate(_exact_phase_draws())
+    ],
+)
+def test_exact_phase_within_the_estimate_or_exit_3(spacetime, omega0, L):
+    # Against the exact phase omega0 sigma at default tolerances: a value within its estimate, or QuadratureError.
+    try:
+        res = rcpi_integral(spacetime, omega0, L)
+    except QuadratureError:
+        return
+    assert abs(res.value - _exact_phase_truth(spacetime, omega0, L)) <= res.error
 
 
 # The mapped domain of the quadrature route, as stated in the README.
