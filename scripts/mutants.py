@@ -38,6 +38,7 @@ class Mutant(NamedTuple):
 
 _OUTSIDE = "brackets = math.pi - 2.0 * si_d + si_below - si_above, ci_above - ci_below"
 _OUTSIDE_TESTS = ("tests/test_quadrature.py::TestTail",)
+_A_SCALE = "a_scale = 2.0 * _U * (a + d) * (abs(w) + abs(conjugate) + 0.5 * brackets)"
 _SHIFT_GUARDS = "    _require_envelope(mu, c)\n    _require_phase(omega0, sigma)\n"
 _COEFFICIENT_GUARDS = "    _require_phase(omega0, sigma)\n    _require_envelope(mu, c)\n    at1"
 
@@ -56,9 +57,16 @@ MUTANTS = (
     Mutant(
         "kernel: a-scale term removed",
         "rcpi/quadrature.py",
-        "a_scale = sys.float_info.epsilon * (a + d) * (abs(w.value) + 0.5 * brackets)",
+        _A_SCALE,
         "a_scale = 0.0",
         ("tests/test_quadrature.py::TestResonanceIntegral::test_phase_1e15",),
+    ),
+    Mutant(
+        "kernel: conjugate window |W'| dropped from the a-scale term",
+        "rcpi/quadrature.py",
+        _A_SCALE,
+        _A_SCALE.replace(" + abs(conjugate)", "", 1),
+        ("tests/test_quadrature.py::test_exact_phase_within_the_estimate_or_exit_3",),
     ),
     Mutant(
         "shifts._interaction: envelope guard removed",
@@ -86,6 +94,27 @@ MUTANTS = (
         "rcpi/liouvillian.py",
         _COEFFICIENT_GUARDS,
         "    _require_phase(omega0, sigma)\n    at1",
+        ("tests/test_extremes.py::test_a_double_or_the_typed_error",),
+    ),
+    Mutant(
+        "dissipator_coefficients: phase guard removed",
+        "rcpi/liouvillian.py",
+        "    _require_phase(omega0, sigma)\n    return _dissipator(",
+        "    return _dissipator(",
+        ("tests/test_liouvillian.py::TestDissipatorCoefficients::test_phase_past_the_double_range_raises",),
+    ),
+    Mutant(
+        "liouvillian._dissipator: cross-factor limit sigma / c removed",
+        "rcpi/liouvillian.py",
+        "math.sin(sigma * omega0) / (c * omega0) if c * omega0 else sigma / c",
+        "math.sin(sigma * omega0) / (c * omega0)",
+        ("tests/test_extremes.py::test_a_double_or_the_typed_error",),
+    ),
+    Mutant(
+        "rcpi_asymptotic: far-form envelope guard removed",
+        "rcpi/shifts.py",
+        "        _require_envelope(mu, c)\n        _require_phase(2.0 * omega0 * kappa_val",
+        "        _require_phase(2.0 * omega0 * kappa_val",
         ("tests/test_extremes.py::test_a_double_or_the_typed_error",),
     ),
 )

@@ -1,51 +1,46 @@
-"""QUADPACK quadrature of the resonance integral at its pole.
+"""Quadrature of the resonance integral at its pole.
 
 With y = sigma w and a = sigma omega0 the cross-atom integral is (2/c) I(a), where
 
-    I(a) = P int_0^inf y sin(y) / (y^2 - a^2) dy = (pi/2) cos(a):
+    I(a) = P int_0^inf y sin(y) / (y^2 - a^2) dy = (pi/2) cos(a).
 
-a simple pole at y = a times a sine over a 1/y envelope.  One kernel splits
-I(a) at the edges of a window [a - d, a + d] centred on the pole,
-d = min(a, pi), at most two half-periods wide:
+The kernel splits I(a) at a window [a - d, a + d], d = min(a, pi), around the pole:
 
-* QAWC (Cauchy weight), a rule of Piessens et al., QUADPACK (1983), takes the
-  principal value on the window, in t = y - a with sin(a + t) expanded, so
-  that the window [-d, d], its nodes and its Cauchy weight 1/t are exact at
-  any a; in y, their rounding to u a would cost about u a / t close to the pole;
+* on the window, in t = y - a, the integrand is g(t) / t with
+  g(t) = y sin(y) / (y + a), and W = int_0^1 [g(d x) - g(-d x)] / x dx.  g has
+  its one pole at t = -2a, so this integrand is analytic inside a Bernstein
+  ellipse of parameter 3 + sqrt(8) or more for every a, and a fixed 20-node
+  Gauss-Legendre rule converges geometrically (Trefethen, SIAM Rev. 50 (2008)
+  67-87): no adaptive rule is needed, and the 10-node rule beside it gives the
+  estimate.  The window [-d, d] and its nodes are exact at any a;
 * outside it, y sin(y) / (y^2 - a^2) = (1/2) sin(y) [1/(y - a) + 1/(y + a)],
   whose integrals over [0, a - d] and [a + d, inf) are exact in the sine and
   cosine integrals:  O(a, d) = (1/2) [cos(a) C + sin(a) S] with
   C = pi - 2 Si(d) + Si(2a - d) - Si(2a + d) and S = Ci(2a + d) - Ci(2a - d).
 
-So the principal value stays numerical, one QUADPACK call, and the closed form
-of I(a) itself enters nowhere.
-
-The window gets half of abs_tol as an absolute target.  Near a zero of
-cos(a) the window and O are much larger than their sum, so a target relative
-to the window at rel_tol would not bound the error of the sum; the only
-relative target is a roundoff floor of 1e-12, which keeps the target
-reachable when the integral is large.  The error estimate adds to QAWC's own
-a rounding bound for O and an a-scale term 2 u (a + d) (|W| + (|C| + |S|) / 2),
-W the window's value and u the unit roundoff.  That term is of the order of
-what the rounding of a = sigma omega0, u a, moves the result by; it stands in
-for that rounding until the phase is exact (ROADMAP item 16).
+So the principal value stays numerical, and the closed form of I(a) itself
+enters nowhere.  The error estimate is the window's (``_window``),
+plus a rounding bound for O, plus the a-scale term
+2u (a + d) (|W| + |W'| + (|C| + |S|) / 2): u is the unit roundoff and W' the
+conjugate window, with cos(y) in place of sin(y), from the same node values.
+W' is close to dW/da and (|C| + |S|) / 2 bounds dO/da, so the term is of the
+order of what the rounding of a = sigma omega0 moves the result by.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from .geometry import SpacetimeConfig, _require_phase, _require_positive, response_shape
 
 __all__ = ["IntegralResult", "QuadratureError", "rcpi_integral"]
 
-_QUAD_LIMIT = 200
 DEFAULT_ABS_TOL = 1e-9
 DEFAULT_REL_TOL = 1e-7
-_ROUNDOFF = 1e-12
+_U = 0.5 * sys.float_info.epsilon
 
 
 class QuadratureError(RuntimeError):
@@ -54,32 +49,62 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """Value of an integral together with its error estimate and the integrand calls of its QUADPACK rule."""
+    """Value of an integral together with its error estimate and the number of points its rule evaluated the
+    integrand at."""
 
     value: float
     error: float
     evaluations: int
 
 
-def _piece(f: Callable[[float], float], a: float, b: float, abs_tol: float, rel_tol: float = 0.0, **weight) -> IntegralResult:
-    """One scipy.integrate.quad call with its counter.
+@functools.cache
+def _gauss_rules() -> tuple[tuple[tuple[float, float], ...], ...]:
+    """The (node, weight) pairs on (0, 1) of the 20- and the 10-point Gauss-Legendre rules, as floats."""
+    from numpy.polynomial.legendre import leggauss  # deferred: `import rcpi.cli` should not pay for it
 
-    A rule that stops short of its target still returns its best value and
-    error estimate; the caller judges the error of the whole integral.
+    return tuple(tuple(zip((0.5 + 0.5 * x).tolist(), (0.5 * w).tolist())) for x, w in map(leggauss, (20, 10)))
+
+
+def _window(a: float, d: float) -> tuple[float, float, float, int]:
+    """W = int_0^1 [g(d x) - g(-d x)] / x dx, the principal value of y sin(y) / (y^2 - a^2) over [a - d, a + d],
+    by the 20-point Gauss-Legendre rule; its conjugate W', with cos(y) in place of sin(y); the estimate of W; and
+    the number of points t = +/-d x at which g is taken.
+
+    g(t) = r(t) sin(a + t) with r(t) = (a + t) / (2a + t).  With u = t / a,
+    r(t) - r(-t) = 2u / (4 - u^2) and r(t) + r(-t) = (4 - 2u^2) / (4 - u^2), so
+    g(t) - g(-t) = sin(a) cos(t) [r(t) - r(-t)] + cos(a) sin(t) [r(t) + r(-t)]:
+    no difference cancels, no node is rounded at the scale of a, 2a does not
+    overflow, and at a d that underflows in d x nothing divides 0 by 0.  The
+    estimate is the 10-point rule's departure |G20 - G10| plus 50 u times a
+    bound on the sum of the terms' sizes, for their rounding and that of the
+    sum.
     """
-    from scipy import integrate  # deferred: slow to import, and only `rcpi shift` and `validate` use it
-
-    value, error, info = integrate.quad(
-        f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=_QUAD_LIMIT, full_output=1, **weight
-    )[:3]
-    return IntegralResult(value, error, int(info["neval"]))
+    q = d / a  # u = q x, with q <= 1, so 4 - u^2 >= 3
+    sums = []
+    for rule in _gauss_rules():
+        odd = even = 0.0
+        for x, w in rule:
+            u2 = (q * x) ** 2
+            den = 4.0 - u2
+            t = d * x
+            odd += w * math.cos(t) / den
+            even += w * math.sin(t) / x * (den - u2) / den
+        sums.append((2.0 * q * odd, even))
+    (odd, even), (odd10, even10) = sums
+    cos_a, sin_a = math.cos(a), math.sin(a)
+    w = sin_a * odd + cos_a * even
+    # Each term of odd is at most 2q/3 per unit weight, and each term of even is positive; ulp(0) is the absolute
+    # rounding of a subnormal term.
+    size = 2.0 * q / 3.0 * abs(sin_a) + abs(cos_a) * even
+    error = abs(w - (sin_a * odd10 + cos_a * even10)) + 50.0 * (_U * size + math.ulp(0.0))
+    return w, cos_a * odd - sin_a * even, error, 60
 
 
 def _outside(a: float, d: float) -> tuple[float, float, float]:
     """O(a, d), the integral of y sin(y) / (y^2 - a^2) over [0, a - d] and [a + d, inf) in the sine and cosine
     integrals, a bound on its rounding error (a few units in the last place of the largest term), and |C| + |S|,
     the sizes of the brackets C and S that multiply cos(a) and sin(a) in O."""
-    from scipy.special import sici  # loaded with scipy.integrate
+    from scipy.special import sici  # deferred: slow to import, and only `rcpi shift` and `validate` use it
 
     # 2a -/+ d overflow to inf past a = 9e307, where Si is pi/2 and Ci is 0, as they are to double precision.
     below, above = 2.0 * a - d, 2.0 * a + d
@@ -94,24 +119,18 @@ def _outside(a: float, d: float) -> tuple[float, float, float]:
     return float(value), 4.0 * sys.float_info.epsilon * float(size), float(abs(brackets[0]) + abs(brackets[1]))
 
 
-def _resonance_kernel(a: float, abs_tol: float) -> IntegralResult:
-    """I(a) = P int_0^inf y sin(y) / (y^2 - a^2) dy, which is (pi/2) cos(a), by QAWC on the window [a - d, a + d]
-    and the sine and cosine integrals outside it.  Returns the error estimate unchecked; raises QuadratureError
-    where a has underflowed to 0, which puts the pole at the end point y = 0."""
+def _resonance_kernel(a: float) -> IntegralResult:
+    """I(a) = P int_0^inf y sin(y) / (y^2 - a^2) dy, which is (pi/2) cos(a), by a Gauss-Legendre rule on the window
+    [a - d, a + d] and the sine and cosine integrals outside it.  Returns the error estimate unchecked; raises
+    QuadratureError where a has underflowed to 0, which puts the pole at the end point y = 0."""
     if a == 0.0:
         raise QuadratureError("sigma omega0 underflows to 0, which puts the pole at the end point y = 0")
     d = min(a, math.pi)
-    cos_a, sin_a = math.cos(a), math.sin(a)
-
-    def window(t: float) -> float:
-        # y sin(y) / (y + a) at y = a + t, with no node rounded at the scale of a and no overflow of 2a.
-        return 0.5 * (a + t) * (sin_a * math.cos(t) + cos_a * math.sin(t)) / (a + 0.5 * t)
-
-    w = _piece(window, -d, d, 0.5 * abs_tol, _ROUNDOFF, weight="cauchy", wvar=0.0)
+    w, conjugate, error, evaluations = _window(a, d)
     outside, rounding, brackets = _outside(a, d)
-    # The a-scale term, in place of the rounding of a = sigma omega0 until the phase is exact (ROADMAP item 16).
-    a_scale = sys.float_info.epsilon * (a + d) * (abs(w.value) + 0.5 * brackets)
-    return replace(w, value=w.value + outside, error=w.error + rounding + a_scale)
+    # The rounding of a = sigma omega0 moves W by about W' and O by at most (|C| + |S|) / 2 per unit of a.
+    a_scale = 2.0 * _U * (a + d) * (abs(w) + abs(conjugate) + 0.5 * brackets)
+    return IntegralResult(w + outside, error + rounding + a_scale, evaluations)
 
 
 def rcpi_integral(
@@ -142,7 +161,7 @@ def rcpi_integral(
     _require_positive(omega0=omega0, L=L)
     sigma, c = response_shape(spacetime, L)
     _require_phase(omega0, sigma)
-    res = _resonance_kernel(sigma * omega0, 0.5 * c * abs_tol)
+    res = _resonance_kernel(sigma * omega0)
     scale = 2.0 / c
     value, error = scale * res.value, scale * res.error
     if not (math.isfinite(value) and math.isfinite(error) and error <= max(abs_tol, rel_tol * abs(value))):

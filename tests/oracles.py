@@ -18,7 +18,9 @@ population block in the Dicke basis, and for ``evolve``.
 ``resonance_outside`` takes the resonance integrand outside the pole window
 by QUADPACK alone, the reference for the sine- and cosine-integral part of
 ``rcpi.quadrature``: QAWO on ``_panels`` below the window, and
-``resonance_tail`` past it.
+``resonance_tail`` past it.  ``resonance_window`` takes the window itself by
+QUADPACK's Cauchy-weighted rule QAWC (``principal_value``), the reference for
+the kernel's Gauss-Legendre window.
 """
 
 from __future__ import annotations
@@ -266,3 +268,23 @@ def resonance_outside(a: float, d: float, abs_tol: float = 1e-12) -> tuple[float
     ]
     pieces.append(resonance_tail(a, d, tol))
     return math.fsum(v for v, _ in pieces), sum(e for _, e in pieces)
+
+
+def principal_value(f, lo: float, hi: float, pole: float, abs_tol: float = 0.0) -> tuple[float, float]:
+    """P int_lo^hi f(y) / (y - pole) dy and its error estimate, by QAWC (Cauchy weight; Piessens et al., QUADPACK,
+    1983), to the relative target 1e-12 or abs_tol."""
+    return integrate.quad(f, lo, hi, epsabs=abs_tol, epsrel=1e-12, limit=200, weight="cauchy", wvar=pole)[:2]
+
+
+def resonance_window(a: float, d: float) -> tuple[float, float]:
+    """The principal value of y sin(y) / (y^2 - a^2) over [a - d, a + d] and its error estimate, by QAWC in
+    s = (y - a) / d with sin(y) expanded, so that the window [-1, 1] and its nodes are exact at any a, and with the
+    integrand over d, so that the target 1e-14 is relative to its scale where d is tiny."""
+    cos_a, sin_a = math.cos(a), math.sin(a)
+
+    def window(s: float) -> float:
+        t = d * s
+        return 0.5 * (a + t) / d * (sin_a * math.cos(t) + cos_a * math.sin(t)) / (a + 0.5 * t)
+
+    value, error = principal_value(window, -1.0, 1.0, 0.0, abs_tol=1e-14)
+    return d * value, d * error

@@ -719,13 +719,13 @@ class TestValidateCommand:
 
     def test_quadrature_window_is_computed_not_restated(self, monkeypatch, tmp_path):
         # Only the stretches outside the pole window are in closed form: a window off by 1e-4 must fail the check.
-        piece = quadrature._piece
+        window = quadrature._window
 
-        def scaled_window(*args, **kw):
-            res = piece(*args, **kw)
-            return dataclasses.replace(res, value=res.value * (1.0 + 1e-4)) if kw.get("weight") == "cauchy" else res
+        def scaled_window(a, d):
+            w, conjugate, error, evaluations = window(a, d)
+            return w * (1.0 + 1e-4), conjugate, error, evaluations
 
-        monkeypatch.setattr(quadrature, "_piece", scaled_window)
+        monkeypatch.setattr(quadrature, "_window", scaled_window)
         out = tmp_path / "report.json"
         assert main(["validate", "--out", str(out)]) == 2
         assert "oracle_equivalence" in {c["name"] for c in json.loads(out.read_text())["checks"] if not c["passed"]}
@@ -880,6 +880,20 @@ class TestImportSurface:
             "assert importlib.util.find_spec('rcpi.correlators') is None, 'rcpi.correlators still imports'; "
             "assert 'scipy.integrate' not in sys.modules, 'import rcpi.cli loads scipy.integrate'; "
             "assert 'scipy.linalg' not in sys.modules, 'import rcpi.cli loads scipy.linalg'"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_shift_loads_neither_scipy_integrate_nor_scipy_linalg(self, tmp_path):
+        # The quadrature route takes the pole window by a Gauss-Legendre rule and the rest by scipy.special.sici.
+        cfg = write_config(tmp_path, DS_DOC)
+        code = (
+            "import sys, rcpi.cli; "
+            f"assert rcpi.cli.main(['shift', '--config', {cfg!r}, '--out', 'shift.json']) == 0; "
+            "assert 'scipy.special' in sys.modules, 'rcpi shift did not reach the quadrature'; "
+            "assert 'scipy.integrate' not in sys.modules, 'rcpi shift loads scipy.integrate'; "
+            "assert 'scipy.linalg' not in sys.modules, 'rcpi shift loads scipy.linalg'"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)

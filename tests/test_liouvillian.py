@@ -130,6 +130,12 @@ class TestDissipatorCoefficients:
         full = np.block([[cs, cc], [cc, cs]])
         assert np.min(np.linalg.eigvalsh(full)) >= -1e-12 * at1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_phase_past_the_double_range_raises(self):
+        # omega0 sigma overflows while the envelope is a double: the phase error, not math's "math domain error".
+        with pytest.raises(ValueError, match=r"^the phase omega0 sigma is not a double: inf$"):
+            dissipator_coefficients(ThermalBath(0.0), 1e200, 0.1, 1e200)
+
 
 class TestHamiltonianCoefficients:
     @pytest.mark.parametrize("L", (0.1, 0.3, 1.0, 3.0, 10.0))
