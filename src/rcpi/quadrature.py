@@ -65,10 +65,9 @@ def _gauss_rules() -> tuple[tuple[tuple[float, float], ...], ...]:
     return tuple(tuple(zip((0.5 + 0.5 * x).tolist(), (0.5 * w).tolist())) for x, w in map(leggauss, (20, 10)))
 
 
-def _window(a: float, d: float) -> tuple[float, float, float, int]:
+def _window(a: float, d: float) -> tuple[float, float, float]:
     """W = int_0^1 [g(d x) - g(-d x)] / x dx, the principal value of y sin(y) / (y^2 - a^2) over [a - d, a + d],
-    by the 20-point Gauss-Legendre rule; its conjugate W', with cos(y) in place of sin(y); the estimate of W; and
-    the number of points t = +/-d x at which g is taken.
+    by the 20-point Gauss-Legendre rule; its conjugate W', with cos(y) in place of sin(y); and the estimate of W.
 
     g(t) = r(t) sin(a + t) with r(t) = (a + t) / (2a + t).  With u = t / a,
     r(t) - r(-t) = 2u / (4 - u^2) and r(t) + r(-t) = (4 - 2u^2) / (4 - u^2), so
@@ -97,7 +96,7 @@ def _window(a: float, d: float) -> tuple[float, float, float, int]:
     # rounding of a subnormal term.
     size = 2.0 * q / 3.0 * abs(sin_a) + abs(cos_a) * even
     error = abs(w - (sin_a * odd10 + cos_a * even10)) + 50.0 * (_U * size + math.ulp(0.0))
-    return w, cos_a * odd - sin_a * even, error, 60
+    return w, cos_a * odd - sin_a * even, error
 
 
 def _outside(a: float, d: float) -> tuple[float, float, float]:
@@ -126,11 +125,12 @@ def _resonance_kernel(a: float) -> IntegralResult:
     if a == 0.0:
         raise QuadratureError("sigma omega0 underflows to 0, which puts the pole at the end point y = 0")
     d = min(a, math.pi)
-    w, conjugate, error, evaluations = _window(a, d)
+    w, conjugate, error = _window(a, d)
     outside, rounding, brackets = _outside(a, d)
     # The rounding of a = sigma omega0 moves W by about W' and O by at most (|C| + |S|) / 2 per unit of a.
     a_scale = 2.0 * _U * (a + d) * (abs(w) + abs(conjugate) + 0.5 * brackets)
-    return IntegralResult(w + outside, error + rounding + a_scale, evaluations)
+    # g is taken at t = d x and at -d x for every node of both rules.
+    return IntegralResult(w + outside, error + rounding + a_scale, 2 * sum(map(len, _gauss_rules())))
 
 
 def rcpi_integral(

@@ -722,8 +722,8 @@ class TestValidateCommand:
         window = quadrature._window
 
         def scaled_window(a, d):
-            w, conjugate, error, evaluations = window(a, d)
-            return w * (1.0 + 1e-4), conjugate, error, evaluations
+            w, conjugate, error = window(a, d)
+            return w * (1.0 + 1e-4), conjugate, error
 
         monkeypatch.setattr(quadrature, "_window", scaled_window)
         out = tmp_path / "report.json"

@@ -31,21 +31,41 @@ def closed_form_integral(spacetime, omega0, L):
 
 
 class TestPrincipalValue:
-    """The fixed Gauss-Legendre rule that takes the pole window, against the sine and cosine integrals and against
-    QUADPACK's Cauchy-weighted rule (QAWC)."""
+    """QUADPACK's Cauchy-weighted rule (QAWC, ``oracles.principal_value``) against known principal values, and the
+    fixed Gauss-Legendre rule that takes the pole window against the sine and cosine integrals and against QAWC."""
+
+    def test_odd_integrand_about_pole_vanishes(self):
+        value, _ = principal_value(lambda w: 1.0, 0.0, 2.0, 1.0, abs_tol=1e-14)
+        assert abs(value) < 1e-12
+
+    def test_linear_over_pole(self):
+        # w/(w - w0) = 1 + w0/(w - w0); the PV of the second term vanishes by
+        # symmetry over [0, 2 w0].
+        value, _ = principal_value(lambda w: w, 0.0, 2.0, 1.0, abs_tol=1e-14)
+        assert value == pytest.approx(2.0, rel=1e-12)
+
+    def test_smooth_integrand_matches_plain_quadrature(self):
+        value, _ = principal_value(lambda w: math.sin(w) * (w - 1.0), 0.0, 2.0, 1.0, abs_tol=1e-14)
+        plain, _ = quad(math.sin, 0.0, 2.0, epsabs=1e-13)
+        assert value == pytest.approx(plain, rel=1e-12)
+
+    def test_quadratic_over_pole(self):
+        # Antiderivative of w^2/(w - 1): w^2/2 + w + ln|w - 1|, with the PV cancellation at the pole.
+        value, _ = principal_value(lambda w: w * w, 0.0, 3.0, 1.0, abs_tol=1e-14)
+        assert value == pytest.approx(4.5 + 3.0 + math.log(2.0), rel=1e-11)
 
     @pytest.mark.parametrize("d", [1.0, 0.4, 0.2, 0.1, 0.05])
     def test_invariant_under_window_radius(self, d):
         # A window of radius d around the pole a = 1 plus the stretches outside it, as the kernel splits its
         # integral, is (pi/2) cos(1) whatever d is.
-        w, _, error, _ = _window(1.0, d)
+        w, _, error = _window(1.0, d)
         outside, rounding, _ = _outside(1.0, d)
         assert abs(w + outside - 0.5 * math.pi * math.cos(1.0)) <= error + rounding
 
     def test_asymmetric_stretch_matches_quadpack(self):
         # [0, 3] has no window symmetric about the pole y = 1: the window [0, 2] plus plain quadrature over [2, 3],
         # against QAWC on the whole of it.
-        w, _, error, _ = _window(1.0, 1.0)
+        w, _, error = _window(1.0, 1.0)
         rest, rest_error = quad(lambda y: y * math.sin(y) / (y * y - 1.0), 2.0, 3.0, epsabs=1e-14)
         oracle, oracle_error = principal_value(lambda y: y * math.sin(y) / (y + 1.0), 0.0, 3.0, 1.0)
         assert abs(w + rest - oracle) <= error + rest_error + oracle_error
@@ -91,7 +111,7 @@ class TestWindow:
     @pytest.mark.parametrize("a", WINDOW_CASES)
     def test_matches_quadpack(self, a):
         d = min(a, math.pi)
-        value, _, error, _ = _window(a, d)
+        value, _, error = _window(a, d)
         oracle, oracle_error = resonance_window(a, d)
         assert abs(value - oracle) <= error + oracle_error
 
@@ -100,7 +120,7 @@ class TestWindow:
         # int_0^1 [g(d x) - g(-d x)] / x dx in 50 digits with sin(a + t) expanded, and with the integrand over d, as
         # mpmath's tolerance is absolute.  Near a zero of cos(a) (5.5 pi), g(d x) and g(-d x) cancel near x = 0.
         d = min(a, math.pi)
-        value, _, error, _ = _window(a, d)
+        value, _, error = _window(a, d)
         with mpmath.workdps(50):
             A, D = mpmath.mpf(a), mpmath.mpf(d)
             sin_a, cos_a = mpmath.sin(A), mpmath.cos(A)
