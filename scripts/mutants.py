@@ -41,6 +41,7 @@ _OUTSIDE_TESTS = ("tests/test_quadrature.py::TestTail",)
 _A_SCALE = "a_scale = 2.0 * _U * (a + d) * (abs(w) + abs(conjugate) + 0.5 * brackets)"
 _SHIFT_GUARDS = "    _require_envelope(mu, c)\n    _require_phase(omega0, sigma)\n"
 _COEFFICIENT_GUARDS = "    _require_phase(omega0, sigma)\n    _require_envelope(mu, c)\n    at1"
+_SICI_TESTS = ("tests/test_quadrature.py::TestSici",)
 
 MUTANTS = (
     # Each sine- and cosine-integral term of quadrature._outside, its sign flipped.
@@ -54,6 +55,21 @@ MUTANTS = (
             ("- ci_below", "+ ci_below"),
         )
     ),
+    Mutant(
+        "_sici: the power series taken out to x = 60",
+        "rcpi/quadrature.py",
+        "_SICI_SWITCH = 4.0",
+        "_SICI_SWITCH = 60.0",
+        _SICI_TESTS,
+    ),
+    Mutant(
+        "_sici: the g term dropped",
+        "rcpi/quadrature.py",
+        "return 0.5 * math.pi - f * cos_x - g * sin_x, f * sin_x - g * cos_x",
+        "return 0.5 * math.pi - f * cos_x, f * sin_x",
+        _SICI_TESTS,
+    ),
+    Mutant("_sici: the Gauss-Laguerre rule cut to 12 nodes", "rcpi/quadrature.py", "    n = 48\n", "    n = 12\n", _SICI_TESTS),
     Mutant(
         "kernel: a-scale term removed",
         "rcpi/quadrature.py",
@@ -116,6 +132,34 @@ MUTANTS = (
         "        _require_envelope(mu, c)\n        _require_phase(2.0 * omega0 * kappa_val",
         "        _require_phase(2.0 * omega0 * kappa_val",
         ("tests/test_extremes.py::test_a_double_or_the_typed_error",),
+    ),
+    Mutant(
+        "geometry._require_envelope: c_min > 0 test removed",
+        "rcpi/geometry.py",
+        "if not (c_min > 0 and math.isfinite(",
+        "if not (math.isfinite(",
+        ("tests/test_geometry.py::test_envelope_at_a_c_that_underflowed_to_0_is_rejected",),
+    ),
+    Mutant(
+        "geometry._desitter_shape: overflow no longer silenced",
+        "rcpi/geometry.py",
+        'with np.errstate(over="ignore"):\n        x = L',
+        "with np.errstate():\n        x = L",
+        ("tests/test_geometry.py::TestResponseShape::test_c_past_the_double_range_is_rejected",),
+    ),
+    Mutant(
+        "csvio.read_columns: a pipe's copy not rebound for the row-by-row reread",
+        "rcpi/csvio.py",
+        "path_or_buf = fh = io.StringIO(fh.read())",
+        "fh = io.StringIO(fh.read())",
+        ("tests/test_cli.py::TestDiscriminateCommand::test_sweep_read_from_a_pipe",),
+    ),
+    Mutant(
+        "config: atoms.mu envelope guard removed",
+        "rcpi/config.py",
+        '_require_envelope(self.atoms.mu, response_shape(self.spacetime, L)[1], at=f"{name}={L}")',
+        "pass",
+        ("tests/test_cli.py::TestConfig::test_validation_messages[atoms.mu-envelope-overflow]",),
     ),
 )
 

@@ -17,6 +17,9 @@ The kernel splits I(a) at a window [a - d, a + d], d = min(a, pi), around the po
   whose integrals over [0, a - d] and [a + d, inf) are exact in the sine and
   cosine integrals:  O(a, d) = (1/2) [cos(a) C + sin(a) S] with
   C = pi - 2 Si(d) + Si(2a - d) - Si(2a + d) and S = Ci(2a + d) - Ci(2a - d).
+  ``_sici`` takes Si and Ci in plain Python: by their power series up to
+  x = 4, and past it by a fixed 48-node Gauss-Laguerre rule on the Laplace
+  integrals of the auxiliary functions f and g (Abramowitz & Stegun 5.2).
 
 So the principal value stays numerical, and the closed form of I(a) itself
 enters nowhere.  The error estimate is the window's (``_window``),
@@ -41,6 +44,9 @@ __all__ = ["IntegralResult", "QuadratureError", "rcpi_integral"]
 DEFAULT_ABS_TOL = 1e-9
 DEFAULT_REL_TOL = 1e-7
 _U = 0.5 * sys.float_info.epsilon
+# Si and Ci are taken by their power series up to here, and by the auxiliary functions f and g past it.
+_SICI_SWITCH = 4.0
+_EULER_GAMMA = 0.5772156649015329
 
 
 class QuadratureError(RuntimeError):
@@ -63,6 +69,69 @@ def _gauss_rules() -> tuple[tuple[tuple[float, float], ...], ...]:
     from numpy.polynomial.legendre import leggauss  # deferred: `import rcpi.cli` should not pay for it
 
     return tuple(tuple(zip((0.5 + 0.5 * x).tolist(), (0.5 * w).tolist())) for x, w in map(leggauss, (20, 10)))
+
+
+@functools.cache
+def _laguerre_rule() -> tuple[tuple[float, float, float], ...]:
+    """(s, w, w s) for the nodes s and weights w of the 48-point Gauss-Laguerre rule for int_0^inf e^-s h(s) ds,
+    without the nodes where w s < 1e-18.
+
+    The nodes are numpy's.  The weights are taken again from them, as 1 / (s L_n'(s)^2) with
+    L_n'(s) = n [L_n(s) - L_{n-1}(s)] / s by the three-term recurrence: numpy's own are normalised to sum to 1 but
+    are off by some hundred units in the last place in their first moment, and g's rule needs that moment.  Each
+    term of ``_sici``'s sums is at most w s (s > 1 wherever w s is that small), so the 19 nodes left out move f and
+    g by less than 0.1 unit in the last place of their leading term 1."""
+    from numpy.polynomial.laguerre import laggauss  # deferred: `import rcpi.cli` should not pay for it
+
+    n = 48
+    rule = []
+    for s in laggauss(n)[0].tolist():
+        previous, current = 1.0, 1.0 - s
+        for k in range(1, n):
+            previous, current = current, ((2 * k + 1 - s) * current - k * previous) / (k + 1)
+        w = s / (n * (current - previous)) ** 2
+        if w * s >= 1e-18:
+            rule.append((s, w, w * s))
+    return tuple(rule)
+
+
+def _sici(x: float) -> tuple[float, float]:
+    """Si(x) and Ci(x) for x > 0, inf included, to a few units in the last place of Si and of
+    |Ci| + 1 + |ln min(x, 4)|.
+
+    Up to x = 4 it sums the power series
+    Si = sum_k (-1)^k x^(2k+1) / ((2k+1) (2k+1)!) and Ci = gamma + ln x + sum_k>0 (-1)^k x^(2k) / (2k (2k)!),
+    whose terms there are at most 4.  Past it Si = pi/2 - f cos x - g sin x and Ci = f sin x - g cos x, with
+    f = int_0^inf e^(-x t) / (1 + t^2) dt and g = int_0^inf t e^(-x t) / (1 + t^2) dt (Abramowitz & Stegun 5.2.8-13).
+    In s = x t and u = s / x, 1 / (1 + u^2) = 1 - r with r = u^2 / (1 + u^2), so
+    f = [1 - int e^-s r ds] / x and g = [1 - int e^-s s r ds] / x^2: the Gauss-Laguerre rule takes only the r terms,
+    of relative size 2 / x^2 and 6 / x^2 at most, and x^2 is never formed, so nothing overflows up to the largest
+    double.  The poles of r at s = +/-i x are far enough from the nodes from x = 4 on that the 48-point rule's own
+    error there is below a unit in the last place of Si and Ci.
+    """
+    if x > _SICI_SWITCH:
+        if x == math.inf:
+            return 0.5 * math.pi, 0.0
+        f = g = 0.0
+        for s, w, ws in _laguerre_rule():
+            u = s / x
+            r = u * u / (1.0 + u * u)
+            f += w * r
+            g += ws * r
+        f, g = (1.0 - f) / x, (1.0 - g) / x / x
+        cos_x, sin_x = math.cos(x), math.sin(x)
+        return 0.5 * math.pi - f * cos_x - g * sin_x, f * sin_x - g * cos_x
+    # t is x^n / n!, the terms alternate in sign two by two; the sum stops below 1e-18 of the first term x.
+    si = t = x
+    ci = 0.0
+    sign, n = -1.0, 1
+    while t > 1e-18 * x:
+        t *= x / (n + 1)
+        ci += sign * t / (n + 1)
+        t *= x / (n + 2)
+        si += sign * t / (n + 2)
+        sign, n = -sign, n + 2
+    return si, _EULER_GAMMA + math.log(x) + ci
 
 
 def _window(a: float, d: float) -> tuple[float, float, float]:
@@ -101,21 +170,19 @@ def _window(a: float, d: float) -> tuple[float, float, float]:
 
 def _outside(a: float, d: float) -> tuple[float, float, float]:
     """O(a, d), the integral of y sin(y) / (y^2 - a^2) over [0, a - d] and [a + d, inf) in the sine and cosine
-    integrals, a bound on its rounding error (a few units in the last place of the largest term), and |C| + |S|,
-    the sizes of the brackets C and S that multiply cos(a) and sin(a) in O."""
-    from scipy.special import sici  # deferred: slow to import, and only `rcpi shift` and `validate` use it
-
+    integrals of ``_sici``, a bound on its rounding error (a few units in the last place of the largest term), and
+    |C| + |S|, the sizes of the brackets C and S that multiply cos(a) and sin(a) in O."""
     # 2a -/+ d overflow to inf past a = 9e307, where Si is pi/2 and Ci is 0, as they are to double precision.
     below, above = 2.0 * a - d, 2.0 * a + d
-    (si_d, si_below, si_above), (_, ci_below, ci_above) = sici([d, below, above])
+    (si_d, _), (si_below, ci_below), (si_above, ci_above) = map(_sici, (d, below, above))
     brackets = math.pi - 2.0 * si_d + si_below - si_above, ci_above - ci_below
     cos_a, sin_a = math.cos(a), math.sin(a)
     value = 0.5 * (cos_a * brackets[0] + sin_a * brackets[1])
-    # Ci(x) is gamma + ln(x) plus a series up to x = 4, so there its rounding error scales with 1 + |ln x|.
+    # Ci(x) is gamma + ln(x) plus a series up to x = _SICI_SWITCH, so there its rounding error scales with 1 + |ln x|.
     size = abs(cos_a) * (math.pi + 2.0 * abs(si_d) + abs(si_below) + abs(si_above)) + abs(sin_a) * sum(
-        abs(ci) + 1.0 + abs(math.log(min(x, 4.0))) for ci, x in ((ci_below, below), (ci_above, above))
+        abs(ci) + 1.0 + abs(math.log(min(x, _SICI_SWITCH))) for ci, x in ((ci_below, below), (ci_above, above))
     )
-    return float(value), 4.0 * sys.float_info.epsilon * float(size), float(abs(brackets[0]) + abs(brackets[1]))
+    return value, 4.0 * sys.float_info.epsilon * size, abs(brackets[0]) + abs(brackets[1])
 
 
 def _resonance_kernel(a: float) -> IntegralResult:

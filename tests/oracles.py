@@ -20,7 +20,8 @@ by QUADPACK alone, the reference for the sine- and cosine-integral part of
 ``rcpi.quadrature``: QAWO on ``_panels`` below the window, and
 ``resonance_tail`` past it.  ``resonance_window`` takes the window itself by
 QUADPACK's Cauchy-weighted rule QAWC (``principal_value``), the reference for
-the kernel's Gauss-Legendre window.
+the kernel's Gauss-Legendre window.  ``sici`` is scipy's sine and cosine
+integrals, the reference for the plain-Python ``rcpi.quadrature._sici``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from rcpi import geometry
 
@@ -288,3 +289,8 @@ def resonance_window(a: float, d: float) -> tuple[float, float]:
 
     value, error = principal_value(window, -1.0, 1.0, 0.0, abs_tol=1e-14)
     return d * value, d * error
+
+
+def sici(x) -> tuple[np.ndarray, np.ndarray]:
+    """Si(x) and Ci(x) by scipy's Cephes routines, for a scalar or an array x > 0."""
+    return special.sici(x)

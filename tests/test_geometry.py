@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from rcpi.geometry import (
     DeSitterPatch,
     ThermalBath,
+    _require_envelope,
     field_temperature,
     kappa,
     local_temperature,
@@ -126,6 +127,13 @@ class TestResponseShape:
         L = np.array([1.0, 1.8e154, 2.6e154, 3e154]) if as_array else 2.6e154
         with pytest.raises(ValueError, match=r"not finite at L=2\.6e\+154, kappa=1\.0"):
             response_shape(DeSitterPatch(1.0), L)
+
+
+@pytest.mark.parametrize("c", [0.0, np.array([2.0, 0.0, 1.0])], ids=["scalar", "array"])
+def test_envelope_at_a_c_that_underflowed_to_0_is_rejected(c):
+    # mu^2 / (4 pi c) divides by 0 there: a ValueError naming the envelope, not a ZeroDivisionError.
+    with pytest.raises(ValueError, match=r"envelope mu\^2 / \(4 pi c\) is not a double at mu=0\.1, c=0\.0"):
+        _require_envelope(0.1, c)
 
 
 def test_thermal_bath_validation():

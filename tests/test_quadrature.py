@@ -1,19 +1,22 @@
 import math
+import sys
 from itertools import pairwise
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import _panels, principal_value, resonance_outside, resonance_window
+from oracles import _panels, principal_value, resonance_outside, resonance_window, sici
 from scipy.integrate import quad
 
 from rcpi.geometry import DeSitterPatch, ThermalBath, response_shape
 from rcpi.quadrature import (
     IntegralResult,
     QuadratureError,
+    _SICI_SWITCH,
     _outside,
     _resonance_kernel,
+    _sici,
     _window,
     rcpi_integral,
 )
@@ -147,6 +150,10 @@ def _window_edge(a):
     return (a + min(a, math.pi)) - a
 
 
+# Seeded draws of a, log-uniform in [1e-12, 1e308].
+TAIL_SCAN = np.exp(np.random.default_rng(29).uniform(math.log(1e-12), math.log(1e308), 200)).tolist()
+
+
 class TestTail:
     """O(a, d), the integral over [0, a - d] and [a + d, inf) in the sine and cosine integrals."""
 
@@ -158,11 +165,15 @@ class TestTail:
         assert abs(value - oracle) <= error + oracle_error
 
     @pytest.mark.parametrize(
-        "a", [1e-300, 1e-9, 0.5, math.pi, 1.5 * math.pi, 1e3, 1e5, 4352165.543776667, 1e7, 1e15, 1e308]
+        "a",
+        [1e-300, 1e-9, 0.5, math.pi, 1.5 * math.pi, 1e3, 1e5, 4352165.543776667, 1e7, 1e15, 1e308]
+        + [pytest.param(a, id=f"scan-{a:.6g}") for a in TAIL_SCAN],
     )
     def test_matches_mpmath(self, a):
         # At a = 1e308, 2a - d and 2a + d overflow to inf, where Si is pi/2 and Ci is 0 to double precision;
-        # the result is a double, with no RuntimeWarning (an error under the suite's warning filters).
+        # the result is a double, with no RuntimeWarning (an error under the suite's warning filters).  a = pi puts
+        # 2a - d and 2a + d on either side of the switch of _sici; the scan puts both below it in 8 draws, above it
+        # in the rest.
         d = min(a, math.pi)
         value, error, _ = _outside(a, d)
         with mpmath.workdps(50):
@@ -172,6 +183,43 @@ class TestTail:
                 + mpmath.sin(A) * (mpmath.ci(2 * A + D) - mpmath.ci(2 * A - D))
             ) / 2
         assert abs(value - float(exact)) <= error
+
+
+# The zero of Ci near 0.6165, where only the absolute rounding of Ci can be bounded.
+_CI_ZERO = float(mpmath.findroot(mpmath.ci, 0.6165))
+
+
+class TestSici:
+    """Si and Ci in plain Python: the power series up to _SICI_SWITCH, the Gauss-Laguerre rule for the auxiliary
+    functions past it."""
+
+    @staticmethod
+    def _within_rounding(x, si, ci, exact_si, exact_ci, ulps=4.0):
+        # Si > 0 is taken to a few units in its last place; Ci to a few of |Ci| + 1 + |ln min(x, switch)|, the
+        # weight of the estimate in _outside, as Ci has a zero.
+        eps = sys.float_info.epsilon
+        assert abs(si - exact_si) <= ulps * eps * exact_si, (x, si, exact_si)
+        assert abs(ci - exact_ci) <= ulps * eps * (abs(exact_ci) + 1.0 + abs(math.log(min(x, _SICI_SWITCH)))), (x, ci)
+
+    @pytest.mark.parametrize(
+        "x",
+        [5e-324, 1e-300, _CI_ZERO, math.pi, _SICI_SWITCH, math.nextafter(_SICI_SWITCH, math.inf), 30.0, 1e8, 1e154,
+         1.7e308],
+        ids=["5e-324", "1e-300", "zero-of-Ci", "pi", "switch", "past-the-switch", "30", "1e8", "1e154", "1.7e308"],
+    )
+    def test_matches_mpmath(self, x):
+        with mpmath.workdps(50):
+            exact_si, exact_ci = float(mpmath.si(mpmath.mpf(x))), float(mpmath.ci(mpmath.mpf(x)))
+        self._within_rounding(x, *_sici(x), exact_si, exact_ci)
+
+    def test_infinity(self):
+        assert _sici(math.inf) == (0.5 * math.pi, 0.0)
+
+    def test_matches_scipy_over_a_log_uniform_scan(self):
+        # scipy's own rounding, about one unit in the last place, is inside the margin.
+        xs = np.exp(np.random.default_rng(4).uniform(math.log(1e-12), math.log(1e12), 2000))
+        for x, exact_si, exact_ci in zip(xs.tolist(), *(v.tolist() for v in sici(xs))):
+            self._within_rounding(x, *_sici(x), exact_si, exact_ci, ulps=6.0)
 
 
 def _panel_cases():
