@@ -71,6 +71,13 @@ MUTANTS = (
     ),
     Mutant("_sici: the Gauss-Laguerre rule cut to 12 nodes", "rcpi/quadrature.py", "    n = 48\n", "    n = 12\n", _SICI_TESTS),
     Mutant(
+        "rules: the 40-digit Newton step dropped, so each node keeps the rounding of its float iteration",
+        "rcpi/quadrature.py",
+        "    x = Decimal(x)\n    p, dp = poly(n, x)\n    x -= p / dp\n",
+        "    x = Decimal(x)\n",
+        ("tests/test_quadrature.py::TestRules",),
+    ),
+    Mutant(
         "kernel: a-scale term removed",
         "rcpi/quadrature.py",
         _A_SCALE,
@@ -110,7 +117,7 @@ MUTANTS = (
         "rcpi/liouvillian.py",
         _COEFFICIENT_GUARDS,
         "    _require_phase(omega0, sigma)\n    at1",
-        ("tests/test_extremes.py::test_a_double_or_the_typed_error",),
+        ("tests/test_liouvillian.py::TestHamiltonianCoefficients::test_envelope_past_the_double_range_raises",),
     ),
     Mutant(
         "dissipator_coefficients: phase guard removed",
@@ -127,6 +134,27 @@ MUTANTS = (
         ("tests/test_extremes.py::test_a_double_or_the_typed_error",),
     ),
     Mutant(
+        "rcpi_asymptotic: far-form phase guard at L kappa in place of L / kappa",
+        "rcpi/shifts.py",
+        "_require_phase(2.0 * omega0 * kappa_val, math.log(L / kappa_val))",
+        "_require_phase(2.0 * omega0 * kappa_val, math.log(L * kappa_val))",
+        ("tests/test_shifts.py::TestAsymptotics::test_far_phase_guard_at_kappa_other_than_1",),
+    ),
+    Mutant(
+        "cmd_shift: regime read at L kappa in place of L / kappa",
+        "rcpi/cli.py",
+        'report["regime"] = _regime_hint(L / k)',
+        'report["regime"] = _regime_hint(L * k)',
+        ("tests/test_cli.py::TestShiftCommand::test_regime_reads_L_over_kappa",),
+    ),
+    Mutant(
+        "_Parser.error: usage line no longer printed",
+        "rcpi/cli.py",
+        "        self.print_usage(sys.stderr)\n",
+        "",
+        ("tests/test_cli.py::TestExitCodes::test_usage_error",),
+    ),
+    Mutant(
         "rcpi_asymptotic: far-form envelope guard removed",
         "rcpi/shifts.py",
         "        _require_envelope(mu, c)\n        _require_phase(2.0 * omega0 * kappa_val",
@@ -141,11 +169,18 @@ MUTANTS = (
         ("tests/test_geometry.py::test_envelope_at_a_c_that_underflowed_to_0_is_rejected",),
     ),
     Mutant(
-        "geometry._desitter_shape: overflow no longer silenced",
+        "geometry._desitter_shape: overflow of an array no longer silenced",
         "rcpi/geometry.py",
-        'with np.errstate(over="ignore"):\n        x = L',
-        "with np.errstate():\n        x = L",
+        'with np.errstate(over="ignore"):\n            x = L',
+        "with np.errstate():\n            x = L",
         ("tests/test_geometry.py::TestResponseShape::test_c_past_the_double_range_is_rejected",),
+    ),
+    Mutant(
+        "DeSitterPatch: alpha check removed, so the horizon check names r",
+        "rcpi/geometry.py",
+        "        _require_positive(alpha=self.alpha)\n",
+        "",
+        ("tests/test_geometry.py::TestKappa::test_alpha_that_is_no_positive_double_is_named",),
     ),
     Mutant(
         "csvio.read_columns: a pipe's copy not rebound for the row-by-row reread",

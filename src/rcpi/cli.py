@@ -18,12 +18,12 @@ import sys
 from . import __version__
 from .config import ConfigError, load_config
 from .dicke import DickeState, projector
-from .discriminator import Verdict, classify, envelope_points, fit_power_law, read_sweep_csv, write_sweep_csv
 from .geometry import DeSitterPatch, kappa
-from .liouvillian import EvolutionError, build_coefficients, evolve
-from .quadrature import QuadratureError
+from .quadrature import EvolutionError, QuadratureError
 from .shifts import rcpi_closed, rcpi_quadrature
-from .validation import run_validation
+
+# `shift` and every usage or config error run on the modules above, which load no numpy; the other commands import
+# the numpy modules they need in their handlers.
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,6 +98,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if cfg.sweep is None:
         raise ConfigError("sweep: section is required for the sweep command")
+    from .discriminator import write_sweep_csv
+
     grid = cfg.sweep.grid()
     dE_S = rcpi_closed(cfg.spacetime, grid, cfg.atoms.omega0, cfg.atoms.mu, DickeState.S)
     with _output(args.out) as fh:
@@ -109,6 +111,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if cfg.evolve is None:
         raise ConfigError("evolve: section is required for the evolve command")
+    from .liouvillian import build_coefficients, evolve
+
     gen = build_coefficients(cfg.spacetime, cfg.atoms.omega0, cfg.atoms.mu, cfg.atoms.L)
     traj = evolve(projector(DickeState(cfg.evolve.rho0)), gen, cfg.evolve.grid())
     with _output(args.out) as fh:
@@ -117,6 +121,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_discriminate(args: argparse.Namespace) -> int:
+    from .discriminator import Verdict, classify, envelope_points, fit_power_law, read_sweep_csv
+
     env_L, env_v = envelope_points(*read_sweep_csv(args.input))
     result = classify(fit_power_law(env_L, env_v, (args.lmin, args.lmax)))
     _write_json(result.to_json(), args.out)
@@ -126,6 +132,8 @@ def cmd_discriminate(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .validation import run_validation
+
     report = run_validation()
     _write_json(json.dumps(report, indent=2, allow_nan=False), args.out)
     return EXIT_OK if report["passed"] else EXIT_VALIDATION

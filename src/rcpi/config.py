@@ -12,12 +12,14 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dicke import DickeState
 from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, _require_envelope, response_shape
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ConfigError(ValueError):
@@ -74,6 +76,8 @@ class SweepSettings:
 
     def grid(self) -> np.ndarray:
         """The ``n_points`` log-spaced separations from L_min to L_max."""
+        import numpy as np  # deferred, as for every array: `rcpi shift` loads no numpy
+
         return np.geomspace(self.L_min, self.L_max, self.n_points)
 
 
@@ -99,6 +103,8 @@ class EvolveSettings:
 
     def grid(self) -> np.ndarray:
         """0, stride, 2 stride, ... ending at tau_max: appended if the stride misses it, in place of a point past it."""
+        import numpy as np  # deferred, as for every array: `rcpi shift` loads no numpy
+
         n = int(np.floor(self.tau_max / self.stride + 1e-9)) + 1
         tau = np.arange(n) * self.stride
         tau[-1] = min(tau[-1], self.tau_max)

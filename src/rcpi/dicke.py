@@ -2,17 +2,20 @@
 
 Product basis order is (|gg>, |ge>, |eg>, |ee>); the collective states are
 |G> = |gg>, |E> = |ee>, |S> = (|eg> + |ge>)/sqrt2, |A> = (|eg> - |ge>)/sqrt2.
+The states import without numpy; their kets are numpy arrays, built on first use.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import math
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["DickeState", "KETS", "ket", "projector"]
-
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 class DickeState(enum.Enum):
@@ -27,21 +30,35 @@ class DickeState(enum.Enum):
         return list(DickeState).index(self)
 
 
-# The collective basis as real kets in the product basis, one row per state in DickeState order.
-KETS = np.array([
-    [1.0, 0.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0, 1.0],
-    [0.0, _SQRT_HALF, _SQRT_HALF, 0.0],
-    [0.0, -_SQRT_HALF, _SQRT_HALF, 0.0],
-])
+@functools.cache
+def _kets() -> np.ndarray:
+    """``KETS``: the collective basis as real kets in the product basis, one row per state in DickeState order."""
+    import numpy as np
+
+    h = 1.0 / math.sqrt(2.0)
+    return np.array([
+        [1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [0.0, h, h, 0.0],
+        [0.0, -h, h, 0.0],
+    ])
+
+
+def __getattr__(name: str):
+    # ``KETS`` is built on first use, so that importing the states loads no numpy.
+    if name == "KETS":
+        return _kets()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def ket(state: DickeState) -> np.ndarray:
     """Complex state vector in the product basis (a new array)."""
-    return KETS[state.index].astype(complex)
+    return _kets()[state.index].astype(complex)
 
 
 def projector(state: DickeState) -> np.ndarray:
     """Rank-one complex density matrix |state><state|."""
-    v = KETS[state.index]
+    import numpy as np
+
+    v = _kets()[state.index]
     return np.outer(v, v).astype(complex)

@@ -12,8 +12,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "DeSitterPatch",
     "ThermalBath",
@@ -35,6 +33,8 @@ def _require_positive(**values) -> None:
         if getattr(x, "ndim", 0) == 0:
             bad = () if math.isfinite(x) and x > 0 else (x,)
         else:
+            import numpy as np  # an array argument: numpy is loaded already
+
             x = np.asarray(x, dtype=float)
             bad = x[~(np.isfinite(x) & (x > 0))]
         if len(bad):
@@ -121,19 +121,26 @@ def field_temperature(spacetime: SpacetimeConfig) -> float:
 
 
 def _desitter_shape(L, kappa_val: float):
-    """(sigma, c) = (2 kappa asinh(L / 2 kappa), L sqrt(1 + L^2 / 4 kappa^2)) for a scalar or an array ``L``."""
+    """(sigma, c) = (2 kappa asinh(L / 2 kappa), L sqrt(1 + L^2 / 4 kappa^2)) for a scalar or an array ``L``.
+
+    An array takes the same operations element by element, ``math.asinh`` included, so that each of its
+    elements has the bits of the scalar result."""
     # sqrt(1 + x^2) rounds to x itself from x = 2^27 on, so x is squared only below there: the
     # bits of sqrt(1 + x * x) wherever x * x is finite, and no overflow past it.  An x or a c
     # past the double range is inf, with no warning; a c that is no double raises.
-    with np.errstate(over="ignore"):
+    if getattr(L, "ndim", 0) == 0:
+        L = float(L)
         x = L / (2.0 * kappa_val)
-        sigma = 2.0 * kappa_val * np.arcsinh(x)
-        if np.ndim(sigma):
+        sigma, c = 2.0 * kappa_val * math.asinh(x), L * (math.sqrt(1.0 + x * x) if x < 2.0**27 else x)
+        bad = () if math.isfinite(c) else (L,)
+    else:
+        import numpy as np  # an array argument: numpy is loaded already
+
+        with np.errstate(over="ignore"):
+            x = L / (2.0 * kappa_val)
+            sigma = 2.0 * kappa_val * np.fromiter(map(math.asinh, x.ravel().tolist()), float, x.size).reshape(x.shape)
             c = L * np.where(x < 2.0**27, np.sqrt(1.0 + x * x), x)
-            bad = L[~np.isfinite(c)]
-        else:
-            sigma, c = float(sigma), float(L) * (math.sqrt(1.0 + x * x) if x < 2.0**27 else float(x))
-            bad = () if math.isfinite(c) else (L,)
+        bad = L[~np.isfinite(c)]
     if len(bad):
         raise ValueError(f"c = L sqrt(1 + L^2 / 4 kappa^2) is not finite at L={bad[0]}, kappa={kappa_val}")
     return sigma, c

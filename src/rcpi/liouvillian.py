@@ -42,6 +42,8 @@ import numpy as np
 from . import csvio
 from .dicke import KETS, DickeState
 from .geometry import SpacetimeConfig, _require_envelope, _require_phase, _require_positive, field_temperature, response_shape
+from .quadrature import EvolutionError
+from .shifts import _a2_closed_form
 
 __all__ = [
     "GeneratorMatrices",
@@ -54,10 +56,6 @@ __all__ = [
     "dicke_population_rate",
     "evolve",
 ]
-
-
-class EvolutionError(RuntimeError):
-    """The master-equation propagation produced a non-finite state."""
 
 
 @dataclass(frozen=True)
@@ -125,11 +123,6 @@ def _dissipator(
     return at1, bt1, at1 * cross, bt1 * cross
 
 
-def _a2_closed_form(sigma, c, omega0: float, mu: float):
-    """a2 = mu^2 cos(omega0 sigma) / (8 pi c) at scalar or array (sigma, c); the S and A shifts are -/+ 2 a2."""
-    return (mu * mu / (8.0 * math.pi)) * np.cos(omega0 * sigma) / c
-
-
 def build_coefficients(spacetime: SpacetimeConfig, omega0: float, mu: float, L: float) -> GeneratorMatrices:
     """The generator's six scalars for one configuration, all in closed form; ValueError where the envelope
     mu^2 / (4 pi c) or the phase omega0 sigma is not a double."""
@@ -138,7 +131,7 @@ def build_coefficients(spacetime: SpacetimeConfig, omega0: float, mu: float, L: 
     _require_phase(omega0, sigma)
     _require_envelope(mu, c)
     at1, bt1, at2, bt2 = _dissipator(spacetime, sigma, c, omega0, mu)
-    a2 = float(_a2_closed_form(sigma, c, omega0, mu))
+    a2 = _a2_closed_form(sigma, c, omega0, mu)
     return GeneratorMatrices(omega0=omega0, a2=a2, at1=at1, bt1=bt1, at2=at2, bt2=bt2)
 
 

@@ -28,6 +28,12 @@ plus a rounding bound for O, plus the a-scale term
 conjugate window, with cos(y) in place of sin(y), from the same node values.
 W' is close to dW/da and (|C| + |S|) / 2 bounds dO/da, so the term is of the
 order of what the rounding of a = sigma omega0 moves the result by.
+
+The Gauss-Legendre and Gauss-Laguerre rules are built on first use, in plain
+Python: Newton's method on the three-term recurrence finds each node in
+floats, and one more step in 40-digit decimals gives the node and its weight,
+each rounded once to the nearest double.  So the module imports, and runs,
+without numpy.
 """
 
 from __future__ import annotations
@@ -53,6 +59,12 @@ class QuadratureError(RuntimeError):
     """An integral could not be computed to the requested accuracy."""
 
 
+class EvolutionError(RuntimeError):
+    """The master-equation propagation produced a non-finite state.  ``liouvillian`` raises it and exports it; it is
+    defined here, beside the other numerical failure that the CLI maps to exit code 3, so that ``import rcpi.cli``
+    loads no numpy to catch it."""
+
+
 @dataclass(frozen=True)
 class IntegralResult:
     """Value of an integral together with its error estimate and the number of points its rule evaluated the
@@ -63,35 +75,88 @@ class IntegralResult:
     evaluations: int
 
 
+def _legendre(n: int, x):
+    """P_n(x) and P_n'(x) by the three-term recurrence, in the arithmetic of x: float or Decimal."""
+    previous, current = 1, x
+    for k in range(1, n):
+        previous, current = current, ((2 * k + 1) * x * current - k * previous) / (k + 1)
+    return current, n * (previous - x * current) / ((1 - x) * (1 + x))
+
+
+def _laguerre(n: int, s):
+    """L_n(s) and L_n'(s) = n [L_n(s) - L_{n-1}(s)] / s by the three-term recurrence, in the arithmetic of s."""
+    previous, current = 1, 1 - s
+    for k in range(1, n):
+        previous, current = current, ((2 * k + 1 - s) * current - k * previous) / (k + 1)
+    return current, n * (current - previous) / s
+
+
+def _root(poly, n: int, x: float):
+    """The root of ``poly(n, .)`` near x and the derivative there, both Decimals: Newton's method in floats until
+    the step is below 1e-10 x, then one step in the caller's decimal context, which leaves an error of the order of
+    the square of that step's."""
+    from decimal import Decimal
+
+    for _ in range(100):
+        p, dp = poly(n, x)
+        step = p / dp
+        x -= step
+        if abs(step) <= 1e-10 * abs(x):
+            break
+    x = Decimal(x)
+    p, dp = poly(n, x)
+    x -= p / dp
+    return x, poly(n, x)[1]
+
+
 @functools.cache
 def _gauss_rules() -> tuple[tuple[tuple[float, float], ...], ...]:
-    """The (node, weight) pairs on (0, 1) of the 20- and the 10-point Gauss-Legendre rules, as floats."""
-    from numpy.polynomial.legendre import leggauss  # deferred: `import rcpi.cli` should not pay for it
+    """The (node, weight) pairs on (0, 1), in increasing order, of the 20- and the 10-point Gauss-Legendre rules.
 
-    return tuple(tuple(zip((0.5 + 0.5 * x).tolist(), (0.5 * w).tolist())) for x, w in map(leggauss, (20, 10)))
+    The n/2 positive roots x of P_n start from Tricomi's cos(pi (i + 3/4) / (n + 1/2)), and the nodes are
+    (1 -/+ x) / 2 with the weight 1 / ((1 - x^2) P_n'(x)^2) each, all taken in 40 digits and rounded once, so that
+    each is the double nearest to it (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652)."""
+    import decimal  # deferred, as the rules are: `import rcpi.cli` should not pay for it
+
+    rules = []
+    with decimal.localcontext(decimal.Context(prec=40)):
+        for n in (20, 10):
+            roots = [_root(_legendre, n, math.cos(math.pi * (i + 0.75) / (n + 0.5))) for i in range(n // 2)]
+            weights = [float(1 / ((1 - x) * (1 + x) * dp * dp)) for x, dp in roots]
+            lower = [(float((1 - x) / 2), w) for (x, _), w in zip(roots, weights)]
+            upper = [(float((1 + x) / 2), w) for (x, _), w in zip(roots, weights)]
+            rules.append(tuple(lower + upper[::-1]))
+    return tuple(rules)
 
 
 @functools.cache
 def _laguerre_rule() -> tuple[tuple[float, float, float], ...]:
-    """(s, w, w s) for the nodes s and weights w of the 48-point Gauss-Laguerre rule for int_0^inf e^-s h(s) ds,
-    without the nodes where w s < 1e-18.
+    """(s, w, w s) for the nodes s and weights w = 1 / (s L_n'(s)^2) of the 48-point Gauss-Laguerre rule for
+    int_0^inf e^-s h(s) ds, in increasing s, up to the first node where w s < 1e-18.
 
-    The nodes are numpy's.  The weights are taken again from them, as 1 / (s L_n'(s)^2) with
-    L_n'(s) = n [L_n(s) - L_{n-1}(s)] / s by the three-term recurrence: numpy's own are normalised to sum to 1 but
-    are off by some hundred units in the last place in their first moment, and g's rule needs that moment.  Each
-    term of ``_sici``'s sums is at most w s (s > 1 wherever w s is that small), so the 19 nodes left out move f and
-    g by less than 0.1 unit in the last place of their leading term 1."""
-    from numpy.polynomial.laguerre import laggauss  # deferred: `import rcpi.cli` should not pay for it
+    Each root starts from the one before by the guesses of Numerical Recipes (Press et al., 3rd ed., 4.6) and is
+    taken, with its weight, in 40 digits and rounded once.  g's rule needs the first moment of the weights to the
+    last place, which a rule normalised to sum to 1 misses by some hundred units.  Each term of ``_sici``'s sums is
+    at most w s (s > 1 wherever w s is that small), so the 19 nodes left out move f and g by less than 0.1 unit in
+    the last place of their leading term 1."""
+    import decimal  # deferred, as the rules are: `import rcpi.cli` should not pay for it
 
     n = 48
-    rule = []
-    for s in laggauss(n)[0].tolist():
-        previous, current = 1.0, 1.0 - s
-        for k in range(1, n):
-            previous, current = current, ((2 * k + 1 - s) * current - k * previous) / (k + 1)
-        w = s / (n * (current - previous)) ** 2
-        if w * s >= 1e-18:
-            rule.append((s, w, w * s))
+    rule: list[tuple[float, float, float]] = []
+    guess = 3.0 / (1.0 + 2.4 * n)
+    with decimal.localcontext(decimal.Context(prec=40)):
+        for i in range(n):
+            if i == 1:
+                guess += 15.0 / (1.0 + 2.5 * n)
+            elif i > 1:
+                guess += (1.0 + 2.55 * (i - 1)) / (1.9 * (i - 1)) * (guess - rule[-2][0])
+            s, ds = _root(_laguerre, n, guess)
+            w = 1 / (s * ds * ds)
+            ws = float(w * s)
+            if ws < 1e-18:
+                break
+            rule.append((float(s), float(w), ws))
+            guess = rule[-1][0]
     return tuple(rule)
 
 

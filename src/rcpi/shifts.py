@@ -13,15 +13,16 @@ from __future__ import annotations
 
 import enum
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dicke import DickeState
 from .geometry import (
     SpacetimeConfig, ThermalBath, _desitter_shape, _require_envelope, _require_phase, _require_positive, response_shape
 )
-from .liouvillian import _a2_closed_form
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, rcpi_integral
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Regime",
@@ -47,6 +48,16 @@ def _entangled_sign(state: DickeState) -> float:
     raise ValueError(f"interaction shift exists only for the S and A states, got {state}")
 
 
+def _a2_closed_form(sigma, c, omega0: float, mu: float):
+    """a2 = mu^2 cos(omega0 sigma) / (8 pi c), a float at scalar (sigma, c) and an array at array ones; the S and A
+    shifts are -/+ 2 a2."""
+    if getattr(sigma, "ndim", 0) == 0:
+        return float((mu * mu / (8.0 * math.pi)) * math.cos(omega0 * sigma) / c)
+    import numpy as np  # an array argument: numpy is loaded already
+
+    return (mu * mu / (8.0 * math.pi)) * np.cos(omega0 * sigma) / c
+
+
 def _interaction(sigma, c, omega0: float, mu: float, state: DickeState) -> float | np.ndarray:
     """The closed form sign (mu^2 / 4 pi) cos(omega0 sigma) / c = -/+ 2 a2 for S/A, at scalar or array (sigma, c).
 
@@ -54,8 +65,7 @@ def _interaction(sigma, c, omega0: float, mu: float, state: DickeState) -> float
     """
     _require_envelope(mu, c)
     _require_phase(omega0, sigma)
-    value = _entangled_sign(state) * 2.0 * _a2_closed_form(sigma, c, omega0, mu)
-    return float(value) if value.ndim == 0 else value
+    return _entangled_sign(state) * 2.0 * _a2_closed_form(sigma, c, omega0, mu)
 
 
 def rcpi_closed_desitter(

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,12 @@ class TestKappa:
         # kappa = sqrt((alpha - r)(alpha + r)) must be finite and its square a normal double.
         with pytest.raises(ValueError, match="alpha"):
             DeSitterPatch(alpha, r)
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0, math.nan, math.inf])
+    def test_alpha_that_is_no_positive_double_is_named(self, alpha):
+        # The horizon and kappa^2 checks would reject each of these too, but with a message about r or kappa.
+        with pytest.raises(ValueError, match=rf"^alpha must be positive and finite, got {re.escape(str(alpha))}$"):
+            DeSitterPatch(alpha)
 
     @given(st.floats(min_value=1e-2, max_value=10.0), st.data())
     def test_monotone_decreasing_in_r(self, alpha, data):

@@ -209,6 +209,11 @@ class TestHamiltonianCoefficients:
         with pytest.raises(ValueError, match=arg):
             fn(PATCH, **kwargs)
 
+    def test_envelope_past_the_double_range_raises(self):
+        # mu^2 / (4 pi c) = 2.4e308 is no double, though a2 = mu^2 cos(omega0 L) / (8 pi c) would be one.
+        with pytest.raises(ValueError, match=r"envelope mu\^2 / \(4 pi c\) is not a double at mu=5\.5e\+149"):
+            build_coefficients(ThermalBath(0.0), 1.0, 5.5e149, 1e-10)
+
     def test_cross_vanishes_at_large_separation(self):
         a2 = build_coefficients(PATCH, 1.0, 0.1, 1.0).a2
         a2_far = build_coefficients(PATCH, 1.0, 0.1, 300.0).a2

@@ -14,6 +14,8 @@ from rcpi.quadrature import (
     IntegralResult,
     QuadratureError,
     _SICI_SWITCH,
+    _gauss_rules,
+    _laguerre_rule,
     _outside,
     _resonance_kernel,
     _sici,
@@ -220,6 +222,41 @@ class TestSici:
         xs = np.exp(np.random.default_rng(4).uniform(math.log(1e-12), math.log(1e12), 2000))
         for x, exact_si, exact_ci in zip(xs.tolist(), *(v.tolist() for v in sici(xs))):
             self._within_rounding(x, *_sici(x), exact_si, exact_ci, ulps=6.0)
+
+
+class TestRules:
+    """The nodes and weights of the window's Gauss-Legendre rules and of _sici's Gauss-Laguerre rule, against the roots of
+    mpmath's Legendre and Laguerre polynomials in 40 digits, found from numpy's nodes: each is the nearest double."""
+
+    @staticmethod
+    def _nearest(value, exact):
+        # Within half a unit in the last place of value: the double nearest to the exact value, or a tie.
+        assert abs(mpmath.mpf(value) - exact) <= mpmath.mpf(math.ulp(value)) / 2, (value, exact)
+
+    @pytest.mark.parametrize("n, rule", [(20, _gauss_rules()[0]), (10, _gauss_rules()[1])], ids=["20", "10"])
+    def test_legendre(self, n, rule):
+        # On (0, 1) the node of a root x of P_n is (1 + x) / 2 and its weight (1 - x^2) / (n P_{n-1}(x))^2.
+        assert len(rule) == n
+        with mpmath.workdps(40):
+            for (t, w), x0 in zip(rule, np.polynomial.legendre.leggauss(n)[0].tolist()):
+                x = mpmath.findroot(lambda x: mpmath.legendre(n, x), x0)
+                self._nearest(t, (1 + x) / 2)
+                self._nearest(w, (1 - x * x) / (n * mpmath.legendre(n - 1, x)) ** 2)
+
+    def test_laguerre(self):
+        # The weight of a root s of L_48 is s / (49 L_49(s))^2.  The rule keeps the nodes up to the first whose w s is
+        # below 1e-18: the 29 smallest of the 48.
+        rule = _laguerre_rule()
+        with mpmath.workdps(40):
+            roots = [mpmath.findroot(lambda s: mpmath.laguerre(48, 0, s), s0)
+                     for s0 in np.polynomial.laguerre.laggauss(48)[0][:30].tolist()]
+            exact = [(s, s / (49 * mpmath.laguerre(49, 0, s)) ** 2) for s in roots]
+            assert len(rule) == 29
+            assert all(w * s >= 1e-18 for s, w in exact[:29]) and exact[29][0] * exact[29][1] < 1e-18
+            for (s, w, ws), (exact_s, exact_w) in zip(rule, exact):
+                self._nearest(s, exact_s)
+                self._nearest(w, exact_w)
+                self._nearest(ws, exact_w * exact_s)
 
 
 def _panel_cases():

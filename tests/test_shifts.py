@@ -205,6 +205,17 @@ class TestAsymptotics:
         val = rcpi_asymptotic(L, 5.0, omega0, mu, Regime.NEAR)
         assert val == pytest.approx(-(mu**2 / (4.0 * math.pi)) * math.cos(omega0 * L) / L, rel=1e-14)
 
+    @pytest.mark.parametrize("omega0, finite", [(5e155, True), (5e157, False)], ids=["double", "overflow"])
+    def test_far_phase_guard_at_kappa_other_than_1(self, omega0, finite):
+        # The far form's phase is 2 omega0 kappa log(L / kappa), here 1e306 log(10) = 2.3e306, a double, or 100 times
+        # that, which is none.  log(L kappa) = log(1e301) would overflow both.
+        L, kap = 1e151, 1e150
+        if finite:
+            assert math.isfinite(rcpi_asymptotic(L, kap, omega0, 0.1, Regime.FAR))
+        else:
+            with pytest.raises(ValueError, match="phase omega0 sigma is not a double"):
+                rcpi_asymptotic(L, kap, omega0, 0.1, Regime.FAR)
+
     def test_unknown_regime_is_rejected(self):
         # The regime is a Regime member, not its value.
         with pytest.raises(ValueError, match="unknown regime near"):
