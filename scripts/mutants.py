@@ -78,6 +78,20 @@ MUTANTS = (
         ("tests/test_quadrature.py::TestRules",),
     ),
     Mutant(
+        "_window: the cosh growth of cos(d x) and sin(d x) / (d x) off the real axis dropped from the ellipse bound",
+        "rcpi/quadrature.py",
+        "math.cosh(d * (_RHO - 1.0 / _RHO) / 4.0)",
+        "1.0",
+        ("tests/test_quadrature.py::test_ellipse_maxima_bound_the_integrand_on_the_ellipse",),
+    ),
+    Mutant(
+        "_window: w sin(d x) rounded before its division by x, so a subnormal term's rounding grows by 1 / x",
+        "rcpi/quadrature.py",
+        "math.sin(d * x) / x * (w * (den - u2) / den)",
+        "w * math.sin(d * x) / x * (den - u2) / den",
+        ("tests/test_quadrature.py::TestWindow::test_matches_mpmath",),
+    ),
+    Mutant(
         "kernel: a-scale term removed",
         "rcpi/quadrature.py",
         _A_SCALE,
@@ -146,6 +160,13 @@ MUTANTS = (
         'report["regime"] = _regime_hint(L / k)',
         'report["regime"] = _regime_hint(L * k)',
         ("tests/test_cli.py::TestShiftCommand::test_regime_reads_L_over_kappa",),
+    ),
+    Mutant(
+        "cli.main: every command parsed by the top-level parser, then again by its own",
+        "rcpi/cli.py",
+        "_commands.choices.get(argv[0]) if argv else None",
+        "None",
+        ("tests/test_cli.py::TestExitCodes::test_one_parse_per_command",),
     ),
     Mutant(
         "_Parser.error: usage line no longer printed",

@@ -168,8 +168,12 @@ _command("validate", cmd_validate, "run the self-check battery", config=False)
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # One parse per call: a command's own parser takes the words after its name.  The top-level parser takes only an
+    # argv that names no command (--help, --version, no word, an unknown command), to print or reject it.
+    command = _commands.choices.get(argv[0]) if argv else None
     try:
-        args = _PARSER.parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
         return args.run(args)
     except (_UsageError, OSError, ValueError) as exc:  # ConfigError and InsufficientOscillationsError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -7,12 +7,9 @@ With y = sigma w and a = sigma omega0 the cross-atom integral is (2/c) I(a), whe
 The kernel splits I(a) at a window [a - d, a + d], d = min(a, pi), around the pole:
 
 * on the window, in t = y - a, the integrand is g(t) / t with
-  g(t) = y sin(y) / (y + a), and W = int_0^1 [g(d x) - g(-d x)] / x dx.  g has
-  its one pole at t = -2a, so this integrand is analytic inside a Bernstein
-  ellipse of parameter 3 + sqrt(8) or more for every a, and a fixed 20-node
-  Gauss-Legendre rule converges geometrically (Trefethen, SIAM Rev. 50 (2008)
-  67-87): no adaptive rule is needed, and the 10-node rule beside it gives the
-  estimate.  The window [-d, d] and its nodes are exact at any a;
+  g(t) = y sin(y) / (y + a), and W = int_0^1 [g(d x) - g(-d x)] / x dx, which
+  a fixed 12-node Gauss-Legendre rule takes within an a-priori bound: g has
+  its one pole at t = -2a.  The window [-d, d] and its nodes are exact at any a;
 * outside it, y sin(y) / (y^2 - a^2) = (1/2) sin(y) [1/(y - a) + 1/(y + a)],
   whose integrals over [0, a - d] and [a + d, inf) are exact in the sine and
   cosine integrals:  O(a, d) = (1/2) [cos(a) C + sin(a) S] with
@@ -22,7 +19,7 @@ The kernel splits I(a) at a window [a - d, a + d], d = min(a, pi), around the po
   integrals of the auxiliary functions f and g (Abramowitz & Stegun 5.2).
 
 So the principal value stays numerical, and the closed form of I(a) itself
-enters nowhere.  The error estimate is the window's (``_window``),
+enters nowhere.  The error estimate is the window's bound (``_window``),
 plus a rounding bound for O, plus the a-scale term
 2u (a + d) (|W| + |W'| + (|C| + |S|) / 2): u is the unit roundoff and W' the
 conjugate window, with cos(y) in place of sin(y), from the same node values.
@@ -30,10 +27,8 @@ W' is close to dW/da and (|C| + |S|) / 2 bounds dO/da, so the term is of the
 order of what the rounding of a = sigma omega0 moves the result by.
 
 The Gauss-Legendre and Gauss-Laguerre rules are built on first use, in plain
-Python: Newton's method on the three-term recurrence finds each node in
-floats, and one more step in 40-digit decimals gives the node and its weight,
-each rounded once to the nearest double.  So the module imports, and runs,
-without numpy.
+Python (``_root``), each node and weight the double nearest its exact value.
+So the module imports, and runs, without numpy.
 """
 
 from __future__ import annotations
@@ -41,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .geometry import SpacetimeConfig, _require_phase, _require_positive, response_shape
 
@@ -53,6 +48,8 @@ _U = 0.5 * sys.float_info.epsilon
 # Si and Ci are taken by their power series up to here, and by the auxiliary functions f and g past it.
 _SICI_SWITCH = 4.0
 _EULER_GAMMA = 0.5772156649015329
+# The nodes of the window's rule, and the parameter of the Bernstein ellipse E_rho that its error is bounded on.
+_WINDOW_NODES, _RHO = 12, 5.6
 
 
 class QuadratureError(RuntimeError):
@@ -110,23 +107,21 @@ def _root(poly, n: int, x: float):
 
 
 @functools.cache
-def _gauss_rules() -> tuple[tuple[tuple[float, float], ...], ...]:
-    """The (node, weight) pairs on (0, 1), in increasing order, of the 20- and the 10-point Gauss-Legendre rules.
+def _gauss_rule() -> tuple[tuple[float, float], ...]:
+    """The (node, weight) pairs on (0, 1), in increasing order, of the n-point Gauss-Legendre rule, n = _WINDOW_NODES.
 
     The n/2 positive roots x of P_n start from Tricomi's cos(pi (i + 3/4) / (n + 1/2)), and the nodes are
     (1 -/+ x) / 2 with the weight 1 / ((1 - x^2) P_n'(x)^2) each, all taken in 40 digits and rounded once, so that
     each is the double nearest to it (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652)."""
     import decimal  # deferred, as the rules are: `import rcpi.cli` should not pay for it
 
-    rules = []
+    n = _WINDOW_NODES
     with decimal.localcontext(decimal.Context(prec=40)):
-        for n in (20, 10):
-            roots = [_root(_legendre, n, math.cos(math.pi * (i + 0.75) / (n + 0.5))) for i in range(n // 2)]
-            weights = [float(1 / ((1 - x) * (1 + x) * dp * dp)) for x, dp in roots]
-            lower = [(float((1 - x) / 2), w) for (x, _), w in zip(roots, weights)]
-            upper = [(float((1 + x) / 2), w) for (x, _), w in zip(roots, weights)]
-            rules.append(tuple(lower + upper[::-1]))
-    return tuple(rules)
+        roots = [_root(_legendre, n, math.cos(math.pi * (i + 0.75) / (n + 0.5))) for i in range(n // 2)]
+        weights = [float(1 / ((1 - x) * (1 + x) * dp * dp)) for x, dp in roots]
+        lower = [(float((1 - x) / 2), w) for (x, _), w in zip(roots, weights)]
+        upper = [(float((1 + x) / 2), w) for (x, _), w in zip(roots, weights)]
+    return tuple(lower + upper[::-1])
 
 
 @functools.cache
@@ -199,38 +194,44 @@ def _sici(x: float) -> tuple[float, float]:
     return si, _EULER_GAMMA + math.log(x) + ci
 
 
+def _ellipse_maxima(d: float, q: float) -> tuple[float, float]:
+    """M1 and M2, bounds on |F1| and |F2| of ``_window`` inside E_rho, from the largest |x|^2 there and cosh(d b)."""
+    x2, growth = ((1.0 + (_RHO + 1.0 / _RHO) / 2.0) / 2.0) ** 2, math.cosh(d * (_RHO - 1.0 / _RHO) / 4.0)
+    den = 4.0 - q * q * x2
+    return 2.0 * q * growth / den, d * growth * (4.0 + 2.0 * q * q * x2) / den
+
+
 def _window(a: float, d: float) -> tuple[float, float, float]:
     """W = int_0^1 [g(d x) - g(-d x)] / x dx, the principal value of y sin(y) / (y^2 - a^2) over [a - d, a + d],
-    by the 20-point Gauss-Legendre rule; its conjugate W', with cos(y) in place of sin(y); and the estimate of W.
+    by the n-point Gauss-Legendre rule; its conjugate W', with cos(y) in place of sin(y); and a bound on W's error.
 
-    g(t) = r(t) sin(a + t) with r(t) = (a + t) / (2a + t).  With u = t / a,
-    r(t) - r(-t) = 2u / (4 - u^2) and r(t) + r(-t) = (4 - 2u^2) / (4 - u^2), so
-    g(t) - g(-t) = sin(a) cos(t) [r(t) - r(-t)] + cos(a) sin(t) [r(t) + r(-t)]:
-    no difference cancels, no node is rounded at the scale of a, 2a does not
-    overflow, and at a d that underflows in d x nothing divides 0 by 0.  The
-    estimate is the 10-point rule's departure |G20 - G10| plus 50 u times a
-    bound on the sum of the terms' sizes, for their rounding and that of the
-    sum.
+    g(t) = r(t) sin(a + t) with r(t) = (a + t) / (2a + t).  With u = t / a = q x, q = d / a <= 1,
+    r(t) -/+ r(-t) = 2u / (4 - u^2) and (4 - 2u^2) / (4 - u^2), so the integrand is sin(a) F1 + cos(a) F2 with
+    F1 = 2q cos(d x) / (4 - u^2) and F2 = sin(d x) / x (4 - 2u^2) / (4 - u^2): no difference cancels, no node is
+    rounded at the scale of a, 2a does not overflow, and at a d that underflows in d x nothing divides 0 by 0.
+
+    The bound: in s = 2x - 1, inside the Bernstein ellipse E_rho of [-1, 1], rho < 3 + sqrt(8), |1 + s| is at most
+    1 + (rho + 1/rho) / 2 < 4, so |x| < 2 <= 2/q keeps the poles x = +/-2/q outside, and |Im x| <= (rho - 1/rho) / 4
+    = b.  There |cos(d x)| <= cosh(d b), as is |sin(d x) / (d x)|, the mean of cos(d x v) over v in [0, 1], and
+    |4 - u^2| >= 4 - q^2 |x|^2, |4 - 2u^2| <= 4 + 2q^2 |x|^2: so M1 and M2 of ``_ellipse_maxima`` bound |F1|, |F2|.
+    For |f| <= M inside E_rho the rule errs by at most (64/15) M rho^-2n / (rho^2 - 1) on [-1, 1] (Trefethen,
+    Approximation Theory and Approximation Practice, Thm 19.3), half that on [0, 1]: at n = 12, rho = 5.6 below
+    5e-16 (|sin a| + |cos a|) for every a.  50 u times a bound on the terms' sizes adds their rounding and the sum's.
     """
-    q = d / a  # u = q x, with q <= 1, so 4 - u^2 >= 3
-    sums = []
-    for rule in _gauss_rules():
-        odd = even = 0.0
-        for x, w in rule:
-            u2 = (q * x) ** 2
-            den = 4.0 - u2
-            t = d * x
-            odd += w * math.cos(t) / den
-            even += w * math.sin(t) / x * (den - u2) / den
-        sums.append((2.0 * q * odd, even))
-    (odd, even), (odd10, even10) = sums
+    q, odd, even = d / a, 0.0, 0.0
+    for x, w in _gauss_rule():
+        u2 = (q * x) ** 2
+        den = 4.0 - u2
+        odd += w * math.cos(d * x) / den
+        even += math.sin(d * x) / x * (w * (den - u2) / den)
     cos_a, sin_a = math.cos(a), math.sin(a)
-    w = sin_a * odd + cos_a * even
-    # Each term of odd is at most 2q/3 per unit weight, and each term of even is positive; ulp(0) is the absolute
-    # rounding of a subnormal term.
-    size = 2.0 * q / 3.0 * abs(sin_a) + abs(cos_a) * even
-    error = abs(w - (sin_a * odd10 + cos_a * even10)) + 50.0 * (_U * size + math.ulp(0.0))
-    return w, cos_a * odd - sin_a * even, error
+    m1, m2 = _ellipse_maxima(d, q)
+    truncation = 32.0 / 15.0 * _RHO ** (-2 * _WINDOW_NODES) / (_RHO * _RHO - 1.0) * (abs(sin_a) * m1 + abs(cos_a) * m2)
+    # A term of 2q odd is at most 2q/3 per unit weight, one of even is positive.  A subnormal d x errs by up to
+    # ulp(0) / 2, w / x times that in even: a sum of 3.1 ulp(0), and each subnormal product adds ulp(0) / 2.
+    error = truncation + 50.0 * (_U * (2.0 * q / 3.0 * abs(sin_a) + abs(cos_a) * even) + math.ulp(0.0))
+    odd *= 2.0 * q
+    return sin_a * odd + cos_a * even, cos_a * odd - sin_a * even, error
 
 
 def _outside(a: float, d: float) -> tuple[float, float, float]:
@@ -261,8 +262,7 @@ def _resonance_kernel(a: float) -> IntegralResult:
     outside, rounding, brackets = _outside(a, d)
     # The rounding of a = sigma omega0 moves W by about W' and O by at most (|C| + |S|) / 2 per unit of a.
     a_scale = 2.0 * _U * (a + d) * (abs(w) + abs(conjugate) + 0.5 * brackets)
-    # g is taken at t = d x and at -d x for every node of both rules.
-    return IntegralResult(w + outside, error + rounding + a_scale, 2 * sum(map(len, _gauss_rules())))
+    return IntegralResult(w + outside, error + rounding + a_scale, 2 * _WINDOW_NODES)  # g at d x and -d x per node
 
 
 def rcpi_integral(
@@ -301,4 +301,4 @@ def rcpi_integral(
             f"resonance integral: requested tolerance not met: estimate {error:g} for value {value:g} "
             f"(evaluations={res.evaluations})"
         )
-    return replace(res, value=value, error=error)
+    return IntegralResult(value, error, res.evaluations)

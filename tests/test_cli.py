@@ -780,6 +780,47 @@ class TestExitCodes:
         assert built == []
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", ["shift", "sweep", "evolve", "discriminate", "validate"])
+    def test_one_parse_per_command(self, tmp_path, monkeypatch, capsys, command):
+        # The command's own parser takes the words after its name; the top-level parser does not parse them first.
+        doc = {
+            **DS_DOC,
+            "atoms": {"omega0": 10.0, "mu": 0.1, "L": 1.0},
+            "sweep": {"L_min": 30.0, "L_max": 1000.0, "n_points": 2000},
+            "evolve": {"rho0": "E", "tau_max": 1.0, "stride": 0.5},
+        }
+        cfg, sweep = write_config(tmp_path, doc), str(tmp_path / "sweep.csv")
+        assert main(["sweep", "--config", cfg, "--out", sweep]) == 0
+        monkeypatch.setattr(validation, "run_validation", lambda: {"passed": True, "checks": []})
+        parses = []
+        parse = cli._Parser.parse_known_args
+
+        def counting_parse(self, *args, **kwargs):
+            parses.append(self.prog)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_known_args", counting_parse)
+        argv = {"discriminate": [sweep], "validate": []}.get(command, ["--config", cfg])
+        assert main([command, *argv, "--out", str(tmp_path / "out")]) == 0
+        assert parses == [f"rcpi {command}"]
+
+    def test_an_argv_that_names_no_command(self, capsys):
+        # The top-level parser takes an argv whose first word is no command: none, an unknown one, or --version.
+        assert main([]) == 1
+        assert capsys.readouterr().err.endswith("error: the following arguments are required: command\n")
+        assert main(["bogus"]) == 1
+        assert "error: argument command: invalid choice: 'bogus'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exited:
+            main(["--version"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out == f"rcpi {cli.__version__}\n"
+
+    def test_unknown_option_prints_the_usage_of_its_command(self, tmp_path, capsys):
+        assert main(["sweep", "--config", write_config(tmp_path, DS_DOC), "--bogus"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rcpi sweep [-h] --config CONFIG"), err
+        assert err.endswith("error: unrecognized arguments: --bogus\n"), err
+
     def test_bad_config_field(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"spacetime": {"type": "desitter", "alpha": -1.0}, "atoms": {"omega0": 1, "mu": 1, "L": 1}})
         assert main(["shift", "--config", cfg]) == 1
