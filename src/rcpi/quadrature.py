@@ -15,8 +15,8 @@ The kernel splits I(a) at a window [a - d, a + d], d = min(a, pi), around the po
   cosine integrals:  O(a, d) = (1/2) [cos(a) C + sin(a) S] with
   C = pi - 2 Si(d) + Si(2a - d) - Si(2a + d) and S = Ci(2a + d) - Ci(2a - d).
   ``_sici`` takes Si and Ci in plain Python: by their power series up to
-  x = 4, and past it by a fixed 48-node Gauss-Laguerre rule on the Laplace
-  integrals of the auxiliary functions f and g (Abramowitz & Stegun 5.2).
+  x = 4, and past it from the auxiliary functions f and g, which the
+  continued fraction of e^(ix) E1(ix) = g - i f gives (Abramowitz & Stegun 5.2).
 
 So the principal value stays numerical, and the closed form of I(a) itself
 enters nowhere.  The error estimate is the window's bound (``_window``),
@@ -26,9 +26,9 @@ conjugate window, with cos(y) in place of sin(y), from the same node values.
 W' is close to dW/da and (|C| + |S|) / 2 bounds dO/da, so the term is of the
 order of what the rounding of a = sigma omega0 moves the result by.
 
-The Gauss-Legendre and Gauss-Laguerre rules are built on first use, in plain
-Python (``_root``), each node and weight the double nearest its exact value.
-So the module imports, and runs, without numpy.
+The Gauss-Legendre rule is built on first use, in plain Python (``_root``),
+each node and weight the double nearest its exact value.  So the module
+imports, and runs, without numpy.
 """
 
 from __future__ import annotations
@@ -80,30 +80,22 @@ def _legendre(n: int, x):
     return current, n * (previous - x * current) / ((1 - x) * (1 + x))
 
 
-def _laguerre(n: int, s):
-    """L_n(s) and L_n'(s) = n [L_n(s) - L_{n-1}(s)] / s by the three-term recurrence, in the arithmetic of s."""
-    previous, current = 1, 1 - s
-    for k in range(1, n):
-        previous, current = current, ((2 * k + 1 - s) * current - k * previous) / (k + 1)
-    return current, n * (current - previous) / s
-
-
-def _root(poly, n: int, x: float):
-    """The root of ``poly(n, .)`` near x and the derivative there, both Decimals: Newton's method in floats until
-    the step is below 1e-10 x, then one step in the caller's decimal context, which leaves an error of the order of
-    the square of that step's."""
+def _root(n: int, x: float):
+    """The root of P_n near x and P_n' there, both Decimals: Newton's method in floats until the step is below
+    1e-10 x, then one step in the caller's decimal context, which leaves an error of the order of the square of
+    that step's."""
     from decimal import Decimal
 
     for _ in range(100):
-        p, dp = poly(n, x)
+        p, dp = _legendre(n, x)
         step = p / dp
         x -= step
         if abs(step) <= 1e-10 * abs(x):
             break
     x = Decimal(x)
-    p, dp = poly(n, x)
+    p, dp = _legendre(n, x)
     x -= p / dp
-    return x, poly(n, x)[1]
+    return x, _legendre(n, x)[1]
 
 
 @functools.cache
@@ -113,46 +105,15 @@ def _gauss_rule() -> tuple[tuple[float, float], ...]:
     The n/2 positive roots x of P_n start from Tricomi's cos(pi (i + 3/4) / (n + 1/2)), and the nodes are
     (1 -/+ x) / 2 with the weight 1 / ((1 - x^2) P_n'(x)^2) each, all taken in 40 digits and rounded once, so that
     each is the double nearest to it (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652)."""
-    import decimal  # deferred, as the rules are: `import rcpi.cli` should not pay for it
+    import decimal  # deferred, as the rule is: `import rcpi.cli` should not pay for it
 
     n = _WINDOW_NODES
     with decimal.localcontext(decimal.Context(prec=40)):
-        roots = [_root(_legendre, n, math.cos(math.pi * (i + 0.75) / (n + 0.5))) for i in range(n // 2)]
+        roots = [_root(n, math.cos(math.pi * (i + 0.75) / (n + 0.5))) for i in range(n // 2)]
         weights = [float(1 / ((1 - x) * (1 + x) * dp * dp)) for x, dp in roots]
         lower = [(float((1 - x) / 2), w) for (x, _), w in zip(roots, weights)]
         upper = [(float((1 + x) / 2), w) for (x, _), w in zip(roots, weights)]
     return tuple(lower + upper[::-1])
-
-
-@functools.cache
-def _laguerre_rule() -> tuple[tuple[float, float, float], ...]:
-    """(s, w, w s) for the nodes s and weights w = 1 / (s L_n'(s)^2) of the 48-point Gauss-Laguerre rule for
-    int_0^inf e^-s h(s) ds, in increasing s, up to the first node where w s < 1e-18.
-
-    Each root starts from the one before by the guesses of Numerical Recipes (Press et al., 3rd ed., 4.6) and is
-    taken, with its weight, in 40 digits and rounded once.  g's rule needs the first moment of the weights to the
-    last place, which a rule normalised to sum to 1 misses by some hundred units.  Each term of ``_sici``'s sums is
-    at most w s (s > 1 wherever w s is that small), so the 19 nodes left out move f and g by less than 0.1 unit in
-    the last place of their leading term 1."""
-    import decimal  # deferred, as the rules are: `import rcpi.cli` should not pay for it
-
-    n = 48
-    rule: list[tuple[float, float, float]] = []
-    guess = 3.0 / (1.0 + 2.4 * n)
-    with decimal.localcontext(decimal.Context(prec=40)):
-        for i in range(n):
-            if i == 1:
-                guess += 15.0 / (1.0 + 2.5 * n)
-            elif i > 1:
-                guess += (1.0 + 2.55 * (i - 1)) / (1.9 * (i - 1)) * (guess - rule[-2][0])
-            s, ds = _root(_laguerre, n, guess)
-            w = 1 / (s * ds * ds)
-            ws = float(w * s)
-            if ws < 1e-18:
-                break
-            rule.append((float(s), float(w), ws))
-            guess = rule[-1][0]
-    return tuple(rule)
 
 
 def _sici(x: float) -> tuple[float, float]:
@@ -161,24 +122,29 @@ def _sici(x: float) -> tuple[float, float]:
 
     Up to x = 4 it sums the power series
     Si = sum_k (-1)^k x^(2k+1) / ((2k+1) (2k+1)!) and Ci = gamma + ln x + sum_k>0 (-1)^k x^(2k) / (2k (2k)!),
-    whose terms there are at most 4.  Past it Si = pi/2 - f cos x - g sin x and Ci = f sin x - g cos x, with
-    f = int_0^inf e^(-x t) / (1 + t^2) dt and g = int_0^inf t e^(-x t) / (1 + t^2) dt (Abramowitz & Stegun 5.2.8-13).
-    In s = x t and u = s / x, 1 / (1 + u^2) = 1 - r with r = u^2 / (1 + u^2), so
-    f = [1 - int e^-s r ds] / x and g = [1 - int e^-s s r ds] / x^2: the Gauss-Laguerre rule takes only the r terms,
-    of relative size 2 / x^2 and 6 / x^2 at most, and x^2 is never formed, so nothing overflows up to the largest
-    double.  The poles of r at s = +/-i x are far enough from the nodes from x = 4 on that the 48-point rule's own
-    error there is below a unit in the last place of Si and Ci.
+    whose terms there are at most 4.  Past it Si = pi/2 - f cos x - g sin x and Ci = f sin x - g cos x, with the
+    auxiliary functions f and g from e^(ix) E1(ix) = g - i f (Abramowitz & Stegun 5.2.8-13, 5.1.22).  Its
+    continued fraction 1/(1 + ix -) 1/(3 + ix -) 4/(5 + ix -) 9/(7 + ix -) ... is taken by modified Lentz (Numerical
+    Recipes, 3rd ed., 6.8) until a step moves the value by at most 4 eps, which it does within 45 steps from x = 4
+    on; the loop stops at 64 all the same, as the steps can stall a little above eps.  Every term is of the order of
+    1 + ix, so nothing overflows up to the largest double.  At x = inf the fraction gives NaN, so there the limit
+    (pi/2, 0) is returned.
     """
     if x > _SICI_SWITCH:
         if x == math.inf:
             return 0.5 * math.pi, 0.0
-        f = g = 0.0
-        for s, w, ws in _laguerre_rule():
-            u = s / x
-            r = u * u / (1.0 + u * u)
-            f += w * r
-            g += ws * r
-        f, g = (1.0 - f) / x, (1.0 - g) / x / x
+        b = complex(1.0, x)
+        h = d = 1.0 / b
+        c = math.inf  # Lentz's C_1 = b_1 + 1 / C_0 with C_0 = b_0 = 0, so the loop's first c is b
+        for n in range(1, 64):
+            b += 2.0
+            d = 1.0 / (b - n * n * d)
+            c = b - n * n / c
+            step = c * d
+            h *= step
+            if abs(step - 1.0) <= 4.0 * sys.float_info.epsilon:
+                break
+        f, g = -h.imag, h.real
         cos_x, sin_x = math.cos(x), math.sin(x)
         return 0.5 * math.pi - f * cos_x - g * sin_x, f * sin_x - g * cos_x
     # t is x^n / n!, the terms alternate in sign two by two; the sum stops below 1e-18 of the first term x.
