@@ -210,6 +210,13 @@ MUTANTS = (
         ("tests/test_geometry.py::TestKappa::test_alpha_that_is_no_positive_double_is_named",),
     ),
     Mutant(
+        "Record.replace: the copy built past __init__, so __post_init__ no longer checks it",
+        "rcpi/_record.py",
+        "return type(self)(**{**self.__dict__, **changes})",
+        "copy = object.__new__(type(self))\n        copy.__dict__.update(self.__dict__, **changes)\n        return copy",
+        ("tests/test_record.py::test_replace_builds_and_checks_again",),
+    ),
+    Mutant(
         "csvio.read_columns: a pipe's copy not rebound for the row-by-row reread",
         "rcpi/csvio.py",
         "path_or_buf = fh = io.StringIO(fh.read())",

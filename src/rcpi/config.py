@@ -1,19 +1,18 @@
-"""Run configuration: a flat JSON document mapped onto dataclasses.
+"""Run configuration: a flat JSON document mapped onto frozen records.
 
 ``_section`` checks each section against the names, defaults and annotated
-kinds of its dataclass's fields; each dataclass checks the ranges of its
-values as it is built.  Each error is a ``ConfigError`` naming the field, or
-the section where the dataclass names none; the CLI maps it to exit code 1.
+kinds of its record's fields; each record checks the ranges of its values
+as it is built.  Each error is a ``ConfigError`` naming the field, or the
+section where the record names none; the CLI maps it to exit code 1.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ._record import Record
 from .dicke import DickeState
 from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, _require_envelope, response_shape
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL
@@ -38,8 +37,7 @@ def _require_positive_finite(name: str, value: float) -> None:
         raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
-@dataclass(frozen=True)
-class AtomPair:
+class AtomPair(Record):
     """Transition frequency, coupling, and separation L of the two probes.
 
     L enters the cross response through ``geometry.response_shape``; the
@@ -55,8 +53,9 @@ class AtomPair:
             _require_positive_finite(f"atoms.{name}", getattr(self, name))
 
 
-@dataclass(frozen=True)
-class SweepSettings:
+class SweepSettings(Record):
+    """The separations of ``rcpi sweep``: n_points from L_min to L_max, log-spaced."""
+
     L_min: float
     L_max: float
     n_points: int
@@ -81,8 +80,9 @@ class SweepSettings:
         return np.geomspace(self.L_min, self.L_max, self.n_points)
 
 
-@dataclass(frozen=True)
-class EvolveSettings:
+class EvolveSettings(Record):
+    """The trajectory of ``rcpi evolve``: the Dicke state it starts in, its end tau_max and its output stride."""
+
     rho0: str
     tau_max: float
     stride: float
@@ -113,8 +113,7 @@ class EvolveSettings:
         return tau
 
 
-@dataclass(frozen=True)
-class ToleranceSettings:
+class ToleranceSettings(Record):
     """Targets of the resonance quadrature; only ``rcpi shift`` runs it, so they affect no other command."""
 
     quad_abs_tol: float = DEFAULT_ABS_TOL
@@ -125,13 +124,14 @@ class ToleranceSettings:
             _require_positive_finite(f"tolerances.{name}", getattr(self, name))
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
+    """A whole run configuration: each section checked, and the spacetime checked against the atoms and sweep."""
+
     spacetime: SpacetimeConfig
     atoms: AtomPair
     sweep: SweepSettings | None = None
     evolve: EvolveSettings | None = None
-    tolerances: ToleranceSettings = field(default_factory=ToleranceSettings)
+    tolerances: ToleranceSettings = ToleranceSettings()
 
     def __post_init__(self) -> None:
         # c grows with L, so the largest separation of each command bounds every c it computes,
@@ -155,21 +155,20 @@ _KINDS = {"float": ("a number", (int, float)), "int": ("an integer", int), "str"
 
 
 def _section(cls, d: dict | None, name: str):
-    """``cls(**d)`` for the dataclass ``cls``.  An unknown key, a missing field without a default and a value
+    """``cls(**d)`` for the record class ``cls``.  An unknown key, a missing field without a default and a value
     not of the field's annotated kind (a bool is never a number) raise a ConfigError naming ``section.field``;
     a ValueError or OverflowError of ``cls``, such as an integer too large for a float, one naming the section."""
     if d is None:
         return None
-    fields = {f.name: f for f in dataclasses.fields(cls)}
     for key, value in d.items():
-        if key not in fields:
+        if key not in cls._fields:
             raise ConfigError(f"{name}.{key} is not a field of {cls.__name__}")
-        kind, types = _KINDS[fields[key].type]
+        kind, types = _KINDS[cls._fields[key]]
         if isinstance(value, bool) or not isinstance(value, types):
             raise ConfigError(f"{name}.{key} must be {kind}, got {json.dumps(value)}")
-    for f in fields.values():
-        if f.name not in d and f.default is dataclasses.MISSING:
-            raise ConfigError(f"{name}.{f.name} is required")
+    for field in cls._fields:
+        if field not in d and field not in cls._defaults:
+            raise ConfigError(f"{name}.{field} is required")
     try:
         return cls(**d)
     except ConfigError:

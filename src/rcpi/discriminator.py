@@ -13,11 +13,11 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import csvio
+from ._record import Record
 from .geometry import _require_positive
 
 __all__ = [
@@ -51,8 +51,7 @@ def _valid_samples(L, dE_S, dE_A) -> np.ndarray:
         return ok & (np.abs(dE_A + dE_S) <= 1e-10 * scale)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(Record):
     """One (separation, shift) sample; the antisymmetric shift rides along as a sanity check."""
 
     L: float
@@ -64,8 +63,7 @@ class SweepRecord:
             raise ValueError(f"bad sweep record ({self.L}, {self.delta_E_S}, {self.delta_E_A}): {_SAMPLE_RULE}")
 
 
-@dataclass(frozen=True)
-class PowerLawFit:
+class PowerLawFit(Record):
     """Least-squares log-log line: |delta E| ~ amplitude / L^exponent."""
 
     exponent: float
@@ -89,8 +87,9 @@ class Verdict(enum.Enum):
     INDETERMINATE = "Indeterminate"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
+    """The verdict on a sweep, with the fit it rests on and notes on how it was reached."""
+
     verdict: Verdict
     fit: PowerLawFit
     notes: str

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+
+from ._record import Record
 
 __all__ = [
     "DeSitterPatch",
@@ -41,8 +42,7 @@ def _require_positive(**values) -> None:
             raise ValueError(f"{name} must be positive and finite, got {bad[0]}")
 
 
-@dataclass(frozen=True)
-class DeSitterPatch:
+class DeSitterPatch(Record):
     """Static de Sitter patch of curvature radius ``alpha``, atoms at radius ``r``.
 
     The horizon r = alpha is rejected rather than clamped: the redshift factor
@@ -69,8 +69,7 @@ class DeSitterPatch:
             )
 
 
-@dataclass(frozen=True)
-class ThermalBath:
+class ThermalBath(Record):
     """Minkowski spacetime with the field in a thermal state; T = 0 is the vacuum."""
 
     temperature: float
@@ -83,8 +82,7 @@ class ThermalBath:
 SpacetimeConfig = DeSitterPatch | ThermalBath
 
 
-@dataclass(frozen=True)
-class TemperatureDecomposition:
+class TemperatureDecomposition(Record):
     """Local temperature split into its Gibbons-Hawking and Unruh contributions.
 
     Satisfies T^2 = T_f^2 + T_a^2 with T_f set by the curvature radius and

@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import csvio
+from ._record import Record
 from .dicke import KETS, DickeState
 from .geometry import SpacetimeConfig, _require_envelope, _require_phase, _require_positive, field_temperature, response_shape
 from .quadrature import EvolutionError
@@ -58,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GeneratorMatrices:
+class GeneratorMatrices(Record):
     """The six scalars the generator is linear in.
 
     omega0 is the transition frequency, a2 the (real) cross-atom Hamiltonian
@@ -137,7 +136,7 @@ def build_coefficients(spacetime: SpacetimeConfig, omega0: float, mu: float, L: 
 
 def assemble_generator(coeffs: GeneratorMatrices, omega0: float) -> GeneratorMatrices:
     """The same scalars at another transition frequency."""
-    return replace(coeffs, omega0=omega0)
+    return coeffs.replace(omega0=omega0)
 
 
 def rate_matrix(gen: GeneratorMatrices) -> np.ndarray:
@@ -162,8 +161,7 @@ def dicke_population_rate(gen: GeneratorMatrices, state: DickeState) -> float:
     return float(rate_matrix(gen)[state.index, state.index])
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Solution of the master equation on a fixed output grid, with diagnostics.
 
     The state is Dicke-diagonal, so ``populations`` holds all of it; ``rho``,

@@ -36,8 +36,8 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
+from ._record import Record
 from .geometry import SpacetimeConfig, _require_phase, _require_positive, response_shape
 
 __all__ = ["IntegralResult", "QuadratureError", "rcpi_integral"]
@@ -62,8 +62,7 @@ class EvolutionError(RuntimeError):
     loads no numpy to catch it."""
 
 
-@dataclass(frozen=True)
-class IntegralResult:
+class IntegralResult(Record):
     """Value of an integral together with its error estimate and the number of points its rule evaluated the
     integrand at."""
 

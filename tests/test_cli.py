@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -657,7 +656,7 @@ _BREAKS = [
     ("kms_desitter", liouvillian, "dissipator_coefficients", _negate_at2),
     ("kms_thermal", liouvillian, "dissipator_coefficients", _negate_at2),
     ("temperature_decomposition", validation, "local_temperature",
-     lambda f: lambda p: dataclasses.replace(f(p), T_a=2.0 * f(p).T_a)),
+     lambda f: lambda p: f(p).replace(T_a=2.0 * f(p).T_a)),
     ("oracle_equivalence", quadrature, "response_shape", lambda f: lambda *a: tuple(1.001 * x for x in f(*a))),
     # lambda / (1 - e^{-beta lambda}) less its vacuum term lambda: the occupation part alone.
     ("thermal_temperature_independence", spectral, "_planck_weight", lambda f: lambda lam, b: f(lam, b) - lam),
@@ -933,6 +932,17 @@ class TestImportSurface:
             "assert 'scipy.linalg' not in sys.modules, 'import rcpi.cli loads scipy.linalg'; "
             "assert 'numpy' not in sys.modules, 'import rcpi.cli loads numpy'"
         )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "modules, unloaded",
+        [("rcpi.cli", ("dataclasses", "inspect")), ("rcpi.liouvillian, rcpi.discriminator", ("dataclasses",))],
+    )
+    def test_records_load_no_dataclasses(self, tmp_path, modules, unloaded):
+        # Every record derives from rcpi._record.Record, which needs neither module; numpy loads inspect itself.
+        code = f"import sys, {modules}; loaded = [m for m in {unloaded} if m in sys.modules]; assert not loaded, loaded"
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import mpmath
@@ -165,7 +164,7 @@ class TestHamiltonianCoefficients:
         assert np.max(np.abs(h_ls_matrix(gen) - h)) <= tol
         # Without the dissipator the generator is the commutator with the free part plus h.
         h_eff = 0.5 * gen.omega0 * (_PAIR_SIG[0][2] + _PAIR_SIG[1][2]) + h
-        closed = dataclasses.replace(gen, at1=1e-300, bt1=0.0, at2=0.0, bt2=0.0)
+        closed = gen.replace(at1=1e-300, bt1=0.0, at2=0.0, bt2=0.0)
         assert np.max(np.abs(superoperator(closed) - _commutator(h_eff))) <= tol
 
     @pytest.mark.parametrize("seed", range(8))
