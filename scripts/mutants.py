@@ -77,10 +77,10 @@ MUTANTS = (
         _SICI_TESTS,
     ),
     Mutant(
-        "rules: the 40-digit Newton step dropped, so each node keeps the rounding of its float iteration",
+        "rules: one stored weight's last digit changed, so it is no longer the double nearest its exact value",
         "rcpi/quadrature.py",
-        "    x = Decimal(x)\n    p, dp = _legendre(n, x)\n    x -= p / dp\n",
-        "    x = Decimal(x)\n",
+        "(0.3160842505009099, 0.1167462682691774),",
+        "(0.3160842505009099, 0.1167462682691775),",
         ("tests/test_quadrature.py::TestRules",),
     ),
     Mutant(

@@ -26,14 +26,13 @@ conjugate window, with cos(y) in place of sin(y), from the same node values.
 W' is close to dW/da and (|C| + |S|) / 2 bounds dO/da, so the term is of the
 order of what the rounding of a = sigma omega0 moves the result by.
 
-The Gauss-Legendre rule is built on first use, in plain Python (``_root``),
-each node and weight the double nearest its exact value.  So the module
-imports, and runs, without numpy.
+The Gauss-Legendre rule is stored (``_RULE``), each node and weight the double
+nearest its exact value, as ``TestRules`` checks against the roots of P_12 in
+40 digits.  So the module imports, and runs, on ``math`` and ``sys`` alone.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 
@@ -50,6 +49,22 @@ _SICI_SWITCH = 4.0
 _EULER_GAMMA = 0.5772156649015329
 # The nodes of the window's rule, and the parameter of the Bernstein ellipse E_rho that its error is bounded on.
 _WINDOW_NODES, _RHO = 12, 5.6
+# The (node, weight) pairs on (0, 1), in increasing order, of the 12-point Gauss-Legendre rule: each the double
+# nearest its exact value (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652).
+_RULE = (
+    (0.009219682876640375, 0.023587668193255914),
+    (0.04794137181476257, 0.05346966299765921),
+    (0.11504866290284765, 0.08003916427167311),
+    (0.2063410228566913, 0.10158371336153296),
+    (0.3160842505009099, 0.1167462682691774),
+    (0.43738329574426554, 0.12457352290670139),
+    (0.5626167042557345, 0.12457352290670139),
+    (0.6839157494990901, 0.1167462682691774),
+    (0.7936589771433087, 0.10158371336153296),
+    (0.8849513370971523, 0.08003916427167311),
+    (0.9520586281852375, 0.05346966299765921),
+    (0.9907803171233597, 0.023587668193255914),
+)
 
 
 class QuadratureError(RuntimeError):
@@ -69,50 +84,6 @@ class IntegralResult(Record):
     value: float
     error: float
     evaluations: int
-
-
-def _legendre(n: int, x):
-    """P_n(x) and P_n'(x) by the three-term recurrence, in the arithmetic of x: float or Decimal."""
-    previous, current = 1, x
-    for k in range(1, n):
-        previous, current = current, ((2 * k + 1) * x * current - k * previous) / (k + 1)
-    return current, n * (previous - x * current) / ((1 - x) * (1 + x))
-
-
-def _root(n: int, x: float):
-    """The root of P_n near x and P_n' there, both Decimals: Newton's method in floats until the step is below
-    1e-10 x, then one step in the caller's decimal context, which leaves an error of the order of the square of
-    that step's."""
-    from decimal import Decimal
-
-    for _ in range(100):
-        p, dp = _legendre(n, x)
-        step = p / dp
-        x -= step
-        if abs(step) <= 1e-10 * abs(x):
-            break
-    x = Decimal(x)
-    p, dp = _legendre(n, x)
-    x -= p / dp
-    return x, _legendre(n, x)[1]
-
-
-@functools.cache
-def _gauss_rule() -> tuple[tuple[float, float], ...]:
-    """The (node, weight) pairs on (0, 1), in increasing order, of the n-point Gauss-Legendre rule, n = _WINDOW_NODES.
-
-    The n/2 positive roots x of P_n start from Tricomi's cos(pi (i + 3/4) / (n + 1/2)), and the nodes are
-    (1 -/+ x) / 2 with the weight 1 / ((1 - x^2) P_n'(x)^2) each, all taken in 40 digits and rounded once, so that
-    each is the double nearest to it (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652)."""
-    import decimal  # deferred, as the rule is: `import rcpi.cli` should not pay for it
-
-    n = _WINDOW_NODES
-    with decimal.localcontext(decimal.Context(prec=40)):
-        roots = [_root(n, math.cos(math.pi * (i + 0.75) / (n + 0.5))) for i in range(n // 2)]
-        weights = [float(1 / ((1 - x) * (1 + x) * dp * dp)) for x, dp in roots]
-        lower = [(float((1 - x) / 2), w) for (x, _), w in zip(roots, weights)]
-        upper = [(float((1 + x) / 2), w) for (x, _), w in zip(roots, weights)]
-    return tuple(lower + upper[::-1])
 
 
 def _sici(x: float) -> tuple[float, float]:
@@ -184,7 +155,7 @@ def _window(a: float, d: float) -> tuple[float, float, float]:
     5e-16 (|sin a| + |cos a|) for every a.  50 u times a bound on the terms' sizes adds their rounding and the sum's.
     """
     q, odd, even = d / a, 0.0, 0.0
-    for x, w in _gauss_rule():
+    for x, w in _RULE:
         u2 = (q * x) ** 2
         den = 4.0 - u2
         odd += w * math.cos(d * x) / den
@@ -205,7 +176,9 @@ def _outside(a: float, d: float) -> tuple[float, float, float]:
     |C| + |S|, the sizes of the brackets C and S that multiply cos(a) and sin(a) in O."""
     # 2a -/+ d overflow to inf past a = 9e307, where Si is pi/2 and Ci is 0, as they are to double precision.
     below, above = 2.0 * a - d, 2.0 * a + d
-    (si_d, _), (si_below, ci_below), (si_above, ci_above) = map(_sici, (d, below, above))
+    (si_below, ci_below), (si_above, ci_above) = _sici(below), _sici(above)
+    # Where a <= pi the half-width d is a, and so is 2a - d, exactly.
+    si_d = si_below if d == below else _sici(d)[0]
     brackets = math.pi - 2.0 * si_d + si_below - si_above, ci_above - ci_below
     cos_a, sin_a = math.cos(a), math.sin(a)
     value = 0.5 * (cos_a * brackets[0] + sin_a * brackets[1])

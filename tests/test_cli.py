@@ -962,13 +962,15 @@ class TestImportSurface:
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
-    def test_shift_runs_without_numpy(self, tmp_path):
-        # With numpy blocked, `rcpi shift` writes what it writes with numpy loaded, and a config error still exits 1.
+    def test_shift_runs_without_numpy_or_decimal(self, tmp_path):
+        # With numpy and decimal blocked, `rcpi shift` writes what it writes with both loaded, and a config error
+        # still exits 1.  The window's Gauss-Legendre rule is stored, not built, so no decimal is needed at these
+        # sigma omega0 of about 1 (d = a) and 30 (d = pi), far below 1e6.
         thermal = {"spacetime": {"type": "thermal", "temperature": 0.5}, "atoms": {"omega0": 10.0, "mu": 0.1, "L": 3.0}}
         bad = {**DS_DOC, "atoms": {**DS_DOC["atoms"], "mu": 1e200}}
         configs = [write_config(tmp_path, doc, f"{name}.json") for name, doc in (("ds", DS_DOC), ("thermal", thermal))]
         code = (
-            "import sys; sys.modules['numpy'] = None; from rcpi.cli import main; "
+            "import sys; sys.modules['numpy'] = sys.modules['decimal'] = None; from rcpi.cli import main; "
             f"assert [main(['shift', '--config', c, '--out', c + '.out']) for c in {configs!r}] == [0, 0]; "
             f"assert main(['shift', '--config', {write_config(tmp_path, bad, 'bad.json')!r}]) == 1"
         )

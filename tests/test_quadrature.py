@@ -14,10 +14,10 @@ from rcpi.quadrature import (
     IntegralResult,
     QuadratureError,
     _RHO,
+    _RULE,
     _SICI_SWITCH,
     _WINDOW_NODES,
     _ellipse_maxima,
-    _gauss_rule,
     _outside,
     _resonance_kernel,
     _sici,
@@ -254,7 +254,7 @@ class TestRules:
 
     def test_legendre(self):
         # On (0, 1) the node of a root x of P_n is (1 + x) / 2 and its weight (1 - x^2) / (n P_{n-1}(x))^2.
-        n, rule = 12, _gauss_rule()
+        n, rule = 12, _RULE
         assert len(rule) == n == _WINDOW_NODES
         with mpmath.workdps(40):
             for (t, w), x0 in zip(rule, np.polynomial.legendre.leggauss(n)[0].tolist()):
