@@ -47,8 +47,8 @@ _U = 0.5 * sys.float_info.epsilon
 # Si and Ci are taken by their power series up to here, and by the auxiliary functions f and g past it.
 _SICI_SWITCH = 4.0
 _EULER_GAMMA = 0.5772156649015329
-# The nodes of the window's rule, and the parameter of the Bernstein ellipse E_rho that its error is bounded on.
-_WINDOW_NODES, _RHO = 12, 5.6
+# The parameter of the Bernstein ellipse E_rho that the window's error is bounded on.
+_RHO = 5.6
 # The (node, weight) pairs on (0, 1), in increasing order, of the 12-point Gauss-Legendre rule: each the double
 # nearest its exact value (Hale & Townsend, SIAM J. Sci. Comput. 35 (2013) A652).
 _RULE = (
@@ -65,6 +65,7 @@ _RULE = (
     (0.9520586281852375, 0.05346966299765921),
     (0.9907803171233597, 0.023587668193255914),
 )
+_WINDOW_NODES = len(_RULE)
 
 
 class QuadratureError(RuntimeError):
@@ -176,9 +177,7 @@ def _outside(a: float, d: float) -> tuple[float, float, float]:
     |C| + |S|, the sizes of the brackets C and S that multiply cos(a) and sin(a) in O."""
     # 2a -/+ d overflow to inf past a = 9e307, where Si is pi/2 and Ci is 0, as they are to double precision.
     below, above = 2.0 * a - d, 2.0 * a + d
-    (si_below, ci_below), (si_above, ci_above) = _sici(below), _sici(above)
-    # Where a <= pi the half-width d is a, and so is 2a - d, exactly.
-    si_d = si_below if d == below else _sici(d)[0]
+    (si_d, _), (si_below, ci_below), (si_above, ci_above) = map(_sici, (d, below, above))
     brackets = math.pi - 2.0 * si_d + si_below - si_above, ci_above - ci_below
     cos_a, sin_a = math.cos(a), math.sin(a)
     value = 0.5 * (cos_a * brackets[0] + sin_a * brackets[1])

@@ -964,8 +964,7 @@ class TestImportSurface:
 
     def test_shift_runs_without_numpy_or_decimal(self, tmp_path):
         # With numpy and decimal blocked, `rcpi shift` writes what it writes with both loaded, and a config error
-        # still exits 1.  The window's Gauss-Legendre rule is stored, not built, so no decimal is needed at these
-        # sigma omega0 of about 1 (d = a) and 30 (d = pi), far below 1e6.
+        # still exits 1.  The window's Gauss-Legendre rule is stored, not built, so it needs no decimal.
         thermal = {"spacetime": {"type": "thermal", "temperature": 0.5}, "atoms": {"omega0": 10.0, "mu": 0.1, "L": 3.0}}
         bad = {**DS_DOC, "atoms": {**DS_DOC["atoms"], "mu": 1e200}}
         configs = [write_config(tmp_path, doc, f"{name}.json") for name, doc in (("ds", DS_DOC), ("thermal", thermal))]
