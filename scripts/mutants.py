@@ -170,9 +170,16 @@ MUTANTS = (
     Mutant(
         "cli.main: every command parsed by the top-level parser, then again by its own",
         "rcpi/cli.py",
-        "_commands.choices.get(argv[0]) if argv else None",
+        "argv[0] if argv and argv[0] in _COMMANDS else None",
         "None",
         ("tests/test_cli.py::TestExitCodes::test_one_parse_per_command",),
+    ),
+    Mutant(
+        "parser cache dropped: each call builds its parser again",
+        "rcpi/cli.py",
+        "@functools.cache\ndef _parser(",
+        "def _parser(",
+        ("tests/test_cli.py::TestExitCodes::test_a_second_call_builds_no_parser",),
     ),
     Mutant(
         "_Parser.error: usage line no longer printed",

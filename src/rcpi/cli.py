@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -139,42 +140,49 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
 
 
-# The command table: one parser per process, each subcommand bound to its handler.
-_PARSER = _Parser(prog="rcpi", description="Resonance interaction energies of an entangled atom pair")
-_PARSER.add_argument("--version", action="version", version=f"rcpi {__version__}")
-_commands = _PARSER.add_subparsers(dest="command", required=True)
+# The command table: each command's handler, its help, and its options in the order its usage line lists them.
+_CONFIG, _OUT = ("--config", {"required": True}), ("--out", {"default": None})
+_COMMANDS = {
+    "shift": (cmd_shift, "single-point shift by closed form and quadrature",
+              (_CONFIG, _OUT, ("--format", {"choices": ("json",), "default": "json"}))),
+    "sweep": (cmd_sweep, "closed-form shift versus separation, written as CSV", (_CONFIG, _OUT)),
+    "evolve": (cmd_evolve, "propagate the master equation, trajectory as CSV", (_CONFIG, _OUT)),
+    "discriminate": (cmd_discriminate, "classify a sweep CSV by its envelope decay law", (
+        _OUT,
+        ("input", {"help": "sweep CSV with columns L,dE_S,dE_A"}),
+        ("--lmin", {"type": _finite_float, "default": None}),
+        ("--lmax", {"type": _finite_float, "default": None}),
+        ("--strict", {"action": "store_true", "help": "exit nonzero on an Indeterminate verdict"}),
+    )),
+    "validate": (cmd_validate, "run the self-check battery", (_OUT,)),
+}
 
 
-def _command(name: str, run, help: str, config: bool = True) -> argparse.ArgumentParser:
-    """Add the subcommand ``name`` bound to ``run``, with the options every command shares."""
-    sub = _commands.add_parser(name, help=help)
-    sub.set_defaults(run=run)
-    if config:
-        sub.add_argument("--config", required=True)
-    sub.add_argument("--out", default=None)
-    return sub
-
-
-_shift = _command("shift", cmd_shift, "single-point shift by closed form and quadrature")
-_shift.add_argument("--format", choices=("json",), default="json")
-_command("sweep", cmd_sweep, "closed-form shift versus separation, written as CSV")
-_command("evolve", cmd_evolve, "propagate the master equation, trajectory as CSV")
-_discriminate = _command("discriminate", cmd_discriminate, "classify a sweep CSV by its envelope decay law", config=False)
-_discriminate.add_argument("input", help="sweep CSV with columns L,dE_S,dE_A")
-_discriminate.add_argument("--lmin", type=_finite_float, default=None)
-_discriminate.add_argument("--lmax", type=_finite_float, default=None)
-_discriminate.add_argument("--strict", action="store_true", help="exit nonzero on an Indeterminate verdict")
-_command("validate", cmd_validate, "run the self-check battery", config=False)
+@functools.cache
+def _parser(name: str | None) -> argparse.ArgumentParser:
+    """Command ``name``'s parser, or with no name the top-level one, built on the first call and kept."""
+    if name is not None:
+        parser = _Parser(prog=f"rcpi {name}")
+        for option, settings in _COMMANDS[name][2]:
+            parser.add_argument(option, **settings)
+        return parser
+    # It prints the help or the version, or rejects the argv; its subcommands list the names and take no options.
+    parser = _Parser(prog="rcpi", description="Resonance interaction energies of an entangled atom pair")
+    parser.add_argument("--version", action="version", version=f"rcpi {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (_, text, _) in _COMMANDS.items():
+        commands.add_parser(command, help=text)
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # One parse per call: a command's own parser takes the words after its name.  The top-level parser takes only an
     # argv that names no command (--help, --version, no word, an unknown command), to print or reject it.
-    command = _commands.choices.get(argv[0]) if argv else None
+    name = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
-        return args.run(args)
+        args = _parser(name).parse_args(argv[1:] if name else argv)
+        return _COMMANDS[name][0](args)
     except (_UsageError, OSError, ValueError) as exc:  # ConfigError and InsufficientOscillationsError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from typing import TYPE_CHECKING
 
 from ._record import Record
 from .dicke import DickeState
 from .geometry import DeSitterPatch, SpacetimeConfig, ThermalBath, _require_envelope, response_shape
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL
 
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, which type checkers read as True
 if TYPE_CHECKING:
     import numpy as np
 

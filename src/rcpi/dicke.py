@@ -10,8 +10,8 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, which type checkers read as True
 if TYPE_CHECKING:
     import numpy as np
 

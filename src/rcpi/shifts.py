@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import TYPE_CHECKING
 
 from .dicke import DickeState
 from .geometry import (
@@ -21,6 +20,7 @@ from .geometry import (
 )
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, rcpi_integral
 
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING, which type checkers read as True
 if TYPE_CHECKING:
     import numpy as np
 

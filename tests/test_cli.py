@@ -764,19 +764,21 @@ class TestExitCodes:
         assert main([a.format(dir=tmp_path) for a in argv]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_main_builds_no_parser(self, monkeypatch, capsys):
-        # The parser is built once, at import; a call only parses.
+    def test_a_second_call_builds_no_parser(self, monkeypatch, capsys):
+        # A command's parser is built on the first call that names it and kept for the process.
         built = []
         init = cli._Parser.__init__
 
         def counting_init(self, *args, **kwargs):
-            built.append(args)
+            built.append(kwargs.get("prog"))
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-        assert main(["shift"]) == 1
-        assert main(["discriminate", "/nonexistent/sweep.csv"]) == 1
-        assert built == []
+        for argv in (["shift"], ["discriminate", "/nonexistent/sweep.csv"]):
+            assert main(argv) == 1
+            built.clear()  # the first call builds the parser, unless an earlier test has
+            assert main(argv) == 1
+            assert built == []
         capsys.readouterr()
 
     @pytest.mark.parametrize("command", ["shift", "sweep", "evolve", "discriminate", "validate"])
@@ -920,6 +922,24 @@ class TestImportSurface:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"rcpi {version}\n"
 
+    def test_import_builds_no_parser(self, tmp_path):
+        # `import rcpi.cli` builds no argparse parser, and `rcpi shift` builds its own only: not the top-level one,
+        # nor those of the other four commands.
+        code = (
+            "import argparse; built = []; init = argparse.ArgumentParser.__init__\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(kwargs.get('prog'))\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import rcpi.cli\n"
+            "assert built == [], f'import rcpi.cli builds {built}'\n"
+            "assert rcpi.cli.main(['shift']) == 1\n"
+            "assert built == ['rcpi shift'], f'rcpi shift builds {built}'"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_routes_load_no_oracle(self, tmp_path):
         # Every route reads the response shape from geometry, so the frequency-domain
         # oracle stays unloaded; the time-domain one lives in tests/oracles.py.  The
@@ -962,21 +982,25 @@ class TestImportSurface:
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
-    def test_shift_runs_without_numpy_or_decimal(self, tmp_path):
-        # With numpy and decimal blocked, `rcpi shift` writes what it writes with both loaded, and a config error
-        # still exits 1.  The window's Gauss-Legendre rule is stored, not built, so it needs no decimal.
+    def test_shift_runs_without_numpy_dataclasses_decimal_or_typing(self, tmp_path):
+        # With these blocked, `rcpi shift` writes what it writes with all loaded, a config error still exits 1, and
+        # `--version` prints the version.  Every record derives from rcpi._record.Record, the window's Gauss-Legendre
+        # rule is stored, and the modules guard their numpy annotations with their own TYPE_CHECKING constant.
         thermal = {"spacetime": {"type": "thermal", "temperature": 0.5}, "atoms": {"omega0": 10.0, "mu": 0.1, "L": 3.0}}
         bad = {**DS_DOC, "atoms": {**DS_DOC["atoms"], "mu": 1e200}}
         configs = [write_config(tmp_path, doc, f"{name}.json") for name, doc in (("ds", DS_DOC), ("thermal", thermal))]
         code = (
-            "import sys; sys.modules['numpy'] = sys.modules['decimal'] = None; from rcpi.cli import main; "
+            "import sys; sys.modules['numpy'] = sys.modules['dataclasses'] = sys.modules['decimal'] = None; "
+            "sys.modules['typing'] = None; from rcpi.cli import main; "
             f"assert [main(['shift', '--config', c, '--out', c + '.out']) for c in {configs!r}] == [0, 0]; "
-            f"assert main(['shift', '--config', {write_config(tmp_path, bad, 'bad.json')!r}]) == 1"
+            f"assert main(['shift', '--config', {write_config(tmp_path, bad, 'bad.json')!r}]) == 1; "
+            "main(['--version'])"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "atoms.mu" in proc.stderr
+        assert proc.stdout == f"rcpi {cli.__version__}\n"
         for cfg in configs:
             assert main(["shift", "--config", cfg, "--out", cfg + ".numpy"]) == 0
             assert Path(cfg + ".out").read_text() == Path(cfg + ".numpy").read_text()

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -47,11 +48,34 @@ class TestKappa:
         with pytest.raises(ValueError, match=rf"^alpha must be positive and finite, got {re.escape(str(alpha))}$"):
             DeSitterPatch(alpha)
 
+    @staticmethod
+    def assert_decreasing_in_r(alpha, r1, r2):
+        # kappa rounds alpha - r, alpha + r, their product and its square root, each within eps / 2 relative, so it is
+        # within about 5 eps / 4 of sqrt(alpha^2 - r^2), and where r rises it can rise by about 5 eps / 2 relative: the
+        # product of a falling and a rising factor is not monotone in floating point.
+        k1, k2 = kappa(DeSitterPatch(alpha, r1)), kappa(DeSitterPatch(alpha, r2))
+        assert k2 - k1 <= 2.5 * sys.float_info.epsilon * k1
+
     @given(st.floats(min_value=1e-2, max_value=10.0), st.data())
     def test_monotone_decreasing_in_r(self, alpha, data):
         r1 = data.draw(st.floats(min_value=0.0, max_value=0.998 * alpha))
         r2 = data.draw(st.floats(min_value=r1, max_value=0.999 * alpha))
-        assert kappa(DeSitterPatch(alpha, r2)) <= kappa(DeSitterPatch(alpha, r1))
+        self.assert_decreasing_in_r(alpha, r1, r2)
+
+    @pytest.mark.parametrize(
+        "alpha, r1, r2, ulps",
+        [
+            (7.0, 1.9929007443090814, 1.9929007443090816, 1),
+            (0.3771324136455721, 0.12383171723052432, 0.12383171723052434, 2),
+        ],
+        ids=["1-ulp-rise", "2-ulp-rise"],
+    )
+    def test_rises_by_rounding_only(self, alpha, r1, r2, ulps):
+        # Random draws where kappa rises with r, by 1 and by 2 ulps: the first failed the exact form of the property,
+        # kappa(r2) <= kappa(r1), and the second would fail a form that allowed 1 ulp.
+        k1 = kappa(DeSitterPatch(alpha, r1))
+        assert kappa(DeSitterPatch(alpha, r2)) == k1 + ulps * math.ulp(k1)
+        self.assert_decreasing_in_r(alpha, r1, r2)
 
 
 class TestLocalTemperature:
