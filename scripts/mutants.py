@@ -39,8 +39,6 @@ class Mutant(NamedTuple):
 _OUTSIDE = "brackets = math.pi - 2.0 * si_d + si_below - si_above, ci_above - ci_below"
 _OUTSIDE_TESTS = ("tests/test_quadrature.py::TestTail",)
 _A_SCALE = "a_scale = 2.0 * _U * (a + d) * (abs(w) + abs(conjugate) + 0.5 * brackets)"
-_SHIFT_GUARDS = "    _require_envelope(mu, c)\n    _require_phase(omega0, sigma)\n"
-_COEFFICIENT_GUARDS = "    _require_phase(omega0, sigma)\n    _require_envelope(mu, c)\n    at1"
 _SICI_TESTS = ("tests/test_quadrature.py::TestSici",)
 
 MUTANTS = (
@@ -112,45 +110,48 @@ MUTANTS = (
         ("tests/test_quadrature.py::test_exact_phase_within_the_estimate_or_exit_3",),
     ),
     Mutant(
-        "shifts._interaction: envelope guard removed",
-        "rcpi/shifts.py",
-        _SHIFT_GUARDS,
-        "    _require_phase(omega0, sigma)\n",
-        ("tests/test_shifts.py::TestClosedForms::test_envelope_past_the_double_range_raises",),
+        "geometry._pair_response: envelope guard removed",
+        "rcpi/geometry.py",
+        "    if mu is not None and envelope:\n        _require_envelope(mu, c)\n",
+        "",
+        (
+            "tests/test_shifts.py::TestClosedForms::test_envelope_past_the_double_range_raises",
+            "tests/test_liouvillian.py::TestHamiltonianCoefficients::test_envelope_past_the_double_range_raises",
+        ),
     ),
     Mutant(
-        "shifts._interaction: phase guard removed",
-        "rcpi/shifts.py",
-        _SHIFT_GUARDS,
-        "    _require_envelope(mu, c)\n",
-        ("tests/test_shifts.py::TestClosedForms::test_phase_past_the_double_range_raises",),
+        "geometry._pair_response: phase guard removed",
+        "rcpi/geometry.py",
+        "    a = _require_phase(omega0, sigma)\n",
+        "    a = omega0 * sigma\n",
+        (
+            "tests/test_shifts.py::TestClosedForms::test_phase_past_the_double_range_raises",
+            "tests/test_liouvillian.py::TestDissipatorCoefficients::test_phase_past_the_double_range_raises",
+            "tests/test_cli.py::TestExitCodes::test_phase_past_the_double_range",
+        ),
     ),
     Mutant(
-        "build_coefficients: phase guard removed",
+        "geometry._pair_response: mu check skipped",
+        "rcpi/geometry.py",
+        'omega0=omega0, **({} if mu is None else {"mu": mu})\n',
+        "omega0=omega0\n",
+        (
+            "tests/test_shifts.py::TestClosedForms::test_rejects_non_finite_or_non_positive_input",
+            "tests/test_geometry.py::test_every_route_raises_one_message_for_one_bad_input",
+        ),
+    ),
+    Mutant(
+        "dissipator_coefficients: overflow check of at1 and bt1 removed",
         "rcpi/liouvillian.py",
-        _COEFFICIENT_GUARDS,
-        "    _require_envelope(mu, c)\n    at1",
-        ("tests/test_cli.py::TestExitCodes::test_phase_past_the_double_range",),
+        "    if not math.isfinite(at1):",
+        "    if False:",
+        ("tests/test_liouvillian.py::TestDissipatorCoefficients::test_coefficients_past_the_double_range_raise",),
     ),
     Mutant(
-        "build_coefficients: envelope guard removed",
+        "dissipator_coefficients: cross-factor limit sigma / c removed",
         "rcpi/liouvillian.py",
-        _COEFFICIENT_GUARDS,
-        "    _require_phase(omega0, sigma)\n    at1",
-        ("tests/test_liouvillian.py::TestHamiltonianCoefficients::test_envelope_past_the_double_range_raises",),
-    ),
-    Mutant(
-        "dissipator_coefficients: phase guard removed",
-        "rcpi/liouvillian.py",
-        "    _require_phase(omega0, sigma)\n    return _dissipator(",
-        "    return _dissipator(",
-        ("tests/test_liouvillian.py::TestDissipatorCoefficients::test_phase_past_the_double_range_raises",),
-    ),
-    Mutant(
-        "liouvillian._dissipator: cross-factor limit sigma / c removed",
-        "rcpi/liouvillian.py",
-        "math.sin(sigma * omega0) / (c * omega0) if c * omega0 else sigma / c",
-        "math.sin(sigma * omega0) / (c * omega0)",
+        "math.sin(a) / (c * omega0) if c * omega0 else sigma / c",
+        "math.sin(a) / (c * omega0)",
         ("tests/test_extremes.py::test_a_double_or_the_typed_error",),
     ),
     Mutant(

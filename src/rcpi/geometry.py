@@ -169,9 +169,30 @@ def _require_envelope(mu: float, c, at: str = "") -> None:
         raise ValueError(f"the envelope mu^2 / (4 pi c) is not a double at mu={mu}, {at or f'c={c_min}'}")
 
 
-def _require_phase(omega0: float, sigma) -> None:
-    """Raise ValueError where the phase omega0 sigma is not a double at the largest ``sigma``, a scalar or an array.
-    The product is taken in Python floats, which overflow without a warning; call this before any cos or sin of it."""
+def _require_phase(omega0: float, sigma) -> float:
+    """Raise ValueError where the phase omega0 sigma is not a double at the largest ``sigma``, a scalar or an array,
+    and return that phase.  The product is taken in Python floats, which overflow without a warning; call this before
+    any cos or sin of it."""
     phase = float(omega0) * float(sigma if getattr(sigma, "ndim", 0) == 0 else sigma.max())
     if not math.isfinite(phase):
         raise ValueError(f"the phase omega0 sigma is not a double: {phase}")
+    return phase
+
+
+def _pair_response(spacetime, L, omega0: float, mu: float | None = None, *, kappa=None, envelope: bool = True):
+    """(sigma, c, a) of a pair at separation ``L``, with a = omega0 sigma its phase: the one checked input of every
+    route to the shift and the generator.  A scalar ``L`` gives a float phase, a numpy array an array of them.
+
+    A given ``kappa`` takes the place of ``spacetime``: the de Sitter shape at that redshifted scale, which keeps a
+    kappa whose kappa^2 no patch holds, such as 1e200, at the flat value.  Raises ValueError, in this order: where
+    L, a given kappa, omega0 or a given mu is not positive and finite; where c is not finite; where mu is given and
+    the envelope mu^2 / (4 pi c) is not a double, unless ``envelope`` is false; and where the phase is not a double.
+    """
+    _require_positive(
+        L=L, **({} if kappa is None else {"kappa": kappa}), omega0=omega0, **({} if mu is None else {"mu": mu})
+    )
+    sigma, c = response_shape(spacetime, L) if kappa is None else _desitter_shape(L, kappa)
+    if mu is not None and envelope:
+        _require_envelope(mu, c)
+    a = _require_phase(omega0, sigma)
+    return sigma, c, (a if getattr(sigma, "ndim", 0) == 0 else omega0 * sigma)

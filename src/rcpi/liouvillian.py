@@ -7,9 +7,10 @@ bilinear in Pauli operators, and L[rho] the dissipator of Benatti and
 Floreanini (PRA 70, 012112, 2004).  For a static pair the generator is
 linear in six real numbers: omega0, a2 and the dissipator's at1, bt1, at2,
 bt2 (subscript 1 same-atom, 2 cross-atom).  Every one is a closed form in
-the (sigma, c) of ``geometry.response_shape`` and the T of
-``field_temperature``: the dissipator is the spectral functions at
-+/- omega0, and the Hamiltonian side is the single cross-atom coefficient
+the (sigma, c) and the phase omega0 sigma of ``geometry._pair_response``,
+which checks the inputs, and the T of ``field_temperature``: the
+dissipator is the spectral functions at +/- omega0, and the Hamiltonian
+side is the single cross-atom coefficient
 a2 = mu^2 cos(omega0 sigma) / (8 pi c), which gives the correction
 h_ls = -a2 (s1 x s1 + s2 x s2).
 
@@ -41,7 +42,7 @@ import numpy as np
 from . import csvio
 from ._record import Record
 from .dicke import KETS, DickeState
-from .geometry import SpacetimeConfig, _require_envelope, _require_phase, _require_positive, field_temperature, response_shape
+from .geometry import SpacetimeConfig, _pair_response, _require_positive, field_temperature
 from .quadrature import EvolutionError
 from .shifts import _a2_closed_form
 
@@ -102,36 +103,26 @@ def dissipator_coefficients(
     The same-atom weights G(+/- w0) = (1/2 pi) (+/- w0) / (1 - e^{-/+ w0/T})
     sum to (w0/2 pi) coth(w0/2T) and differ by w0/2 pi, whatever T is; the
     cross weights carry the even factor (sigma/c) sinc(sigma w0) on top,
-    which is sigma/c where c w0 underflows to 0.  Raises ValueError where the
-    phase omega0 sigma is not a double.
+    which is sigma/c where c w0 underflows to 0.  Raises ValueError as
+    ``geometry._pair_response``, less its envelope rule, since these scale
+    as mu^2 omega0 / 8 pi; and where at1 or bt1 is not a double.
     """
-    _require_positive(omega0=omega0, mu=mu, L=L)
-    sigma, c = response_shape(spacetime, L)
-    _require_phase(omega0, sigma)
-    return _dissipator(spacetime, sigma, c, omega0, mu)
-
-
-def _dissipator(
-    spacetime: SpacetimeConfig, sigma: float, c: float, omega0: float, mu: float
-) -> tuple[float, float, float, float]:
-    """``dissipator_coefficients`` at a checked response shape (sigma, c)."""
+    sigma, c, a = _pair_response(spacetime, L, omega0, mu, envelope=False)
     pref = mu * mu / (8.0 * math.pi)
     at1 = pref * _w_coth(omega0, field_temperature(spacetime))
+    if not math.isfinite(at1):  # at1 >= bt1 = pref omega0, since w coth(w / 2T) >= w
+        raise ValueError(f"the dissipator coefficients mu^2 omega0 / 8 pi are not doubles at omega0={omega0}, mu={mu}")
     bt1 = pref * omega0
-    cross = math.sin(sigma * omega0) / (c * omega0) if c * omega0 else sigma / c
+    cross = math.sin(a) / (c * omega0) if c * omega0 else sigma / c
     return at1, bt1, at1 * cross, bt1 * cross
 
 
 def build_coefficients(spacetime: SpacetimeConfig, omega0: float, mu: float, L: float) -> GeneratorMatrices:
-    """The generator's six scalars for one configuration, all in closed form; ValueError where the envelope
-    mu^2 / (4 pi c) or the phase omega0 sigma is not a double."""
-    _require_positive(omega0=omega0, mu=mu, L=L)
-    sigma, c = response_shape(spacetime, L)
-    _require_phase(omega0, sigma)
-    _require_envelope(mu, c)
-    at1, bt1, at2, bt2 = _dissipator(spacetime, sigma, c, omega0, mu)
-    a2 = _a2_closed_form(sigma, c, omega0, mu)
-    return GeneratorMatrices(omega0=omega0, a2=a2, at1=at1, bt1=bt1, at2=at2, bt2=bt2)
+    """The generator's six scalars for one configuration, all in closed form; raises as ``geometry._pair_response``,
+    then as ``dissipator_coefficients``."""
+    _, c, a = _pair_response(spacetime, L, omega0, mu)
+    at1, bt1, at2, bt2 = dissipator_coefficients(spacetime, omega0, mu, L)
+    return GeneratorMatrices(omega0=omega0, a2=_a2_closed_form(a, c, mu), at1=at1, bt1=bt1, at2=at2, bt2=bt2)
 
 
 def assemble_generator(coeffs: GeneratorMatrices, omega0: float) -> GeneratorMatrices:

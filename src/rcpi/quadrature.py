@@ -37,7 +37,7 @@ import math
 import sys
 
 from ._record import Record
-from .geometry import SpacetimeConfig, _require_phase, _require_positive, response_shape
+from .geometry import SpacetimeConfig, _pair_response
 
 __all__ = ["IntegralResult", "QuadratureError", "rcpi_integral"]
 
@@ -138,9 +138,10 @@ def _ellipse_maxima(d: float, q: float) -> tuple[float, float]:
     return 2.0 * q * growth / den, d * growth * (4.0 + 2.0 * q * q * x2) / den
 
 
-def _window(a: float, d: float) -> tuple[float, float, float]:
+def _window(a: float, d: float, cos_a: float, sin_a: float) -> tuple[float, float, float]:
     """W = int_0^1 [g(d x) - g(-d x)] / x dx, the principal value of y sin(y) / (y^2 - a^2) over [a - d, a + d],
     by the n-point Gauss-Legendre rule; its conjugate W', with cos(y) in place of sin(y); and a bound on W's error.
+    ``cos_a`` and ``sin_a`` are cos(a) and sin(a).
 
     g(t) = r(t) sin(a + t) with r(t) = (a + t) / (2a + t).  With u = t / a = q x, q = d / a <= 1,
     r(t) -/+ r(-t) = 2u / (4 - u^2) and (4 - 2u^2) / (4 - u^2), so the integrand is sin(a) F1 + cos(a) F2 with
@@ -161,7 +162,6 @@ def _window(a: float, d: float) -> tuple[float, float, float]:
         den = 4.0 - u2
         odd += w * math.cos(d * x) / den
         even += math.sin(d * x) / x * (w * (den - u2) / den)
-    cos_a, sin_a = math.cos(a), math.sin(a)
     m1, m2 = _ellipse_maxima(d, q)
     truncation = 32.0 / 15.0 * _RHO ** (-2 * _WINDOW_NODES) / (_RHO * _RHO - 1.0) * (abs(sin_a) * m1 + abs(cos_a) * m2)
     # A term of 2q odd is at most 2q/3 per unit weight, one of even is positive.  A subnormal d x errs by up to
@@ -171,15 +171,14 @@ def _window(a: float, d: float) -> tuple[float, float, float]:
     return sin_a * odd + cos_a * even, cos_a * odd - sin_a * even, error
 
 
-def _outside(a: float, d: float) -> tuple[float, float, float]:
+def _outside(a: float, d: float, cos_a: float, sin_a: float) -> tuple[float, float, float]:
     """O(a, d), the integral of y sin(y) / (y^2 - a^2) over [0, a - d] and [a + d, inf) in the sine and cosine
     integrals of ``_sici``, a bound on its rounding error (a few units in the last place of the largest term), and
-    |C| + |S|, the sizes of the brackets C and S that multiply cos(a) and sin(a) in O."""
+    |C| + |S|, the sizes of the brackets C and S that multiply ``cos_a`` = cos(a) and ``sin_a`` = sin(a) in O."""
     # 2a -/+ d overflow to inf past a = 9e307, where Si is pi/2 and Ci is 0, as they are to double precision.
     below, above = 2.0 * a - d, 2.0 * a + d
     (si_d, _), (si_below, ci_below), (si_above, ci_above) = map(_sici, (d, below, above))
     brackets = math.pi - 2.0 * si_d + si_below - si_above, ci_above - ci_below
-    cos_a, sin_a = math.cos(a), math.sin(a)
     value = 0.5 * (cos_a * brackets[0] + sin_a * brackets[1])
     # Ci(x) is gamma + ln(x) plus a series up to x = _SICI_SWITCH, so there its rounding error scales with 1 + |ln x|.
     size = abs(cos_a) * (math.pi + 2.0 * abs(si_d) + abs(si_below) + abs(si_above)) + abs(sin_a) * sum(
@@ -194,9 +193,9 @@ def _resonance_kernel(a: float) -> IntegralResult:
     QuadratureError where a has underflowed to 0, which puts the pole at the end point y = 0."""
     if a == 0.0:
         raise QuadratureError("sigma omega0 underflows to 0, which puts the pole at the end point y = 0")
-    d = min(a, math.pi)
-    w, conjugate, error = _window(a, d)
-    outside, rounding, brackets = _outside(a, d)
+    d, cos_a, sin_a = min(a, math.pi), math.cos(a), math.sin(a)
+    w, conjugate, error = _window(a, d, cos_a, sin_a)
+    outside, rounding, brackets = _outside(a, d, cos_a, sin_a)
     # The rounding of a = sigma omega0 moves W by about W' and O by at most (|C| + |S|) / 2 per unit of a.
     a_scale = 2.0 * _U * (a + d) * (abs(w) + abs(conjugate) + 0.5 * brackets)
     return IntegralResult(w + outside, error + rounding + a_scale, 2 * _WINDOW_NODES)  # g at d x and -d x per node
@@ -221,16 +220,13 @@ def rcpi_integral(
     y = sigma w the integrand is (2/c) y sin(y) / (y^2 - a^2) at a = sigma omega0,
     so the result is (2/c) times the kernel's I(a).
 
-    Raises ValueError for a non-positive or non-finite omega0 or L, or where
-    the phase omega0 sigma is not a double, and QuadratureError (with the
-    evaluation count and the error estimate) when the
-    result or its error estimate is not finite, or the estimate misses the
-    requested tolerance, or where sigma omega0 underflows to 0.
+    Raises ValueError as ``geometry._pair_response``, and QuadratureError
+    (with the evaluation count and the error estimate) when the result or
+    its error estimate is not finite, or the estimate misses the requested
+    tolerance, or where sigma omega0 underflows to 0.
     """
-    _require_positive(omega0=omega0, L=L)
-    sigma, c = response_shape(spacetime, L)
-    _require_phase(omega0, sigma)
-    res = _resonance_kernel(sigma * omega0)
+    _, c, a = _pair_response(spacetime, L, omega0)
+    res = _resonance_kernel(a)
     scale = 2.0 / c
     value, error = scale * res.value, scale * res.error
     if not (math.isfinite(value) and math.isfinite(error) and error <= max(abs_tol, rel_tol * abs(value))):

@@ -6,7 +6,9 @@ but separation-independent self-energies.  The closed forms implemented here
 carry the whole curved-versus-flat story: in de Sitter the shift envelope
 crosses over from 1/L below the redshifted curvature scale kappa to
 2 kappa / L^2 above it, while a thermal flat-space bath gives a
-temperature-independent 1/L law at every separation.
+temperature-independent 1/L law at every separation.  The closed forms and
+the quadrature take their checked inputs, (sigma, c) and the phase
+omega0 sigma, from ``geometry._pair_response``.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ import enum
 import math
 
 from .dicke import DickeState
-from .geometry import (
-    SpacetimeConfig, ThermalBath, _desitter_shape, _require_envelope, _require_phase, _require_positive, response_shape
-)
+from .geometry import SpacetimeConfig, ThermalBath, _pair_response, _require_envelope, _require_phase, _require_positive
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, rcpi_integral
 
 TYPE_CHECKING = False  # as typing.TYPE_CHECKING, which type checkers read as True
@@ -48,32 +48,22 @@ def _entangled_sign(state: DickeState) -> float:
     raise ValueError(f"interaction shift exists only for the S and A states, got {state}")
 
 
-def _a2_closed_form(sigma, c, omega0: float, mu: float):
-    """a2 = mu^2 cos(omega0 sigma) / (8 pi c), a float at scalar (sigma, c) and an array at array ones; the S and A
-    shifts are -/+ 2 a2."""
-    if getattr(sigma, "ndim", 0) == 0:
-        return float((mu * mu / (8.0 * math.pi)) * math.cos(omega0 * sigma) / c)
+def _a2_closed_form(a, c, mu: float):
+    """a2 = mu^2 cos(a) / (8 pi c) at the phase a = omega0 sigma, a float at scalar (a, c) and an array at array ones;
+    the S and A shifts are -/+ 2 a2."""
+    if getattr(a, "ndim", 0) == 0:
+        return float((mu * mu / (8.0 * math.pi)) * math.cos(a) / c)
     import numpy as np  # an array argument: numpy is loaded already
 
-    return (mu * mu / (8.0 * math.pi)) * np.cos(omega0 * sigma) / c
-
-
-def _interaction(sigma, c, omega0: float, mu: float, state: DickeState) -> float | np.ndarray:
-    """The closed form sign (mu^2 / 4 pi) cos(omega0 sigma) / c = -/+ 2 a2 for S/A, at scalar or array (sigma, c).
-
-    Raises ValueError where the envelope mu^2 / (4 pi c) or the phase omega0 sigma is not a double.
-    """
-    _require_envelope(mu, c)
-    _require_phase(omega0, sigma)
-    return _entangled_sign(state) * 2.0 * _a2_closed_form(sigma, c, omega0, mu)
+    return (mu * mu / (8.0 * math.pi)) * np.cos(a) / c
 
 
 def rcpi_closed_desitter(
     L: float | np.ndarray, kappa_val: float, omega0: float, mu: float, state: DickeState = DickeState.S
 ) -> float | np.ndarray:
     """Closed-form interaction energy of a static pair in the de Sitter vacuum of redshifted scale ``kappa_val``."""
-    _require_positive(L=L, kappa=kappa_val, omega0=omega0, mu=mu)
-    return _interaction(*_desitter_shape(L, kappa_val), omega0, mu, state)
+    _, c, a = _pair_response(None, L, omega0, mu, kappa=kappa_val)
+    return _entangled_sign(state) * 2.0 * _a2_closed_form(a, c, mu)
 
 
 def rcpi_closed_minkowski(
@@ -89,10 +79,11 @@ def rcpi_closed(
 ) -> float | np.ndarray:
     """Closed-form interaction energy for either spacetime, with (sigma, c) from ``geometry.response_shape``.
 
-    ``L`` may be a scalar (the result is a float) or a numpy array of separations.
+    ``L`` may be a scalar (the result is a float) or a numpy array of separations.  Raises as
+    ``geometry._pair_response``.
     """
-    _require_positive(L=L, omega0=omega0, mu=mu)
-    return _interaction(*response_shape(spacetime, L), omega0, mu, state)
+    _, c, a = _pair_response(spacetime, L, omega0, mu)
+    return _entangled_sign(state) * 2.0 * _a2_closed_form(a, c, mu)
 
 
 def rcpi_asymptotic(
@@ -133,12 +124,9 @@ def rcpi_quadrature(
     abs_tol: float = DEFAULT_ABS_TOL,
     rel_tol: float = DEFAULT_REL_TOL,
 ) -> tuple[float, float]:
-    """Interaction energy by direct numerical quadrature; returns (value, error estimate).  Raises as ``rcpi_closed``
-    where the envelope mu^2 / (4 pi c) or the phase omega0 sigma is not a double."""
-    _require_positive(mu=mu, omega0=omega0, L=L)
-    if not math.isfinite(mu * mu / (4.0 * math.pi * L)):
-        # c >= L in either spacetime: only here can the envelope fail, and only here is c needed before the integral.
-        _require_envelope(mu, response_shape(spacetime, L)[1])
-    res = rcpi_integral(spacetime, omega0, L, abs_tol=abs_tol, rel_tol=rel_tol)  # checks the phase
+    """Interaction energy by direct numerical quadrature; returns (value, error estimate).  Raises as ``rcpi_closed``,
+    and as ``rcpi_integral`` where the quadrature fails."""
+    _pair_response(spacetime, L, omega0, mu)
+    res = rcpi_integral(spacetime, omega0, L, abs_tol=abs_tol, rel_tol=rel_tol)
     scale = mu * mu / (4.0 * math.pi**2)
     return _entangled_sign(state) * scale * res.value, scale * res.error

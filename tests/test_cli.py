@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from rcpi import cli, csvio, discriminator, liouvillian, quadrature, shifts, spectral, validation
+from rcpi import cli, csvio, discriminator, geometry, liouvillian, quadrature, shifts, spectral, validation
 from rcpi.cli import main
 from rcpi.config import (
     MAX_GRID_POINTS,
@@ -657,12 +657,13 @@ _BREAKS = [
     ("kms_thermal", liouvillian, "dissipator_coefficients", _negate_at2),
     ("temperature_decomposition", validation, "local_temperature",
      lambda f: lambda p: f(p).replace(T_a=2.0 * f(p).T_a)),
-    ("oracle_equivalence", quadrature, "response_shape", lambda f: lambda *a: tuple(1.001 * x for x in f(*a))),
+    ("oracle_equivalence", quadrature, "_pair_response", lambda f: lambda *a: tuple(1.001 * x for x in f(*a))),
     # lambda / (1 - e^{-beta lambda}) less its vacuum term lambda: the occupation part alone.
     ("thermal_temperature_independence", spectral, "_planck_weight", lambda f: lambda lam, b: f(lam, b) - lam),
     ("asymptotic_regimes", shifts, "rcpi_asymptotic",
      lambda f: lambda *a: f(*a) * (2.0 if a[4] is shifts.Regime.FAR else 1.0)),
-    ("flat_limit", shifts, "_desitter_shape", lambda f: lambda *a: (1.001 * f(*a)[0], f(*a)[1])),
+    # sigma and c alike, so that every cross dissipator factor of the de Sitter routes stays below 1.
+    ("flat_limit", geometry, "_desitter_shape", lambda f: lambda *a: tuple(1.001 * x for x in f(*a))),
     ("antisymmetry", shifts, "_entangled_sign", lambda f: lambda state: -f(state)),
     # G and E swapped: rows and columns (G, E, S, A) read as (E, G, S, A).
     ("lindblad_generator", liouvillian, "rate_matrix", lambda f: lambda g: f(g)[[1, 0, 2, 3]][:, [1, 0, 2, 3]]),
@@ -727,8 +728,8 @@ class TestValidateCommand:
         # Only the stretches outside the pole window are in closed form: a window off by 1e-4 must fail the check.
         window = quadrature._window
 
-        def scaled_window(a, d):
-            w, conjugate, error = window(a, d)
+        def scaled_window(*args):
+            w, conjugate, error = window(*args)
             return w * (1.0 + 1e-4), conjugate, error
 
         monkeypatch.setattr(quadrature, "_window", scaled_window)

@@ -15,6 +15,9 @@ from rcpi.geometry import (
     local_temperature,
     response_shape,
 )
+from rcpi.liouvillian import build_coefficients, dissipator_coefficients
+from rcpi.quadrature import rcpi_integral
+from rcpi.shifts import rcpi_closed, rcpi_closed_desitter, rcpi_quadrature
 from rcpi.spectral import geometric_factor_f, sinc
 
 patches = st.builds(
@@ -165,6 +168,38 @@ def test_envelope_at_a_c_that_underflowed_to_0_is_rejected(c):
     # mu^2 / (4 pi c) divides by 0 there: a ValueError naming the envelope, not a ZeroDivisionError.
     with pytest.raises(ValueError, match=r"envelope mu\^2 / \(4 pi c\) is not a double at mu=0\.1, c=0\.0"):
         _require_envelope(0.1, c)
+
+
+_BATH = ThermalBath(0.5)
+# Each route of the shift and the generator as a function of (L, omega0, mu); rcpi_integral takes no mu, and
+# rcpi_closed_desitter's kappa = 1e200 puts its sigma at L.
+_ROUTES = {
+    "rcpi_closed": lambda L, omega0, mu: rcpi_closed(_BATH, L, omega0, mu),
+    "rcpi_closed-array": lambda L, omega0, mu: rcpi_closed(_BATH, np.array([1.0, L]), omega0, mu),
+    "rcpi_closed_desitter": lambda L, omega0, mu: rcpi_closed_desitter(L, 1e200, omega0, mu),
+    "rcpi_quadrature": lambda L, omega0, mu: rcpi_quadrature(_BATH, L, omega0, mu),
+    "rcpi_integral": lambda L, omega0, mu: rcpi_integral(_BATH, omega0, L),
+    "dissipator_coefficients": lambda L, omega0, mu: dissipator_coefficients(_BATH, omega0, mu, L),
+    "build_coefficients": lambda L, omega0, mu: build_coefficients(_BATH, omega0, mu, L),
+}
+_BAD_INPUTS = {
+    "zero-L": ((0.0, 1.0, 0.1), "L must be positive and finite, got 0.0"),
+    "nan-omega0": ((1.0, math.nan, 0.1), "omega0 must be positive and finite, got nan"),
+    "inf-mu": ((1.0, 1.0, math.inf), "mu must be positive and finite, got inf"),
+    "phase-overflows": ((1e10, 1e300, 0.1), "the phase omega0 sigma is not a double: inf"),
+}
+
+
+@pytest.mark.parametrize(
+    "route, bad",
+    [(r, b) for r in _ROUTES for b in _BAD_INPUTS if not (r == "rcpi_integral" and b == "inf-mu")],
+    ids=lambda x: x,
+)
+def test_every_route_raises_one_message_for_one_bad_input(route, bad):
+    # The routes share geometry._pair_response, so one bad input gives one message whichever of them is called.
+    args, message = _BAD_INPUTS[bad]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _ROUTES[route](*args)
 
 
 def test_thermal_bath_validation():

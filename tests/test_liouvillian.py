@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -134,6 +135,20 @@ class TestDissipatorCoefficients:
         # omega0 sigma overflows while the envelope is a double: the phase error, not math's "math domain error".
         with pytest.raises(ValueError, match=r"^the phase omega0 sigma is not a double: inf$"):
             dissipator_coefficients(ThermalBath(0.0), 1e200, 0.1, 1e200)
+
+    @pytest.mark.parametrize(
+        "route, omega0, mu",
+        [
+            (dissipator_coefficients, 1.0, 1e200),
+            (dissipator_coefficients, 1e300, 1e5),
+            (build_coefficients, 1e300, 1e5),  # at mu = 1e200 it raises first that the envelope is no double
+        ],
+        ids=["dissipator-mu-squared", "dissipator-mu-squared-omega0", "build-mu-squared-omega0"],
+    )
+    def test_coefficients_past_the_double_range_raise(self, route, omega0, mu):
+        # mu^2 omega0 / 8 pi overflows: an error naming omega0 and mu, not infinities.
+        with pytest.raises(ValueError, match=r"^the dissipator .* at " + re.escape(f"omega0={omega0}, mu={mu}") + "$"):
+            route(ThermalBath(0.0), omega0, mu, 1.0)
 
 
 class TestHamiltonianCoefficients:

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import _panels, principal_value, resonance_outside, resonance_window, sici
 from scipy.integrate import quad
 
+from rcpi import quadrature
 from rcpi.geometry import DeSitterPatch, ThermalBath, response_shape
 from rcpi.quadrature import (
     IntegralResult,
@@ -18,12 +19,20 @@ from rcpi.quadrature import (
     _SICI_SWITCH,
     _WINDOW_NODES,
     _ellipse_maxima,
-    _outside,
     _resonance_kernel,
     _sici,
-    _window,
     rcpi_integral,
 )
+
+
+def _window(a, d):
+    """``quadrature._window`` at cos(a) and sin(a), which ``_resonance_kernel`` takes once and passes in."""
+    return quadrature._window(a, d, math.cos(a), math.sin(a))
+
+
+def _outside(a, d):
+    """``quadrature._outside`` at cos(a) and sin(a), as ``_window``."""
+    return quadrature._outside(a, d, math.cos(a), math.sin(a))
 
 
 def closed_form_integral(spacetime, omega0, L):
